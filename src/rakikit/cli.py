@@ -259,6 +259,8 @@ def _save_maps(maps: SensitivityMaps, out: Path) -> None:
             "kernel_size": maps.kernel_size,
             "sigma_threshold": maps.sigma_threshold,
             "crop_threshold": maps.crop_threshold,
+            "retained_frac": maps.retained_frac,
+            "eigh_fallbacks": maps.eigh_fallbacks,
         },
     )
     save_bundle(
@@ -275,7 +277,7 @@ def _load_maps(path: str) -> SensitivityMaps:
     eigval = np.real(load_bundle(eig_prefix).data)
     return SensitivityMaps(
         maps, eigval, meta["kernel_size"], meta["sigma_threshold"],
-        meta["crop_threshold"],
+        meta["crop_threshold"], meta.get("eigh_fallbacks", 0),
     )
 
 

@@ -2,10 +2,14 @@
 
 Readout-decoupled (hybrid) strategy: a 1D inverse FFT along the fully
 sampled kx axis, then an independent 2D eigen-analysis per readout
-position over (ky, kz): block-Hankel calibration matrix, SVD, kernel
-projection to image space, pointwise Hermitian eigendecomposition. The
-leading eigenvector gives the maps, the leading eigenvalue the support
-measure.
+position over (ky, kz). The row space of the block-Hankel calibration
+matrix comes from the eigendecomposition of its normal matrix. The kept
+kernels are correlated in k-space into one Gram kernel per Hermitian coil
+pair, and one centred inverse FFT of those pairs gives the per-voxel coil
+Gram matrix on the output grid (Uecker et al., MRM 71:990, 2014). Its
+leading eigenvector, found by power iteration warm-started from the
+neighbouring readout with ``eigh`` where that does not converge, gives the
+maps; its leading eigenvalue gives the support measure.
 """
 
 from __future__ import annotations
@@ -13,9 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
-from .errors import ConfigError, GeometryError
-from .tensors import CTensor, fftc, ifftc, ifftc_nd, center_slices
+from .errors import ConfigError, GeometryError, NumericalError
+from .tensors import CTensor, fftc, ifftc, ifftc_nd
+
+# Power iteration runs on G^(2**_SQUARINGS); a voxel keeps its result when
+# the residual |Gv - lambda v| is at most _RESIDUAL_TOL, which bounds the
+# eigenvector error by _RESIDUAL_TOL / (lambda_1 - lambda_2). Leading
+# eigenvalues lie in [0, 1], so the tolerance is absolute.
+_SQUARINGS = 6
+_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -25,6 +37,8 @@ class SensitivityMaps:
     ``maps`` is [coil, kx, ky, kz] in hybrid/image space; maps are zero
     where ``eigval`` falls below the crop threshold. The phase gauge makes
     the first coil real and non-negative at every retained voxel.
+    ``eigh_fallbacks`` counts the voxels whose leading eigenpair came from
+    a full ``eigh`` rather than power iteration.
     """
 
     maps: CTensor
@@ -32,49 +46,104 @@ class SensitivityMaps:
     kernel_size: int
     sigma_threshold: float
     crop_threshold: float
+    eigh_fallbacks: int = 0
 
     @property
     def n_coils(self) -> int:
         return self.maps.shape[0]
 
+    @property
+    def retained_frac(self) -> float:
+        """Fraction of voxels whose leading eigenvalue passes the crop."""
+        return float(np.mean(self.eigval >= self.crop_threshold))
 
-def _calibration_svd(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
-                     scale: float = 0.0):
+
+def _row_space(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
+               scale: float = 0.0) -> np.ndarray:
     """Row-space kernels of the block-Hankel matrix at one readout position.
 
-    ``scale`` is the magnitude of the strongest readout position; slices
-    whose leading singular value is negligible against it carry no signal
-    and return no kernels (otherwise round-off noise masquerades as a
-    fully determined row space).
+    The right singular vectors of A are the eigenvectors of A^H A, and
+    singular values are the square roots of its eigenvalues, so ``tau``
+    thresholds singular values. ``scale`` is the magnitude of
+    the strongest readout position; slices whose leading singular value is
+    negligible against it carry no signal and return no kernels (otherwise
+    round-off noise masquerades as a fully determined row space).
     """
     nc, n1, n2 = hyb_x.shape
-    w1 = n1 - k1 + 1
-    w2 = n2 - k2 + 1
     windows = np.lib.stride_tricks.sliding_window_view(hyb_x, (k1, k2), axis=(1, 2))
-    A = windows.transpose(1, 2, 0, 3, 4).reshape(w1 * w2, nc * k1 * k2)
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    A = windows.transpose(1, 2, 0, 3, 4).reshape(-1, nc * k1 * k2)
+    lam, vec = np.linalg.eigh(A.conj().T @ A)
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
     if s[0] <= max(scale, s[0]) * 1e-12:
         return np.zeros((0, nc, k1, k2), dtype=np.complex128)
     keep = s >= tau * s[0]
-    v = vh[keep]
-    # deterministic sign: largest-magnitude component made real-positive
-    idx = np.argmax(np.abs(v), axis=1)
-    phase = v[np.arange(len(v)), idx]
-    v = v * (np.abs(phase) / np.where(phase == 0, 1.0, phase))[:, None]
-    return v.reshape(-1, nc, k1, k2)
+    return vec[:, ::-1][:, keep].conj().T.reshape(-1, nc, k1, k2)
 
 
-def _kernels_to_image(kern: np.ndarray, out1: int, out2: int) -> np.ndarray:
-    """Zero-pad kernels to the output grid and inverse-transform.
+def _gram(kern: np.ndarray, out1: int, out2: int) -> np.ndarray:
+    """Per-voxel coil Gram matrices G [out1, out2, nc, nc] of the kernels.
 
-    Scaled so the projection operator has unit leading eigenvalue on
-    voxels fully inside the row space.
+    G(r) = sum_k v_k(r) v_k(r)^H, where v_k(r) is kernel k zero-padded to
+    the output grid, inverse-transformed and scaled so that G has unit
+    leading eigenvalue on voxels fully inside the row space. The image of
+    a padded kernel is band-limited, so G(r) is exactly the inverse DFT of
+    the kernels' summed cross-correlation, whose lags span (2k1-1)x(2k2-1);
+    lags wrap circularly onto grids smaller than that.
     """
     nk, nc, k1, k2 = kern.shape
-    pad = np.zeros((nk, nc, out1, out2), dtype=np.complex128)
-    pad[:, :, center_slices(out1, k1), center_slices(out2, k2)] = kern
-    img = ifftc_nd(pad, axes=(2, 3))
-    return img * (np.sqrt(out1 * out2) / np.sqrt(k1 * k2))
+    s1, s2 = 2 * k1 - 1, 2 * k2 - 1
+    spec = scipy.fft.fft2(kern, s=(s1, s2)).transpose(2, 3, 1, 0)  # [s1, s2, nc, nk]
+    upper = np.triu_indices(nc)
+    cross = (spec @ spec.conj().swapaxes(-1, -2))[..., upper[0], upper[1]]
+    corr = scipy.fft.ifft2(cross.transpose(2, 0, 1))  # lag d at index d mod s
+    corr *= np.sqrt(out1 * out2) / (k1 * k2)
+    lag1 = np.arange(1 - k1, k1)
+    lag2 = np.arange(1 - k2, k2)
+    pad = np.zeros((len(upper[0]), out1, out2), dtype=np.complex128)
+    np.add.at(
+        pad,
+        (slice(None), ((out1 // 2 + lag1) % out1)[:, None],
+         ((out2 // 2 + lag2) % out2)[None, :]),
+        corr[:, lag1[:, None], lag2[None, :]],
+    )
+    pairs = ifftc_nd(pad, axes=(1, 2))
+    G = np.empty((nc, nc, out1, out2), dtype=np.complex128)
+    G[upper[1], upper[0]] = pairs.conj()
+    G[upper] = pairs
+    return np.ascontiguousarray(G.transpose(2, 3, 0, 1))
+
+
+def _leading_eigenpairs(G: np.ndarray, start: np.ndarray | None):
+    """Leading eigenvalue and eigenvector of every Hermitian PSD G [..., nc, nc].
+
+    From ``start`` vectors (the neighbouring readout's), one application of
+    G^(2**_SQUARINGS) (repeated squaring, trace-normalised) is a power
+    iteration. Voxels whose residual exceeds ``_RESIDUAL_TOL``, and every
+    voxel when ``start`` is None, take the pair from ``eigh`` instead.
+    Returns the eigenvalues, the unit eigenvectors and the fallback count.
+    """
+    lead = np.zeros(G.shape[:-2])
+    vec = np.zeros(G.shape[:-1], dtype=np.complex128)
+    ok = np.zeros(G.shape[:-2], dtype=bool)
+    if start is not None:
+        P = G
+        for _ in range(_SQUARINGS):
+            P = P @ P
+            tr = np.einsum("...ii->...", P).real
+            P /= np.where(tr > 0, tr, 1.0)[..., None, None]
+        v = (P @ start[..., None])[..., 0]
+        norm = np.linalg.norm(v, axis=-1)
+        v /= np.where(norm > 0, norm, 1.0)[..., None]
+        w = (G @ v[..., None])[..., 0]
+        lam = np.einsum("...c,...c->...", v.conj(), w).real
+        resid = np.linalg.norm(w - lam[..., None] * v, axis=-1)
+        ok = (norm > 0) & (resid <= _RESIDUAL_TOL)
+        lead[ok] = lam[ok]
+        vec[ok] = v[ok]
+    evals, evecs = np.linalg.eigh(G[~ok])
+    lead[~ok] = evals[:, -1]
+    vec[~ok] = evecs[..., -1]
+    return lead, vec, int(np.count_nonzero(~ok))
 
 
 def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.01,
@@ -91,6 +160,8 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     if not (0 < crop_threshold <= 1):
         raise ConfigError(f"crop threshold must be in (0,1], got {crop_threshold}")
     x = acs.transpose(("coil", "kx", "ky", "kz"))
+    if not np.isfinite(x.data).all():
+        raise NumericalError("ACS contains non-finite samples")
     nc, nx, n1, n2 = x.shape
     k1 = min(kernel_size, n1)
     k2 = min(kernel_size, n2)
@@ -104,16 +175,15 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     scale = float(np.max(np.sqrt(np.sum(np.abs(hyb) ** 2, axis=(0, 2, 3)))))
     maps = np.zeros((nc, nx, out1, out2), dtype=np.complex128)
     eigval = np.zeros((nx, out1, out2))
+    fallbacks = 0
+    vec = None  # the previous readout's eigenvectors warm-start the next
     for ix in range(nx):
-        kern = _calibration_svd(hyb[:, ix], k1, k2, sigma_threshold, scale)
+        kern = _row_space(hyb[:, ix], k1, k2, sigma_threshold, scale)
         if len(kern) == 0:
+            vec = None
             continue
-        kimg = _kernels_to_image(kern, out1, out2)  # [nk, nc, out1, out2]
-        V = kimg.transpose(2, 3, 1, 0)  # [out1, out2, nc, nk]
-        G = V @ V.conj().transpose(0, 1, 3, 2)
-        evals, evecs = np.linalg.eigh(G)
-        lead = evals[..., -1]
-        vec = evecs[..., -1]
+        lead, vec, n_eigh = _leading_eigenpairs(_gram(kern, out1, out2), vec)
+        fallbacks += n_eigh
         # phase gauge on the first coil
         ph = vec[..., 0]
         gauge = np.where(np.abs(ph) > 0, ph / np.where(np.abs(ph) > 0, np.abs(ph), 1.0), 1.0)
@@ -123,7 +193,7 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
         eigval[ix] = lead
     return SensitivityMaps(
         CTensor(maps, ("coil", "kx", "ky", "kz")), eigval, kernel_size,
-        sigma_threshold, crop_threshold,
+        sigma_threshold, crop_threshold, fallbacks,
     )
 
 
@@ -193,8 +263,6 @@ def kspace_combine_convolution(coil_kspace: CTensor, maps: SensitivityMaps) -> C
 
 def _circ_conv_centered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Centered circular convolution via padded FFTs (orthonormal pair)."""
-    import scipy.fft
-
     sh = a.shape
     fa = scipy.fft.fftn(scipy.fft.ifftshift(a))
     fb = scipy.fft.fftn(scipy.fft.ifftshift(b))

@@ -62,6 +62,19 @@ class TestExitCodes:
         assert main(["maps", "--seed", "1", "--acs", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_nonfinite_acs_is_numerical_error(self, pipeline, tmp_path, capsys):
+        acs = load_bundle(pipeline["root"] / "acs")
+        bad = acs.data.copy()
+        bad[0, 3, 5, 5] = np.nan
+        save_bundle(acs.with_data(bad), tmp_path / "acs")
+        capsys.readouterr()
+        assert main(["maps", "--config", str(pipeline["cfg"]),
+                     "--acs", str(tmp_path / "acs"),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_recon_without_maps_is_config_error(self, pipeline, tmp_path):
         r = pipeline["root"]
         assert main(["recon", "--config", str(pipeline["cfg"]),
@@ -83,6 +96,19 @@ class TestPipeline:
         assert manifest["effective_config"]["phantom"]["n_coils"] == 4
         # defaults echoed into the persisted effective config
         assert manifest["effective_config"]["train"]["alpha"] == 0.0
+
+    def test_maps_meta_records_espirit_diagnostics(self, pipeline):
+        from rakikit import espirit_maps
+        from rakikit.tensors import bundle_meta
+
+        r = pipeline["root"]
+        meta = bundle_meta(r / "maps" / "maps")
+        maps = espirit_maps(load_bundle(r / "acs"), kernel_size=5,
+                            out_extents=(24, 24))
+        assert meta["retained_frac"] == maps.retained_frac
+        assert meta["eigh_fallbacks"] == maps.eigh_fallbacks
+        assert 0 < meta["retained_frac"] < 1
+        assert 0 < meta["eigh_fallbacks"] <= maps.eigval.size
 
     def test_seed_flag_overrides_file(self, pipeline, tmp_path):
         assert main(["mask", "--config", str(pipeline["cfg"]), "--seed", "99",

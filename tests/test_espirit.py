@@ -7,19 +7,24 @@ from rakikit import (
     ConfigError,
     CTensor,
     GeometryError,
+    NumericalError,
     apply_mask,
     centered_acs_box,
     coil_combine,
+    default_spec,
     espirit_maps,
     extract_acs,
     fftc,
     ifftc,
+    ifftc_nd,
     kspace_combine_convolution,
     make_combo_target,
     make_compact_coils,
+    make_phantom,
     make_uniform_mask,
 )
-from rakikit.espirit import SensitivityMaps
+from rakikit.espirit import SensitivityMaps, _gram, _leading_eigenpairs
+from rakikit.tensors import center_slices
 
 from conftest import compact_scene
 
@@ -32,6 +37,116 @@ def estimated_maps(extents=(8, 32, 32), n_coils=4, seed=0, **kw):
     acs = extract_acs(apply_mask(ksp, mask), mask)
     maps = espirit_maps(acs, out_extents=extents[1:], **kw)
     return maps, coils, ksp
+
+
+def criterion_03_acs():
+    """ACS of the criterion-03 scene: 8 compact coils, 16x64x64, 24x24 ACS."""
+    extents = (16, 64, 64)
+    obj = make_phantom(default_spec(extents=extents, n_coils=1))["images"].data[0]
+    coils = make_compact_coils(extents, 8, support=3, seed=0).data
+    ksp = fftc(CTensor(coils * obj[None], ("coil", "kx", "ky", "kz")),
+               ("kx", "ky", "kz"))
+    mask = make_uniform_mask(
+        (64, 64), 2, 2, acs_box=centered_acs_box((64, 64), (24, 24))
+    )
+    return extract_acs(apply_mask(ksp, mask), mask)
+
+
+def image_space_gram(kern, out1, out2):
+    """Reference Gram: zero-pad each kernel, inverse-transform, sum V V^H."""
+    nk, nc, k1, k2 = kern.shape
+    pad = np.zeros((nk, nc, out1, out2), dtype=np.complex128)
+    pad[:, :, center_slices(out1, k1), center_slices(out2, k2)] = kern
+    V = ifftc_nd(pad, axes=(2, 3)) * np.sqrt(out1 * out2 / (k1 * k2))
+    V = V.transpose(2, 3, 1, 0)  # [out1, out2, nc, nk]
+    return V @ V.conj().swapaxes(-1, -2)
+
+
+def reference_maps(acs, kernel_size, crop_threshold=0.9, out_extents=None,
+                   sigma_threshold=0.01):
+    """Maps from the Hankel SVD, the image-space Gram and a full eigh."""
+    x = acs.transpose(("coil", "kx", "ky", "kz"))
+    nc, nx, n1, n2 = x.shape
+    k = kernel_size
+    out1, out2 = out_extents or (n1, n2)
+    hyb = ifftc(x, "kx").data
+    scale = np.max(np.sqrt(np.sum(np.abs(hyb) ** 2, axis=(0, 2, 3))))
+    maps = np.zeros((nc, nx, out1, out2), dtype=np.complex128)
+    eigval = np.zeros((nx, out1, out2))
+    for ix in range(nx):
+        win = np.lib.stride_tricks.sliding_window_view(hyb[:, ix], (k, k), axis=(1, 2))
+        A = win.transpose(1, 2, 0, 3, 4).reshape(-1, nc * k * k)
+        _, s, vh = np.linalg.svd(A, full_matrices=False)
+        if s[0] <= max(scale, s[0]) * 1e-12:
+            continue
+        kern = vh[s >= sigma_threshold * s[0]].reshape(-1, nc, k, k)
+        evals, evecs = np.linalg.eigh(image_space_gram(kern, out1, out2))
+        vec = evecs[..., -1]
+        ph = vec[..., 0]
+        gauge = np.where(ph == 0, 1.0, ph / np.abs(np.where(ph == 0, 1.0, ph)))
+        vec = vec * np.conj(gauge)[..., None]
+        keep = evals[..., -1] >= crop_threshold
+        maps[:, ix] = np.where(keep[None], vec.transpose(2, 0, 1), 0)
+        eigval[ix] = evals[..., -1]
+    return maps, eigval
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize(
+        "k1,k2,out1,out2",
+        [
+            (6, 6, 32, 32),  # even kernel, even grid
+            (5, 5, 45, 37),  # odd kernel, odd grids
+            (5, 4, 21, 20),  # mixed kernel, mixed grid parities
+            (3, 6, 11, 12),
+            (6, 6, 8, 8),  # grid smaller than the 11x11 lag support
+            (6, 5, 7, 9),  # ... with odd and mixed extents
+        ],
+    )
+    def test_matches_image_space_gram(self, k1, k2, out1, out2):
+        rng = np.random.default_rng(k1 * 100 + out1)
+        kern = rng.standard_normal((7, 4, k1, k2)) + 1j * rng.standard_normal(
+            (7, 4, k1, k2)
+        )
+        ref = image_space_gram(kern, out1, out2)
+        got = _gram(kern, out1, out2)
+        assert got.shape == (out1, out2, 4, 4)
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+class TestLeadingEigenpairs:
+    def _batch(self, spectra, seed=0):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((len(spectra), 4, 4)) + 1j * rng.standard_normal(
+            (len(spectra), 4, 4)
+        )
+        q, _ = np.linalg.qr(z)
+        G = q @ (np.asarray(spectra)[..., None] * q.conj().swapaxes(-1, -2))
+        return G, q
+
+    def test_power_iteration_matches_eigh(self):
+        G, q = self._batch([[1.0, 0.3, 0.1, 0.0], [0.95, 0.5, 0.2, 0.1]])
+        start = q[..., 0] + 0.1 * q[..., 1]
+        lead, vec, n_eigh = _leading_eigenpairs(G, start)
+        assert n_eigh == 0
+        np.testing.assert_allclose(lead, [1.0, 0.95], atol=1e-12)
+        overlap = np.abs(np.sum(np.conj(vec) * q[..., 0], axis=-1))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+
+    def test_small_gap_and_zero_matrices_fall_back_to_eigh(self):
+        G, q = self._batch([[1.0, 0.3, 0.1, 0.0], [1.0, 0.999, 0.1, 0.0],
+                            [0.0, 0.0, 0.0, 0.0]])
+        start = q[..., 1] + 1e-3 * q[..., 0]
+        lead, vec, n_eigh = _leading_eigenpairs(G, start)
+        assert n_eigh == 2
+        evals, evecs = np.linalg.eigh(G)
+        np.testing.assert_allclose(lead, evals[:, -1], atol=1e-12)
+        np.testing.assert_array_equal(vec[1:], evecs[1:, :, -1])
+
+    def test_no_start_is_all_eigh(self):
+        G, _ = self._batch([[1.0, 0.3, 0.1, 0.0]] * 3)
+        _, _, n_eigh = _leading_eigenpairs(G, None)
+        assert n_eigh == 3
 
 
 class TestMapEstimation:
@@ -94,6 +209,50 @@ class TestMapEstimation:
         acs = CTensor(np.ones((4, 8, 4, 4)), ("coil", "kx", "ky", "kz"))
         with pytest.raises(GeometryError):
             espirit_maps(acs, kernel_size=6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_acs_raises(self, bad):
+        ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))
+        mask = make_uniform_mask(
+            (32, 32), 2, 2, acs_box=centered_acs_box((32, 32), (16, 16))
+        )
+        acs = extract_acs(ksp, mask)
+        data = acs.data.copy()
+        data[1, 4, 8, 8] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            espirit_maps(acs.with_data(data))
+
+    @pytest.mark.parametrize(
+        "scene",
+        ["estimated_maps", "criterion_03", "low_resolution_8x8"],
+    )
+    def test_matches_full_eigh_reference(self, scene):
+        if scene == "estimated_maps":
+            ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))
+            mask = make_uniform_mask(
+                (32, 32), 2, 2, acs_box=centered_acs_box((32, 32), (16, 16))
+            )
+            acs = extract_acs(apply_mask(ksp, mask), mask)
+            kw = {"out_extents": (32, 32)}
+        elif scene == "criterion_03":
+            acs = criterion_03_acs()
+            kw = {"crop_threshold": 0.99, "out_extents": (64, 64)}
+        else:
+            # the default 8x8 grid is smaller than the 11x11 lag support of
+            # k=6; few kernels fit, so the leading eigenvalues stay below 0.9
+            ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))
+            acs = CTensor(ksp.data[:, :, 12:20, 12:20], ksp.axes)
+            kw = {"crop_threshold": 0.5}
+        maps = espirit_maps(acs, kernel_size=6, **kw)
+        ref_maps, ref_eigval = reference_maps(acs, 6, **kw)
+        crop = kw.get("crop_threshold", 0.9)
+        keep = maps.eigval >= crop
+        np.testing.assert_array_equal(keep, ref_eigval >= crop)
+        assert keep.any()
+        np.testing.assert_allclose(maps.eigval, ref_eigval, rtol=0, atol=1e-10)
+        assert np.abs(maps.maps.data - ref_maps)[:, keep].max() < 1e-8
+        assert maps.retained_frac == keep.mean()
+        assert 0 < maps.eigh_fallbacks < maps.eigval.size
 
     def test_bad_thresholds_raise(self):
         acs = CTensor(np.ones((4, 8, 16, 16)), ("coil", "kx", "ky", "kz"))
