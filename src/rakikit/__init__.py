@@ -51,7 +51,7 @@ from .phantom import (
     make_phantom,
     make_smooth_coils,
 )
-from .grappa import GrappaKernel, grappa_apply, grappa_calibrate, grappa_kyt, grappa_recon
+from .grappa import GrappaKernel, grappa_apply, grappa_calibrate, grappa_recon
 from .espirit import (
     SensitivityMaps,
     coil_combine,
@@ -79,7 +79,6 @@ from .recon_models import (
     echo_shifted_masks,
     infer,
     linear_init,
-    recon_joint,
     train_eraki,
     train_raki,
     zerofill_recon,

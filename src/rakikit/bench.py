@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS, merge, train_config
 from .errors import ConfigError
 from .espirit import coil_combine, espirit_maps
 from .grappa import grappa_recon
@@ -49,16 +50,7 @@ DEFAULT_SCENARIO = {
     "phantom": {"extents": [16, 48, 48], "n_coils": 8, "texture": 1.0},
     "mask": {"r1": 2, "r2": 2, "shift": 1, "acs": [16, 16]},
     "espirit": {"kernel_size": 5},
-    "train": {
-        "alpha": 0.0,
-        "beta": 1e-4,
-        "squared_l2": True,
-        "learning_rate": 1e-4,
-        "lr_decay": 0.998,
-        "iterations": 100,
-        "widths": [16, 16, 16, 16],
-        "kernel_sizes": [[3, 3, 5], [1, 1, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1]],
-    },
+    "train": {**DEFAULTS["train"], "iterations": 100},
     "methods": list(BENCH_METHODS),
 }
 
@@ -85,29 +77,21 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def _environment() -> dict:
+def thread_count() -> int:
+    """CPUs this process may run on."""
     try:
-        threads = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        threads = os.cpu_count() or 1
+        return os.cpu_count() or 1
+
+
+def _environment() -> dict:
     return {
         "cpu_model": _cpu_model(),
-        "thread_count": threads,
+        "thread_count": thread_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
-
-
-def _merged(defaults: dict, override: dict | None) -> dict:
-    out = dict(defaults)
-    for key, value in (override or {}).items():
-        if key not in defaults:
-            raise ConfigError(f"unknown scenario key {key!r}")
-        if isinstance(defaults[key], dict):
-            out[key] = _merged(defaults[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def _config_hash(scenario: dict) -> str:
@@ -115,25 +99,10 @@ def _config_hash(scenario: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _train_config(scenario: dict) -> TrainConfig:
-    t = scenario["train"]
-    return TrainConfig(
-        alpha=t["alpha"],
-        beta=t["beta"],
-        squared_l2=t["squared_l2"],
-        learning_rate=t["learning_rate"],
-        lr_decay=t["lr_decay"],
-        iterations=t["iterations"],
-        widths=tuple(t["widths"]),
-        kernel_sizes=tuple(tuple(k) for k in t["kernel_sizes"]),
-        seed=scenario["seed"],
-    )
-
-
 def run_bench(scenario: dict | None = None) -> BenchReport:
     """Run every requested method on one synthetic scene and time it."""
-    scenario = _merged(DEFAULT_SCENARIO, scenario)
-    cfg = _train_config(scenario)
+    scenario = merge(DEFAULT_SCENARIO, scenario or {}, "scenario")
+    cfg = train_config(scenario)
     pspec = scenario["phantom"]
     mspec = scenario["mask"]
     extents = tuple(pspec["extents"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import report_table, report_to_json, run_bench
+from .bench import report_table, report_to_json, run_bench, thread_count
+from .config import load_config, read_json, train_config
 from .errors import (
     BundleError,
     ConfigError,
@@ -28,8 +28,7 @@ from .errors import (
     NumericalError,
 )
 from .espirit import SensitivityMaps, coil_combine, espirit_maps
-from .grappa import grappa_kyt, grappa_recon
-from .nn_engine import TrainConfig
+from .grappa import grappa_recon
 from .phantom import default_spec, make_phantom
 from .quantmap import fit_decay
 from .recon_models import (
@@ -48,108 +47,8 @@ from .sampling import (
     make_uniform_mask,
     save_mask,
 )
-from .tensors import CTensor, ifftc, load_bundle, nrmse, psnr, save_bundle
-
-THREADS_ENV = "RAKIKIT_THREADS"
-
-DEFAULTS = {
-    "seed": None,  # mandatory: config file or --seed
-    "phantom": {
-        "extents": [16, 48, 48],
-        "n_coils": 8,
-        "coil_model": "smooth",
-        "coil_support": 3,
-        "te_ms": [0.0],
-        "echo_type": "spin",
-        "noise_sigma": 0.0,
-        "texture": 0.0,
-    },
-    "mask": {
-        "kind": "uniform",  # uniform | elliptical | kyt
-        "extents": [48, 48],
-        "r1": 2,
-        "r2": 2,
-        "shift": 0,
-        "acs": [16, 16],
-    },
-    "espirit": {
-        "kernel_size": 6,
-        "sigma_threshold": 0.01,
-        "crop_threshold": 0.9,
-        "out_extents": None,
-    },
-    "train": {
-        "alpha": 0.0,
-        "beta": 1e-4,
-        "squared_l2": True,
-        "learning_rate": 1e-4,
-        "lr_decay": 0.998,
-        "iterations": 200,
-        "widths": [16, 16, 16, 16],
-        "kernel_sizes": [[3, 3, 5], [1, 1, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1]],
-    },
-    "recon": {
-        "init": "linear",
-        "target_margin": 1,
-        "acs_kx": None,
-        "lam": None,  # GRAPPA ridge; None = module default
-    },
-    "fit": {
-        "threshold": 0.0,
-    },
-    "bench": {},
-}
-
-
-# ---------------------------------------------------------------------------
-# config plumbing
-
-
-def _merge(defaults, override, path="config"):
-    if not isinstance(override, dict):
-        raise ConfigError(f"{path} must be a JSON object")
-    out = dict(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path}.{key}")
-        if isinstance(defaults[key], dict) and value is not None:
-            out[key] = _merge(defaults[key], value, f"{path}.{key}")
-        else:
-            out[key] = value
-    return out
-
-
-def load_config(path: str | None, seed_flag: int | None) -> dict:
-    doc = {}
-    if path:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-    cfg = _merge(DEFAULTS, doc)
-    if seed_flag is not None:
-        cfg["seed"] = seed_flag
-    if cfg["seed"] is None:
-        raise ConfigError("config key seed is mandatory (file or --seed)")
-    cfg["seed"] = int(cfg["seed"])
-    return cfg
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        alpha=t["alpha"],
-        beta=t["beta"],
-        squared_l2=t["squared_l2"],
-        learning_rate=t["learning_rate"],
-        lr_decay=t["lr_decay"],
-        iterations=t["iterations"],
-        widths=tuple(t["widths"]),
-        kernel_sizes=tuple(tuple(k) for k in t["kernel_sizes"]),
-        seed=cfg["seed"],
-    )
+from .tensors import (CTensor, bundle_meta, ifftc, load_bundle, nrmse, psnr,
+                      save_bundle)
 
 
 def _hash_bundle(prefix: Path) -> str:
@@ -161,24 +60,15 @@ def _hash_bundle(prefix: Path) -> str:
     return h.hexdigest()
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
-def write_manifest(out: Path, command: str, cfg: dict, inputs: dict[str, Path],
-                   threads: int) -> None:
+def write_manifest(out: Path, command: str, cfg: dict,
+                   inputs: dict[str, Path]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool_version": __version__,
         "command": command,
         "effective_config": cfg,
         "seed": cfg.get("seed"),
-        "threads": threads,
+        "threads": thread_count(),
         "inputs": {name: _hash_bundle(Path(p)) for name, p in inputs.items()},
         "created_unix": time.time(),
     }
@@ -220,7 +110,7 @@ def cmd_phantom(args) -> int:
     ph = make_phantom(spec)
     for name in ("kspace", "images", "sens_true", "t2_true", "t2star_true"):
         save_bundle(ph[name], out / name)
-    write_manifest(out, "phantom", cfg, {}, _threads(args))
+    write_manifest(out, "phantom", cfg, {})
     return 0
 
 
@@ -248,7 +138,7 @@ def cmd_mask(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_mask(mask, out / "mask")
-    write_manifest(out, "mask", cfg, {}, _threads(args))
+    write_manifest(out, "mask", cfg, {})
     return 0
 
 
@@ -272,7 +162,7 @@ def _save_maps(maps: SensitivityMaps, out: Path) -> None:
 def _load_maps(path: str) -> SensitivityMaps:
     prefix = _bundle_prefix(path, "maps")
     maps = load_bundle(prefix)
-    meta = json.loads(prefix.with_suffix(".json").read_text())["meta"]
+    meta = bundle_meta(prefix)
     eig_prefix = prefix.parent / "eigval"
     eigval = np.real(load_bundle(eig_prefix).data)
     return SensitivityMaps(
@@ -293,8 +183,7 @@ def cmd_maps(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _save_maps(maps, out)
-    write_manifest(out, "maps", cfg, {"acs": _bundle_prefix(args.acs, "acs")},
-                   _threads(args))
+    write_manifest(out, "maps", cfg, {"acs": _bundle_prefix(args.acs, "acs")})
     return 0
 
 
@@ -311,7 +200,7 @@ def cmd_recon(args) -> int:
     mask = load_mask(_bundle_prefix(args.mask, "mask"))
     maps = _load_maps(args.maps) if args.maps else None
     rcfg = cfg["recon"]
-    tcfg = _train_config(cfg)
+    tcfg = train_config(cfg)
     method = args.method
     fourier = tuple(a for a in ("kx", *mask.axes) if a != "t")
     report = {"method": method, "model_count": 0, "learning_s": 0.0,
@@ -323,12 +212,7 @@ def cmd_recon(args) -> int:
 
     if method == "grappa":
         t0 = time.monotonic()
-        if mask.kind == "kyt":
-            filled = grappa_kyt(data, mask, acs_kx=rcfg["acs_kx"])
-        elif rcfg["lam"] is None:
-            filled = grappa_recon(data, mask)
-        else:
-            filled = grappa_recon(data, mask, lam=rcfg["lam"])
+        filled = grappa_recon(data, mask, lam=rcfg["lam"], acs_kx=rcfg["acs_kx"])
         report["learning_s"] = time.monotonic() - t0
         report["model_count"] = mask.r1 * mask.r2 - 1
         t0 = time.monotonic()
@@ -351,8 +235,7 @@ def cmd_recon(args) -> int:
         }.get(method)
         if mode is None:
             raise ConfigError(f"unknown recon method {method!r}")
-        problem = ReconProblem(data, masks, mode, tcfg, maps=maps,
-                               acs_kx=rcfg["acs_kx"])
+        problem = ReconProblem(data, masks, mode, tcfg, maps=maps)
         if method == "zerofill":
             t0 = time.monotonic()
             res = zerofill_recon(problem)
@@ -386,8 +269,7 @@ def cmd_recon(args) -> int:
               "mask": _bundle_prefix(args.mask, "mask")}
     if args.maps:
         inputs["maps"] = _bundle_prefix(args.maps, "maps")
-    write_manifest(out, f"recon --method {method}", cfg, inputs,
-                   _threads(args))
+    write_manifest(out, f"recon --method {method}", cfg, inputs)
     return 0
 
 
@@ -425,20 +307,12 @@ def cmd_fit(args) -> int:
                       ("valid", result.valid.astype(float))):
         save_bundle(CTensor(arr.astype(np.complex128), spatial), out / name)
     write_manifest(out, "fit", cfg,
-                   {"echoes": _bundle_prefix(args.echoes, "image")},
-                   _threads(args))
+                   {"echoes": _bundle_prefix(args.echoes, "image")})
     return 0
 
 
 def cmd_bench(args) -> int:
-    scenario = {}
-    if args.scenario:
-        try:
-            scenario = json.loads(Path(args.scenario).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"scenario file not found: {args.scenario}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario is not valid JSON: {exc}")
+    scenario = read_json(args.scenario, "scenario") if args.scenario else {}
     if args.seed is not None:
         scenario["seed"] = args.seed
     report = run_bench(scenario)
@@ -469,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int,
-                       help=f"worker count (default ${THREADS_ENV} or all)")
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
     common(p)

@@ -1,0 +1,132 @@
+"""The one config schema: defaults, a checked merge, and the training config.
+
+A config is nested JSON objects whose leaves take the type of their
+default. The CLI reads ``DEFAULTS``; the bench harness merges its own
+scenario defaults with the same :func:`merge`.
+"""
+
+from __future__ import annotations
+
+import json
+from numbers import Integral, Real
+from pathlib import Path
+
+from .errors import ConfigError
+from .grappa import DEFAULT_LAMBDA
+from .nn_engine import TrainConfig
+
+DEFAULTS = {
+    "seed": None,  # mandatory: config file or --seed
+    "phantom": {
+        "extents": [16, 48, 48],
+        "n_coils": 8,
+        "coil_model": "smooth",
+        "coil_support": 3,
+        "te_ms": [0.0],
+        "echo_type": "spin",
+        "noise_sigma": 0.0,
+        "texture": 0.0,
+    },
+    "mask": {
+        "kind": "uniform",  # uniform | elliptical | kyt
+        "extents": [48, 48],
+        "r1": 2,
+        "r2": 2,
+        "shift": 0,
+        "acs": [16, 16],
+    },
+    "espirit": {
+        "kernel_size": 6,
+        "sigma_threshold": 0.01,
+        "crop_threshold": 0.9,
+        "out_extents": None,
+    },
+    "train": {
+        "alpha": 0.0,
+        "beta": 1e-4,
+        "squared_l2": True,
+        "learning_rate": 1e-4,
+        "lr_decay": 0.998,
+        "iterations": 200,
+        "widths": [16, 16, 16, 16],
+        "kernel_sizes": [[3, 3, 5], [1, 1, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1]],
+    },
+    "recon": {
+        "init": "linear",
+        "target_margin": 1,
+        "acs_kx": None,  # GRAPPA calibration readout window; None = all
+        "lam": DEFAULT_LAMBDA,  # GRAPPA ridge
+    },
+    "fit": {
+        "threshold": 0.0,
+    },
+    "bench": {},
+}
+
+
+def _check_leaf(default, value, where: str) -> None:
+    """A leaf takes its default's type; ints widen to float, bools never."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "a boolean"
+    elif isinstance(default, (int, float)):
+        kind = Integral if isinstance(default, int) else Real
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        want = "an integer" if kind is Integral else "a number"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+def merge(defaults: dict, override, path: str = "config") -> dict:
+    """``defaults`` updated by ``override``; unknown keys and types rejected."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    out = dict(defaults)
+    for key, value in override.items():
+        where = f"{path}.{key}"
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {where}")
+        if isinstance(defaults[key], dict):
+            out[key] = merge(defaults[key], value, where)
+            continue
+        # the seed is an int wherever given, even where its default is None
+        _check_leaf(0 if key == "seed" else defaults[key], value, where)
+        out[key] = value
+    return out
+
+
+def read_json(path: str, what: str = "config"):
+    """Parse a JSON file; a missing or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_config(path: str | None, seed_flag: int | None) -> dict:
+    """DEFAULTS < JSON file at ``path`` < ``--seed``; the seed is mandatory."""
+    cfg = merge(DEFAULTS, read_json(path) if path else {})
+    if seed_flag is not None:
+        cfg["seed"] = seed_flag
+    if cfg["seed"] is None:
+        raise ConfigError("config key seed is mandatory (file or --seed)")
+    return cfg
+
+
+def train_config(cfg: dict) -> TrainConfig:
+    """TrainConfig from a merged config's ``train`` section and seed."""
+    t = cfg["train"]
+    return TrainConfig(
+        alpha=t["alpha"],
+        beta=t["beta"],
+        squared_l2=t["squared_l2"],
+        learning_rate=t["learning_rate"],
+        lr_decay=t["lr_decay"],
+        iterations=t["iterations"],
+        widths=tuple(t["widths"]),
+        kernel_sizes=tuple(tuple(k) for k in t["kernel_sizes"]),
+        seed=cfg["seed"],
+    )

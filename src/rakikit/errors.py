@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 2, GeometryError -> 3,
-NumericalError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, GeometryError and
+BundleError -> 3, NumericalError -> 4.
 """
 
 

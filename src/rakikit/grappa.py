@@ -1,9 +1,9 @@
 """Tikhonov-regularized GRAPPA kernel calibration and application.
 
 Acquired positions of every supported pattern form a 2D integer lattice
-on the phase axes: basis (R1, shift) x (0, R2) for CAIPI lattices and
-(R, 0) x (shift, 1) for ky-t patterns. Sources are taken at lattice
-offsets around each anchor, so no deshearing is needed and the kernel is
+on the phase axes; :mod:`rakikit.sampling` owns that geometry (basis,
+fundamental cell, anchors). Sources are taken at lattice offsets around
+each anchor, so no deshearing is needed and the kernel is
 shift-invariant in the acquired frame. One weight matrix per missing
 offset of the fundamental cell; readout is always fully sampled.
 """
@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GeometryError, NumericalError
-from .sampling import SamplingMask, extract_acs
+from .sampling import (SamplingMask, cell_anchors, cell_offsets, extract_acs,
+                       lattice_basis)
 from .tensors import CTensor, crop_center
 
 DEFAULT_BLOCKS = (4, 4)
@@ -33,20 +34,6 @@ def _block_offsets(n: int) -> np.ndarray:
     return np.arange(lo, lo + n)
 
 
-def lattice_basis(mask: SamplingMask) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer basis vectors of the acquired lattice on the pattern axes."""
-    if mask.kind == "kyt":
-        return (mask.r1, 0), (mask.shift, 1)
-    return (mask.r1, mask.shift), (0, mask.r2)
-
-
-def cell_offsets(mask: SamplingMask) -> list[tuple[int, int]]:
-    """Fundamental-cell offsets; (0, 0) is the acquired anchor."""
-    if mask.kind == "kyt":
-        return [(a, 0) for a in range(mask.r1)]
-    return [(a, b) for a in range(mask.r1) for b in range(mask.r2)]
-
-
 @dataclass(frozen=True)
 class GrappaKernel:
     """Calibrated weights: one [Nc, Nc*nsrc] matrix per missing offset."""
@@ -58,12 +45,6 @@ class GrappaKernel:
     shift: int
     kind: str
     n_coils: int
-
-    @property
-    def extents(self) -> tuple[int, int, int]:
-        lo = self.src.min(axis=0)
-        hi = self.src.max(axis=0)
-        return tuple(int(h - l + 1) for l, h in zip(lo, hi))
 
 
 def _source_offsets(v1, v2, blocks, taps) -> np.ndarray:
@@ -147,30 +128,12 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     return GrappaKernel(weights, src, mask.r1, mask.r2, mask.shift, mask.kind, nc)
 
 
-def _anchor_points(mask: SamplingMask) -> np.ndarray:
-    """Lattice anchors whose cells tile the grid (one-cell margin included)."""
-    n1, n2 = mask.extents
-    pts = []
-    if mask.kind == "kyt":
-        for t in range(n2):
-            first = (mask.shift * t) % mask.r1
-            for ky in range(first - mask.r1, n1, mask.r1):
-                pts.append((ky, t))
-    else:
-        for m in range((n1 + mask.r1 - 1) // mask.r1):
-            i = m * mask.r1
-            first = (mask.shift * m) % mask.r2
-            for j in range(first - mask.r2, n2, mask.r2):
-                pts.append((i, j))
-    return np.array(pts, dtype=int)
-
-
 def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
                   kernel: GrappaKernel) -> np.ndarray:
     """Fill unsampled entries of [coil, kx, p1, p2]; zero-extension."""
     nc, nx, n1, n2 = kdata.shape
     src = kernel.src
-    anchors2 = _anchor_points(mask)
+    anchors2 = cell_anchors(mask)
     pad_lo = np.array([
         max(-int(src[:, 0].min()), 0),
         max(-int(src[:, 1].min() + anchors2[:, 0].min()), 0),
@@ -239,14 +202,7 @@ def grappa_apply(kspace_masked: CTensor, mask: SamplingMask,
         )
     xi = _to_internal(kspace_masked, mask)
     filled = _fill_missing(xi.data, mask, kernel)
-    if mask.elliptical:
-        a1 = xi.axis(mask.axes[0])
-        a2 = xi.axis(mask.axes[1])
-        never = (mask.never_acquired if a1 < a2 else mask.never_acquired.T)
-        shape = [1] * filled.ndim
-        shape[a1], shape[a2] = mask.never_acquired.shape if a1 < a2 else \
-            mask.never_acquired.T.shape
-        filled = np.where(never.reshape(shape), 0.0, filled)
+    filled[:, :, mask.never_acquired] = 0.0  # [coil, kx, p1, p2]
     return xi.with_data(filled).transpose(kspace_masked.axes)
 
 
@@ -265,12 +221,3 @@ def grappa_recon(kspace_masked: CTensor, mask: SamplingMask,
     kernel = grappa_calibrate(acsi.data, mask, blocks, taps, lam)
     return grappa_apply(kspace_masked, mask, kernel)
 
-
-def grappa_kyt(kspace_masked: CTensor, mask: SamplingMask,
-               acs_kx: int | None = None, blocks=DEFAULT_BLOCKS,
-               taps: int = DEFAULT_TAPS, lam: float = DEFAULT_LAMBDA) -> CTensor:
-    """kx-ky-t GRAPPA: identical machinery with t as the second pattern axis."""
-    if mask.kind != "kyt":
-        raise GeometryError("grappa_kyt requires a ky-t mask")
-    return grappa_recon(kspace_masked, mask, blocks=blocks, taps=taps, lam=lam,
-                        acs_kx=acs_kx)

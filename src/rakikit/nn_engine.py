@@ -22,6 +22,14 @@ DEFAULT_KERNELS = ((3, 3, 7), (1, 1, 5), (1, 1, 3), (1, 1, 1), (1, 1, 1))
 DEFAULT_WIDTHS = (64, 64, 64, 64)
 
 
+def receptive_field(kernel_sizes) -> tuple[int, int, int]:
+    """Input extent one output sample sees through a stack of valid convs."""
+    rf = np.ones(3, dtype=int)
+    for ks in kernel_sizes:
+        rf += np.array(ks) - 1
+    return tuple(int(r) for r in rf)
+
+
 @dataclass
 class ConvLayer:
     kernel: np.ndarray  # [out_ch, in_ch, k1, k2, k3]
@@ -51,10 +59,7 @@ class ModelWeights:
 
     @property
     def receptive_field(self) -> tuple[int, int, int]:
-        rf = np.ones(3, dtype=int)
-        for layer in self.layers:
-            rf += np.array(layer.kernel.shape[2:]) - 1
-        return tuple(int(r) for r in rf)
+        return receptive_field([layer.kernel.shape[2:] for layer in self.layers])
 
     def copy(self) -> "ModelWeights":
         return ModelWeights(
@@ -159,41 +164,9 @@ def _weight_norm(model: ModelWeights) -> float:
     return float(np.sqrt(total))
 
 
-def loss(pred: np.ndarray, target: np.ndarray, model: ModelWeights | None,
-         alpha: float, beta: float, valid: np.ndarray | None = None,
-         squared_l2: bool = False) -> float:
-    """alpha * mean|e| + (1-alpha) * rms(e) + beta * ||theta||, e over valid."""
-    if pred.shape != target.shape:
-        raise GeometryError(f"pred {pred.shape} vs target {target.shape}")
-    e = pred - target
-    if valid is not None:
-        mask = np.broadcast_to(valid, e.shape)
-        n = int(mask.sum())
-        if n == 0:
-            raise GeometryError("validity mask excludes every position")
-        e = np.where(mask, e, 0.0)
-    else:
-        n = e.size
-    l1 = float(np.sum(np.abs(e))) / n
-    msq = float(np.sum(e**2)) / n
-    l2 = msq if squared_l2 else float(np.sqrt(msq))
-    reg = 0.0
-    if model is not None and beta > 0:
-        wn = _weight_norm(model)
-        reg = beta * (wn**2 if squared_l2 else wn)
-    return alpha * l1 + (1 - alpha) * l2 + reg
-
-
-def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
-             alpha: float, beta: float, valid: np.ndarray | None = None,
-             squared_l2: bool = False):
-    """Exact loss gradients for every kernel and bias.
-
-    Subgradient conventions: sign(0) = 0 for the L1 term, 0 at the origin
-    for the un-squared norms. Returns (loss_value, grads) with grads a
-    list of (dkernel, dbias) matching the layer order.
-    """
-    pred, acts = forward(model, x, keep_activations=True)
+def _data_term(pred: np.ndarray, target: np.ndarray, alpha: float,
+               valid: np.ndarray | None, squared_l2: bool):
+    """Masked residual e, its count n, rms(e) and the data part of the loss."""
     if pred.shape != target.shape:
         raise GeometryError(f"pred {pred.shape} vs target {target.shape}")
     e = pred - target
@@ -208,15 +181,44 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     l1 = float(np.sum(np.abs(e))) / n
     msq = float(np.sum(e**2)) / n
     rms = float(np.sqrt(msq))
+    return e, n, rms, alpha * l1 + (1 - alpha) * (msq if squared_l2 else rms)
+
+
+def _penalty(model: ModelWeights | None, beta: float, squared_l2: bool):
+    """beta * ||theta|| (squared if asked) and its gradient scale on theta."""
+    if model is None or beta <= 0:
+        return 0.0, 0.0
+    wn = _weight_norm(model)
+    if squared_l2:
+        return beta * wn**2, 2.0 * beta
+    return beta * wn, (beta / wn if wn > 0 else 0.0)
+
+
+def loss(pred: np.ndarray, target: np.ndarray, model: ModelWeights | None,
+         alpha: float, beta: float, valid: np.ndarray | None = None,
+         squared_l2: bool = False) -> float:
+    """alpha * mean|e| + (1-alpha) * rms(e) + beta * ||theta||, e over valid."""
+    data = _data_term(pred, target, alpha, valid, squared_l2)[3]
+    return data + _penalty(model, beta, squared_l2)[0]
+
+
+def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
+             alpha: float, beta: float, valid: np.ndarray | None = None,
+             squared_l2: bool = False):
+    """Exact loss gradients for every kernel and bias.
+
+    Subgradient conventions: sign(0) = 0 for the L1 term, 0 at the origin
+    for the un-squared norms. Returns (loss_value, grads) with grads a
+    list of (dkernel, dbias) matching the layer order.
+    """
+    pred, acts = forward(model, x, keep_activations=True)
+    e, n, rms, data = _data_term(pred, target, alpha, valid, squared_l2)
 
     g = alpha * np.sign(e) / n
     if squared_l2:
         g = g + (1 - alpha) * 2.0 * e / n
-        l2 = msq
-    else:
-        if rms > 0:
-            g = g + (1 - alpha) * e / (n * rms)
-        l2 = rms
+    elif rms > 0:
+        g = g + (1 - alpha) * e / (n * rms)
 
     grads = [None] * len(model.layers)
     gout = g
@@ -245,19 +247,12 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         grads[li] = (dk, db)
         gout = dx
 
-    reg = 0.0
+    reg, scale = _penalty(model, beta, squared_l2)
     if beta > 0:
-        wn = _weight_norm(model)
-        if squared_l2:
-            reg = beta * wn**2
-            scale = 2.0 * beta
-        else:
-            reg = beta * wn
-            scale = beta / wn if wn > 0 else 0.0
         for layer, (dk, db) in zip(model.layers, grads):
             dk += scale * layer.kernel
             db += scale * layer.bias
-    return alpha * l1 + (1 - alpha) * l2 + reg, grads
+    return data + reg, grads
 
 
 def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,

@@ -1,8 +1,9 @@
 """Learned k-space reconstructions: per-coil RAKI and coil-combined
 single-model reconstruction, with multi-echo joint and ky-t variants.
 
-All learned modes share one geometry: deshear the CAIPI pattern so the
-acquired set is a rectangular lattice, decimate it into a dense grid of
+All learned modes share one geometry, owned by :mod:`rakikit.sampling`:
+deshear the pattern so the acquired set is a rectangular lattice (the
+ky-t shear included), decimate it into a dense grid of
 real/imaginary channels, and train a small 3D CNN whose output channels
 are the missing offsets of the sampling cell (2R per echo). Targets come
 from the ACS region only; the trained model is then applied across the
@@ -17,8 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .espirit import SensitivityMaps, coil_combine, make_combo_target
-from .nn_engine import ModelWeights, TrainConfig, forward, init_model, train
-from .sampling import SamplingMask, extract_acs
+from .nn_engine import (ModelWeights, TrainConfig, forward, init_model,
+                        receptive_field, train)
+from .sampling import (SamplingMask, acquired_coords, cell_offsets, deshear_array,
+                       extract_acs, make_elliptical_mask, make_uniform_mask, steps)
 from .tensors import CTensor, fftc, ifftc
 
 MODES = ("raki_percoil", "eraki", "eraki_joint", "eraki_kyt")
@@ -31,7 +34,6 @@ class ReconProblem:
     mode: str
     cfg: TrainConfig
     maps: SensitivityMaps | None = None  # full-pattern-grid sensitivities
-    acs_kx: int | None = None  # calibration readout window (ky-t)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -60,58 +62,12 @@ def echo_shifted_masks(mask: SamplingMask, n_echo: int) -> tuple[SamplingMask, .
     """Echo e gets CAIPI shift (shift + e) mod R2, same lattice otherwise."""
     if mask.kind == "kyt":
         return tuple([mask] * n_echo)
-    from .sampling import make_uniform_mask, make_elliptical_mask
-
     maker = make_elliptical_mask if mask.elliptical else make_uniform_mask
     return tuple(
         maker(mask.extents, mask.r1, mask.r2,
               shift=(mask.shift + e) % mask.r2, acs_box=mask.acs_box)
         for e in range(n_echo)
     )
-
-
-# ---------------------------------------------------------------------------
-# lattice geometry on the internal [coil, p1, p2, kx] layout
-
-
-def _steps(mask: SamplingMask) -> tuple[int, int]:
-    return (mask.r1, 1) if mask.kind == "kyt" else (mask.r1, mask.r2)
-
-
-def _offsets(mask: SamplingMask) -> list[tuple[int, int]]:
-    if mask.kind == "kyt":
-        return [(a, 0) for a in range(mask.r1)]
-    return [(a, b) for a in range(mask.r1) for b in range(mask.r2)]
-
-
-def _deshear_arr(arr: np.ndarray, mask: SamplingMask, inverse: bool = False
-                 ) -> np.ndarray:
-    """Circularly align the lattice: [coil..., p1, p2, kx] layout."""
-    out = np.empty_like(arr)
-    sgn = 1 if inverse else -1
-    if mask.kind == "kyt":
-        if mask.shift == 0:
-            return arr.copy()
-        for t in range(arr.shape[-2]):
-            out[..., :, t, :] = np.roll(
-                arr[..., :, t, :], sgn * mask.shift * t, axis=-2
-            )
-        return out
-    if mask.shift == 0:
-        return arr.copy()
-    for i in range(arr.shape[-3]):
-        out[..., i, :, :] = np.roll(
-            arr[..., i, :, :], sgn * mask.shift * (i // mask.r1), axis=-2
-        )
-    return out
-
-
-def _acq_coords(mask: SamplingMask, i_d: np.ndarray, j_d: np.ndarray):
-    """Desheared (p1, p2) indices -> acquired-frame indices."""
-    n1, n2 = mask.extents
-    if mask.kind == "kyt":
-        return (i_d + mask.shift * j_d) % n1, j_d
-    return i_d, (j_d + mask.shift * (i_d // mask.r1)) % n2
 
 
 def _to_internal(x: CTensor, mask: SamplingMask) -> np.ndarray:
@@ -160,7 +116,7 @@ class OffsetTargetSet:
 def _decimated_input(problem: ReconProblem) -> np.ndarray:
     """Desheared, decimated acquired grid, echoes stacked on the coil axis."""
     mask0 = problem.masks[0]
-    s1, s2 = _steps(mask0)
+    s1, s2 = steps(mask0)
     n1, n2 = mask0.extents
     if n1 % s1 or n2 % s2:
         raise GeometryError(
@@ -171,7 +127,7 @@ def _decimated_input(problem: ReconProblem) -> np.ndarray:
         arr = arr[:, None]
     per_echo = []
     for e, mask in enumerate(problem.masks):
-        d = _deshear_arr(arr[:, e], mask)
+        d = deshear_array(arr[:, e], mask, 1)
         per_echo.append(d[:, ::s1, ::s2, :])
     return np.concatenate(per_echo, axis=0)  # [Nc*Ne, nu, nv, nx]
 
@@ -223,8 +179,8 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
     mask0 = problem.masks[0]
     if mask0.acs_box is None:
         raise GeometryError("training requires a mask with an ACS box")
-    s1, s2 = _steps(mask0)
-    offsets = _offsets(mask0)
+    s1, s2 = steps(mask0)
+    offsets = cell_offsets(mask0)
     ne = problem.n_echoes
     dec = _decimated_input(problem)
     nu, nv, nx = dec.shape[1:]
@@ -254,7 +210,8 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
         for k, (a, b) in enumerate(offsets):
             i_d = uu * s1 + a
             j_d = vv * s2 + b
-            i_a, j_a = _acq_coords(mask, i_d, j_d)
+            i_a, j_a = acquired_coords(mask, i_d, j_d)
+            i_a, j_a = i_a % mask.extents[0], j_a % mask.extents[1]
             ok = (
                 (i_a >= b1 + mg) & (i_a < b1 + l1 - mg)
                 & (j_a >= b2 + mg) & (j_a < b2 + l2 - mg)
@@ -269,7 +226,7 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
     urange = np.flatnonzero(any_valid.any(axis=1))
     vrange = np.flatnonzero(any_valid.any(axis=0))
 
-    rf = _receptive_field(problem.cfg)
+    rf = receptive_field(problem.cfg.kernel_sizes)
     c1, c2, cx = ((r - 1) // 2 for r in rf)
 
     # crop the input so the valid-convolution output covers the ACS anchors
@@ -301,13 +258,6 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
     if not valid.any():
         raise GeometryError("receptive-field cropping removed every target")
     return OffsetTargetSet(inputs, targets, valid, offsets, scale, (u0, v0))
-
-
-def _receptive_field(cfg: TrainConfig) -> tuple[int, int, int]:
-    rf = np.ones(3, dtype=int)
-    for ks in cfg.kernel_sizes:
-        rf += np.array(ks) - 1
-    return tuple(int(r) for r in rf)
 
 
 def _acs_scale(problem: ReconProblem) -> float:
@@ -469,13 +419,13 @@ def _predict_grids(problem: ReconProblem, model: ModelWeights) -> np.ndarray:
 
 def _scatter_echo(pred: np.ndarray, mask: SamplingMask) -> np.ndarray:
     """Offset predictions [n_off, nu, nv, nx] -> full acquired-frame grid."""
-    s1, s2 = _steps(mask)
+    s1, s2 = steps(mask)
     n1, n2 = mask.extents
     nx = pred.shape[-1]
     out = np.zeros((n1, n2, nx), dtype=np.complex128)
-    for k, (a, b) in enumerate(_offsets(mask)):
+    for k, (a, b) in enumerate(cell_offsets(mask)):
         out[a::s1, b::s2, :] = pred[k]
-    out = _deshear_arr(out[None], mask, inverse=True)[0]
+    out = deshear_array(out, mask, 0, inverse=True)
     out[mask.never_acquired] = 0.0
     return out
 
@@ -492,7 +442,7 @@ def infer(models: ModelWeights | list[ModelWeights],
     mask0 = problem.masks[0]
     p1l, p2l = mask0.axes
     fourier = tuple(a for a in ("kx", p1l, p2l) if a != "t")
-    n_off = len(_offsets(mask0))
+    n_off = len(cell_offsets(mask0))
     ne = problem.n_echoes
 
     if problem.mode == "raki_percoil":
@@ -530,12 +480,6 @@ def infer(models: ModelWeights | list[ModelWeights],
         ksp = CTensor(ksp.data[0], ("kx", p1l, p2l))
         image = CTensor(image.data[0], ("kx", p1l, p2l))
     return ReconResult(ksp, image)
-
-
-def recon_joint(problem: ReconProblem) -> tuple[ReconResult, ModelWeights]:
-    """Train the single joint model and reconstruct every echo with it."""
-    model, _ = train_eraki(problem)
-    return infer(model, problem), model
 
 
 def zerofill_recon(problem: ReconProblem) -> ReconResult:

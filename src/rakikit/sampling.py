@@ -4,6 +4,10 @@ A mask lives on the two phase-encode axes only and is broadcast over
 coil/echo/readout when applied; the readout axis is always fully sampled.
 Elliptical corners are tracked separately as "never acquired" so they can
 be excluded from training losses and zeroed in outputs.
+
+The lattice geometry of GRAPPA and the learned models lives here: the
+rectangular steps of the desheared lattice plus one desheared->acquired
+map (:func:`acquired_coords`); everything else is derived from them.
 """
 
 from __future__ import annotations
@@ -47,10 +51,7 @@ class SamplingMask:
         ACS-only extras are ignored; never-acquired elliptical corners
         count as skipped (they need no acquisition time).
         """
-        lattice = _lattice_grid(
-            self.extents, self.r1, self.r2, 0 if self.desheared else self.shift,
-            kind=self.kind,
-        )
+        lattice = on_lattice(replace(self, shift=0) if self.desheared else self)
         sampled = (self.grid & lattice) if self.acs_box else self.grid
         return self.grid.size / int(sampled.sum())
 
@@ -72,14 +73,50 @@ def centered_acs_box(extents, acs_extents):
     )
 
 
-def _lattice_grid(extents, r1, r2, shift, kind="lattice") -> np.ndarray:
-    n1, n2 = extents
-    i = np.arange(n1)[:, None]
-    j = np.arange(n2)[None, :]
-    if kind == "kyt":
-        # axis 0 = ky, axis 1 = t; the sampled lines advance by shift per t
-        return (i - shift * j) % r1 == 0
-    return (i % r1 == 0) & ((j - shift * (i // r1)) % r2 == 0)
+def steps(mask: SamplingMask) -> tuple[int, int]:
+    """Steps of the rectangular lattice the acquired set deshears onto."""
+    return (mask.r1, 1) if mask.kind == "kyt" else (mask.r1, mask.r2)
+
+
+def acquired_coords(mask: SamplingMask, i, j, inverse: bool = False):
+    """Desheared (p1, p2) indices -> acquired frame, unwrapped (or back).
+
+    CAIPI moves p2 by ``shift`` per R1 block of p1; ky-t moves ky by
+    ``shift`` per frame.
+    """
+    s = -mask.shift if inverse else mask.shift
+    if mask.kind == "kyt":
+        return i + s * j, j
+    return i, j + s * (i // mask.r1)
+
+
+def on_lattice(mask: SamplingMask, lo=(0, 0)) -> np.ndarray:
+    """Pattern lattice (no ACS, no ellipse) over acquired indices lo..extents."""
+    i, j = np.ogrid[lo[0] : mask.extents[0], lo[1] : mask.extents[1]]
+    d1, d2 = acquired_coords(mask, i, j, inverse=True)
+    s1, s2 = steps(mask)
+    return (d1 % s1 == 0) & (d2 % s2 == 0)
+
+
+def lattice_basis(mask: SamplingMask) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Integer basis vectors of the acquired lattice: the mapped steps."""
+    s1, s2 = steps(mask)
+    return acquired_coords(mask, s1, 0), acquired_coords(mask, 0, s2)
+
+
+def cell_offsets(mask: SamplingMask) -> list[tuple[int, int]]:
+    """Fundamental-cell offsets, the same in both frames; (0, 0) is the anchor."""
+    s1, s2 = steps(mask)
+    return [(a, b) for a in range(s1) for b in range(s2)]
+
+
+def cell_anchors(mask: SamplingMask) -> np.ndarray:
+    """Acquired lattice points whose fundamental cell meets the grid, [n, 2].
+
+    Anchors plus cell offsets cover every grid position exactly once.
+    """
+    lo = 1 - np.array(steps(mask))
+    return np.argwhere(on_lattice(mask, lo)) + lo
 
 
 def _ellipse_interior(extents) -> np.ndarray:
@@ -97,38 +134,38 @@ def _force_acs(grid, acs_box):
         grid[s1 : s1 + l1, s2 : s2 + l2] = True
 
 
+def _pattern(extents, axes, r1, r2, shift, acs_box, kind="lattice"):
+    box = _check_box(extents, acs_box)
+    mask = SamplingMask(np.zeros(extents, dtype=bool), axes, r1, r2, shift,
+                        False, box, kind=kind)
+    grid = on_lattice(mask)
+    _force_acs(grid, box)
+    return replace(mask, grid=grid)
+
+
 def make_uniform_mask(extents, r1, r2, shift=0, acs_box=None) -> SamplingMask:
     """Uniform R1xR2 lattice with CAIPI shift ``shift`` per R1 block."""
     if r1 < 1 or r2 < 1:
         raise ConfigError(f"acceleration factors must be >= 1, got {r1}x{r2}")
     if not (0 <= shift < r2):
         raise ConfigError(f"CAIPI shift must satisfy 0 <= shift < R2, got {shift}")
-    box = _check_box(extents, acs_box)
-    grid = _lattice_grid(extents, r1, r2, shift)
-    _force_acs(grid, box)
-    return SamplingMask(grid, ("ky", "kz"), r1, r2, shift, False, box)
+    return _pattern(extents, ("ky", "kz"), r1, r2, shift, acs_box)
 
 
 def make_elliptical_mask(extents, r1, r2, shift=0, acs_box=None) -> SamplingMask:
     """Uniform CAIPI lattice intersected with the inscribed ellipse."""
-    base = make_uniform_mask(extents, r1, r2, shift, acs_box=None)
-    box = _check_box(extents, acs_box)
+    base = make_uniform_mask(extents, r1, r2, shift, acs_box)
     interior = _ellipse_interior(extents)
     grid = base.grid & interior
-    _force_acs(grid, box)
-    return SamplingMask(
-        grid, ("ky", "kz"), r1, r2, shift, True, box, never_acquired=~interior
-    )
+    _force_acs(grid, base.acs_box)
+    return replace(base, grid=grid, elliptical=True, never_acquired=~interior)
 
 
 def make_kyt_mask(ny, nt, r, shift=0, acs_box=None) -> SamplingMask:
     """Spatiotemporal pattern: at time t, ky lines with (ky - shift*t) % r == 0."""
     if r < 1:
         raise ConfigError(f"acceleration must be >= 1, got {r}")
-    box = _check_box((ny, nt), acs_box)
-    grid = _lattice_grid((ny, nt), r, 1, shift, kind="kyt")
-    _force_acs(grid, box)
-    return SamplingMask(grid, ("ky", "t"), r, 1, shift, False, box, kind="kyt")
+    return _pattern((ny, nt), ("ky", "t"), r, 1, shift, acs_box, kind="kyt")
 
 
 def _pattern_axis_indices(x: CTensor, mask: SamplingMask) -> tuple[int, int]:
@@ -167,19 +204,13 @@ def extract_acs(x: CTensor, mask: SamplingMask) -> CTensor:
     return x.with_data(x.data[tuple(sl)].copy())
 
 
-def _shear_data(data: np.ndarray, a1: int, a2: int, r1: int, shift: int,
-                sign: int) -> np.ndarray:
-    """Circularly shift axis a2 by sign*shift*(i // r1) for each a1 row i."""
-    if shift == 0:
-        return data.copy()
-    out = np.empty_like(data)
-    sl = [slice(None)] * data.ndim
-    ax = a2 - 1 if a2 > a1 else a2
-    for i in range(data.shape[a1]):
-        sl_i = list(sl)
-        sl_i[a1] = i
-        out[tuple(sl_i)] = np.roll(data[tuple(sl_i)], sign * shift * (i // r1), axis=ax)
-    return out
+def deshear_array(data: np.ndarray, mask: SamplingMask, axis: int,
+                  inverse: bool = False) -> np.ndarray:
+    """Gather ``data`` (p1, p2 on ``axis``, ``axis + 1``) onto the desheared
+    frame through the wrapped lattice map, or back with ``inverse``."""
+    n1, n2 = mask.extents
+    b1, b2 = acquired_coords(mask, *np.ogrid[:n1, :n2], inverse=inverse)
+    return data[(slice(None),) * axis + (b1 % n1, b2 % n2)]
 
 
 def deshear(x: CTensor | SamplingMask, mask: SamplingMask | None = None):
@@ -188,24 +219,28 @@ def deshear(x: CTensor | SamplingMask, mask: SamplingMask | None = None):
     Pass a SamplingMask alone, or a CTensor plus the mask describing its
     pattern. Inverse of :func:`reshear` (bit-exact round trip).
     """
-    return _shear(x, mask, -1)
+    return _shear(x, mask, inverse=False)
 
 
 def reshear(x: CTensor | SamplingMask, mask: SamplingMask | None = None):
-    return _shear(x, mask, +1)
+    return _shear(x, mask, inverse=True)
 
 
-def _shear(x, mask, sign):
+def _shear(x, mask, inverse):
     if isinstance(x, SamplingMask):
         mask = x
     if mask.kind == "kyt":
         raise GeometryError("deshear applies to lattice masks only")
     if isinstance(x, SamplingMask):
-        grid = _shear_data(x.grid[None], 1, 2, x.r1, x.shift, sign)[0]
-        never = _shear_data(x.never_acquired[None], 1, 2, x.r1, x.shift, sign)[0]
-        return replace(x, grid=grid, never_acquired=never, desheared=(sign < 0))
-    a1, a2 = _pattern_axis_indices(x, mask)
-    return x.with_data(_shear_data(x.data, a1, a2, mask.r1, mask.shift, sign))
+        return replace(
+            x, grid=deshear_array(x.grid, x, 0, inverse),
+            never_acquired=deshear_array(x.never_acquired, x, 0, inverse),
+            desheared=not inverse,
+        )
+    _pattern_axis_indices(x, mask)  # extents must match the mask
+    y = x.transpose((*(a for a in x.axes if a not in mask.axes), *mask.axes))
+    out = deshear_array(y.data, mask, y.data.ndim - 2, inverse)
+    return y.with_data(out).transpose(x.axes)
 
 
 def save_mask(mask: SamplingMask, path: str | Path) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import (
+    BundleError,
     ByteOrderError,
     GeometryError,
     PayloadLengthError,
@@ -91,39 +92,29 @@ def _resolve_axes(x: CTensor, axes) -> tuple[int, ...]:
     return tuple(x.axis(a) for a in axes)
 
 
+def _centred(transform, data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Shift DC to index 0, apply the orthonormal transform, shift back."""
+    shifted = scipy.fft.ifftshift(data, axes=axes)
+    return scipy.fft.fftshift(transform(shifted, axes=axes, norm="ortho"), axes=axes)
+
+
 def fftc(x: CTensor, axes) -> CTensor:
     """Centered orthonormal forward DFT along the named axes."""
-    idx = _resolve_axes(x, axes)
-    y = scipy.fft.fftshift(
-        scipy.fft.fftn(scipy.fft.ifftshift(x.data, axes=idx), axes=idx, norm="ortho"),
-        axes=idx,
-    )
-    return x.with_data(y)
+    return x.with_data(_centred(scipy.fft.fftn, x.data, _resolve_axes(x, axes)))
 
 
 def ifftc(x: CTensor, axes) -> CTensor:
     """Centered orthonormal inverse DFT along the named axes."""
-    idx = _resolve_axes(x, axes)
-    y = scipy.fft.fftshift(
-        scipy.fft.ifftn(scipy.fft.ifftshift(x.data, axes=idx), axes=idx, norm="ortho"),
-        axes=idx,
-    )
-    return x.with_data(y)
+    return x.with_data(_centred(scipy.fft.ifftn, x.data, _resolve_axes(x, axes)))
 
 
 def fftc_nd(data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Centered orthonormal DFT on a raw ndarray (internal helper)."""
-    return scipy.fft.fftshift(
-        scipy.fft.fftn(scipy.fft.ifftshift(data, axes=axes), axes=axes, norm="ortho"),
-        axes=axes,
-    )
+    """Centered orthonormal DFT on a raw ndarray."""
+    return _centred(scipy.fft.fftn, data, axes)
 
 
 def ifftc_nd(data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    return scipy.fft.fftshift(
-        scipy.fft.ifftn(scipy.fft.ifftshift(data, axes=axes), axes=axes, norm="ortho"),
-        axes=axes,
-    )
+    return _centred(scipy.fft.ifftn, data, axes)
 
 
 def center_slices(full: int, target: int) -> slice:
@@ -168,13 +159,17 @@ def pad_center(x: CTensor, extents: dict[str, int]) -> CTensor:
     return x.with_data(out)
 
 
-def nrmse(x: CTensor | np.ndarray, ref: CTensor | np.ndarray) -> float:
-    """Normalized RMS error of magnitudes, ||x - ref|| / ||ref||."""
+def _magnitudes(x: CTensor | np.ndarray, ref: CTensor | np.ndarray):
     xd = x.data if isinstance(x, CTensor) else np.asarray(x)
     rd = ref.data if isinstance(ref, CTensor) else np.asarray(ref)
     if xd.shape != rd.shape:
         raise GeometryError(f"shape mismatch {xd.shape} vs {rd.shape}")
-    xm, rm = np.abs(xd), np.abs(rd)
+    return np.abs(xd), np.abs(rd)
+
+
+def nrmse(x: CTensor | np.ndarray, ref: CTensor | np.ndarray) -> float:
+    """Normalized RMS error of magnitudes, ||x - ref|| / ||ref||."""
+    xm, rm = _magnitudes(x, ref)
     denom = np.linalg.norm(rm)
     if denom == 0:
         raise GeometryError("reference has zero norm")
@@ -183,11 +178,7 @@ def nrmse(x: CTensor | np.ndarray, ref: CTensor | np.ndarray) -> float:
 
 def psnr(x: CTensor | np.ndarray, ref: CTensor | np.ndarray) -> float:
     """Peak SNR in dB, peak taken as max |ref|."""
-    xd = x.data if isinstance(x, CTensor) else np.asarray(x)
-    rd = ref.data if isinstance(ref, CTensor) else np.asarray(ref)
-    if xd.shape != rd.shape:
-        raise GeometryError(f"shape mismatch {xd.shape} vs {rd.shape}")
-    xm, rm = np.abs(xd), np.abs(rd)
+    xm, rm = _magnitudes(x, ref)
     peak = rm.max()
     if peak == 0:
         raise GeometryError("reference has zero norm")
@@ -211,14 +202,32 @@ def save_bundle(x: CTensor, path: str | Path, meta: dict | None = None) -> None:
     path.with_suffix(".bin").write_bytes(x.data.astype("<c16").tobytes())
 
 
+_HEADER_KEYS = ("dtype", "byte_order", "shape", "axes")
+
+
+def _read_header(path: Path) -> dict:
+    """The parsed ``<path>.json`` header; BundleError if malformed."""
+    path = path.with_suffix(".json")
+    try:
+        header = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"bundle header {path} is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise BundleError(f"bundle header {path} is not a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise BundleError(f"bundle header {path} lacks {', '.join(missing)}")
+    return header
+
+
 def load_bundle(path: str | Path) -> CTensor:
-    """Read a tensor bundle; validates dtype, byte order, payload length."""
+    """Read a tensor bundle; validates header, dtype, byte order, payload length."""
     path = Path(path)
-    header = json.loads(path.with_suffix(".json").read_text())
-    if header.get("dtype") != _BUNDLE_DTYPE:
-        raise UnknownDtypeError(f"unsupported dtype {header.get('dtype')!r}")
-    if header.get("byte_order") != "little":
-        raise ByteOrderError(f"unsupported byte order {header.get('byte_order')!r}")
+    header = _read_header(path)
+    if header["dtype"] != _BUNDLE_DTYPE:
+        raise UnknownDtypeError(f"unsupported dtype {header['dtype']!r}")
+    if header["byte_order"] != "little":
+        raise ByteOrderError(f"unsupported byte order {header['byte_order']!r}")
     shape = tuple(int(n) for n in header["shape"])
     payload = path.with_suffix(".bin").read_bytes()
     expected = 16 * int(np.prod(shape, dtype=np.int64))
@@ -232,4 +241,4 @@ def load_bundle(path: str | Path) -> CTensor:
 
 def bundle_meta(path: str | Path) -> dict:
     """The free-form meta map from a bundle header."""
-    return json.loads(Path(path).with_suffix(".json").read_text()).get("meta", {})
+    return _read_header(Path(path)).get("meta", {})

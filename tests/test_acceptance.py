@@ -27,7 +27,6 @@ from rakikit import (
     extract_acs,
     fftc,
     forward,
-    grappa_kyt,
     grappa_recon,
     ifftc,
     infer,
@@ -335,7 +334,7 @@ def test_criterion_08_kyt_coverage_and_grappa_equivalence(report):
     series = CTensor(np.repeat(frame.data, nt, axis=3),
                      ("coil", "kx", "ky", "t"))
     kyt_mask = make_kyt_mask(48, nt, 4, shift=0, acs_box=((8, 32), (0, nt)))
-    kyt = grappa_kyt(apply_mask(series, kyt_mask), kyt_mask, blocks=(4, 1))
+    kyt = grappa_recon(apply_mask(series, kyt_mask), kyt_mask, blocks=(4, 1))
 
     mask2d = make_uniform_mask((48, 1), 4, 1, acs_box=((8, 32), (0, 1)))
     per_t = grappa_recon(apply_mask(frame, mask2d), mask2d, blocks=(4, 1))

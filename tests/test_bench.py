@@ -5,7 +5,8 @@ import json
 import pytest
 
 from rakikit import ConfigError, run_bench, report_table, report_to_json
-from rakikit.bench import BENCH_METHODS, DEFAULT_SCENARIO, PAPER_REFERENCE, _merged
+from rakikit.bench import BENCH_METHODS, DEFAULT_SCENARIO, PAPER_REFERENCE
+from rakikit.config import merge
 
 FAST = {
     "seed": 3,
@@ -34,7 +35,7 @@ class TestScenario:
                        "train": {"iterations": 1}})
 
     def test_merge_preserves_defaults(self):
-        merged = _merged(DEFAULT_SCENARIO, FAST)
+        merged = merge(DEFAULT_SCENARIO, FAST)
         assert merged["mask"] == DEFAULT_SCENARIO["mask"]
         assert merged["train"]["iterations"] == 3
         assert merged["train"]["alpha"] == DEFAULT_SCENARIO["train"]["alpha"]

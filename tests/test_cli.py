@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from rakikit import CTensor, apply_mask, extract_acs, load_bundle, save_bundle
+from rakikit import (
+    CTensor,
+    apply_mask,
+    extract_acs,
+    grappa_recon,
+    load_bundle,
+    save_bundle,
+)
+from rakikit.bench import thread_count
 from rakikit.cli import main
+from rakikit.config import DEFAULTS, merge
 from rakikit.sampling import load_mask
 
 CONFIG = {
@@ -75,6 +84,48 @@ class TestExitCodes:
         assert err.startswith("numerical error:")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"seed": 1, "mask": {"r1": "x"}},  # number leaf given a string
+        {"seed": 1, "mask": {"r1": 2.5}},  # integer leaf given a float
+        {"seed": 1, "mask": {"r1": True}},  # a bool is never a number
+        {"seed": 1, "phantom": {"noise_sigma": False}},
+        {"seed": 1, "train": {"squared_l2": 1}},  # bool leaf given a number
+        {"seed": "x"},
+        {"seed": 1.0},
+        {"seed": 1, "mask": None},  # section given as a non-object
+        {"seed": 1, "train": [1, 2]},
+        {"seed": 1, "recon": "grappa"},
+    ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
+            "str-seed", "float-seed", "null-section", "list-section",
+            "str-section"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["mask", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_int_accepted_for_float_leaf(self):
+        merged = merge(DEFAULTS, {"seed": 1, "phantom": {"noise_sigma": 0}})
+        assert merged["phantom"]["noise_sigma"] == 0
+
+    @pytest.mark.parametrize("header", ["{not json", '{"dtype": "complex128"}'],
+                             ids=["not-json", "missing-keys"])
+    def test_malformed_bundle_header_is_data_error(self, pipeline, tmp_path,
+                                                   capsys, header):
+        save_bundle(load_bundle(pipeline["root"] / "acs"), tmp_path / "acs")
+        (tmp_path / "acs.json").write_text(header)
+        capsys.readouterr()
+        assert main(["maps", "--config", str(pipeline["cfg"]),
+                     "--acs", str(tmp_path / "acs"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: bundle header")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_recon_without_maps_is_config_error(self, pipeline, tmp_path):
         r = pipeline["root"]
         assert main(["recon", "--config", str(pipeline["cfg"]),
@@ -93,6 +144,7 @@ class TestPipeline:
         manifest = json.loads((r / "ph" / "manifest.json").read_text())
         assert manifest["seed"] == 11
         assert manifest["command"] == "phantom"
+        assert manifest["threads"] == thread_count()
         assert manifest["effective_config"]["phantom"]["n_coils"] == 4
         # defaults echoed into the persisted effective config
         assert manifest["effective_config"]["train"]["alpha"] == 0.0
@@ -130,6 +182,21 @@ class TestPipeline:
         assert report["method"] == method
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {"data", "mask", "maps"}
+
+    def test_grappa_recon_applies_lam_and_acs_kx(self, pipeline, tmp_path):
+        r = pipeline["root"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {**CONFIG, "recon": {"lam": 1e-3, "acs_kx": 10}}))
+        assert main(["recon", "--config", str(cfg), "--method", "grappa",
+                     "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--out", str(tmp_path / "o")]) == 0
+        data = load_bundle(r / "masked_kspace")
+        mask = load_mask(r / "mask" / "mask")
+        expected = grappa_recon(data, mask, lam=1e-3, acs_kx=10)
+        got = load_bundle(tmp_path / "o" / "kspace")
+        np.testing.assert_array_equal(got.data, expected.data)
+        assert not np.array_equal(got.data, grappa_recon(data, mask).data)
 
     def test_metrics(self, pipeline, tmp_path):
         r = pipeline["root"]

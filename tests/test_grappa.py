@@ -12,7 +12,6 @@ from rakikit import (
     extract_acs,
     grappa_apply,
     grappa_calibrate,
-    grappa_kyt,
     grappa_recon,
     ifftc,
     make_elliptical_mask,
@@ -120,14 +119,6 @@ class TestReconstruction:
         with pytest.raises(GeometryError):
             grappa_recon(apply_mask(ksp, mask), mask)
 
-    def test_kyt_requires_kyt_mask(self):
-        ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))
-        mask = make_uniform_mask(
-            (32, 32), 2, 2, acs_box=centered_acs_box((32, 32), (16, 16))
-        )
-        with pytest.raises(GeometryError):
-            grappa_kyt(apply_mask(ksp, mask), mask)
-
     def test_kyt_fills_missing(self):
         # a static time series: replicate one k-space frame along t
         ph = make_phantom(default_spec(extents=(16, 48, 8), n_coils=4,
@@ -139,7 +130,7 @@ class TestReconstruction:
         x = CTensor(data, ("coil", "kx", "ky", "t"))
         mask = make_kyt_mask(48, nt, 4, shift=1, acs_box=((8, 32), (0, nt)))
         masked = apply_mask(x, mask)
-        filled = grappa_kyt(masked, mask)
+        filled = grappa_recon(masked, mask)
         np.testing.assert_array_equal(
             filled.data[:, :, mask.grid], masked.data[:, :, mask.grid]
         )

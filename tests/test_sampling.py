@@ -20,6 +20,7 @@ from rakikit import (
     reshear,
     save_mask,
 )
+from rakikit.sampling import cell_anchors, cell_offsets, deshear_array, steps
 
 
 def rand_c(shape, seed=0):
@@ -178,6 +179,51 @@ class TestShear:
                     ("coil", "kx", "ky", "kz"))
         back = reshear(deshear(x, m), m)
         np.testing.assert_array_equal(back.data, x.data)
+
+
+class TestOneGeometry:
+    """Everything derives from the steps and the desheared->acquired map."""
+
+    @given(
+        st.sampled_from(["lattice", "kyt"]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_map_defines_the_pattern(self, kind, r1, r2, shift, m1, m2):
+        if kind == "kyt":
+            mask = make_kyt_mask(r1 * m1, m2 + 1, r1, shift=shift)
+        else:
+            mask = make_uniform_mask((r1 * m1, r2 * m2), r1, r2,
+                                     shift=shift % r2)
+        s1, s2 = steps(mask)
+        n1, n2 = mask.extents
+        assert n1 % s1 == 0 and n2 % s2 == 0
+
+        # deshear then reshear is the identity, for both kinds
+        x = rand_c((2, n1, n2, 3), seed=r1 + 5 * r2 + 25 * shift)
+        there = deshear_array(x, mask, 1)
+        np.testing.assert_array_equal(
+            deshear_array(there, mask, 1, inverse=True), x)
+
+        # desheared, the acquired grid is the rectangular step lattice
+        i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+        np.testing.assert_array_equal(
+            deshear_array(mask.grid, mask, 0), (i % s1 == 0) & (j % s2 == 0))
+
+        # GRAPPA anchors are acquired and their cells cover the grid once
+        anchors = cell_anchors(mask)
+        inside = ((anchors >= 0) & (anchors < (n1, n2))).all(axis=1)
+        assert mask.grid[tuple(anchors[inside].T)].all()
+        hits = np.zeros((n1, n2), dtype=int)
+        for a, b in cell_offsets(mask):
+            p = anchors + (a, b)
+            ok = ((p >= 0) & (p < (n1, n2))).all(axis=1)
+            np.add.at(hits, tuple(p[ok].T), 1)
+        np.testing.assert_array_equal(hits, 1)
 
 
 class TestMaskIO:

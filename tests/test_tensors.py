@@ -1,11 +1,14 @@
 """Tensor container, centered FFT conventions, metrics, and bundle I/O."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rakikit import (
+    BundleError,
     CTensor,
     GeometryError,
     PayloadLengthError,
@@ -206,3 +209,20 @@ class TestBundles:
         (tmp_path / "x.json").write_text(hdr)
         with pytest.raises(ByteOrderError):
             load_bundle(tmp_path / "x")
+
+    def test_header_not_json_is_bundle_error(self, tmp_path):
+        save_bundle(CTensor(rand_c((2, 2)), ("kx", "ky")), tmp_path / "x")
+        (tmp_path / "x.json").write_text("{not json")
+        for read in (load_bundle, bundle_meta):
+            with pytest.raises(BundleError, match="not valid JSON"):
+                read(tmp_path / "x")
+
+    @pytest.mark.parametrize("key", ["dtype", "byte_order", "shape", "axes"])
+    def test_header_missing_key_is_bundle_error(self, tmp_path, key):
+        save_bundle(CTensor(rand_c((2, 2)), ("kx", "ky")), tmp_path / "x")
+        header = json.loads((tmp_path / "x.json").read_text())
+        del header[key]
+        (tmp_path / "x.json").write_text(json.dumps(header))
+        for read in (load_bundle, bundle_meta):
+            with pytest.raises(BundleError, match=f"lacks {key}"):
+                read(tmp_path / "x")
