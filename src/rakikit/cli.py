@@ -313,6 +313,8 @@ def cmd_fit(args) -> int:
 
 def cmd_bench(args) -> int:
     scenario = read_json(args.scenario, "scenario") if args.scenario else {}
+    if not isinstance(scenario, dict):
+        raise ConfigError("scenario must be a JSON object")
     if args.seed is not None:
         scenario["seed"] = args.seed
     report = run_bench(scenario)

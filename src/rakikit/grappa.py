@@ -1,11 +1,11 @@
 """Tikhonov-regularized GRAPPA kernel calibration and application.
 
 Acquired positions of every supported pattern form a 2D integer lattice
-on the phase axes; :mod:`rakikit.sampling` owns that geometry (basis,
-fundamental cell, anchors). Sources are taken at lattice offsets around
-each anchor, so no deshearing is needed and the kernel is
-shift-invariant in the acquired frame. One weight matrix per missing
-offset of the fundamental cell; readout is always fully sampled.
+on the phase axes; :mod:`rakikit.sampling` owns that geometry. One weight
+matrix maps ``taps`` readout samples by ``blocks`` lattice neighbours of
+an anchor to all missing offsets of its fundamental cell, all coils at
+once. It is fitted on every ACS window in the acquired frame and applied
+as one windowed matmul on the zero-extended decimated anchor grid.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GeometryError, NumericalError
-from .sampling import (SamplingMask, cell_anchors, cell_offsets, extract_acs,
-                       lattice_basis)
+from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
+                       lattice_basis, lattice_cells, steps)
 from .tensors import CTensor, crop_center
 
 DEFAULT_BLOCKS = (4, 4)
@@ -26,6 +26,8 @@ DEFAULT_LAMBDA = 1e-6
 
 # cap on calibration windows; beyond this the ACS is strided deterministically
 MAX_WINDOWS = 8192
+# readout planes per windowed matmul of the fill; bounds its window copy
+FILL_KX_CHUNK = 4
 
 
 def _block_offsets(n: int) -> np.ndarray:
@@ -36,9 +38,9 @@ def _block_offsets(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrappaKernel:
-    """Calibrated weights: one [Nc, Nc*nsrc] matrix per missing offset."""
+    """Calibrated weights: all missing offsets stacked in one matrix."""
 
-    weights: dict  # (dp1, dp2) cell offset -> complex ndarray [Nc, Nc * nsrc]
+    weights: np.ndarray  # [(R - 1) * Nc, Nc * nsrc]; rows (cell offset, coil)
     src: np.ndarray  # [nsrc, 3] source offsets (dx, dp1, dp2) from the anchor
     r1: int
     r2: int
@@ -48,15 +50,10 @@ class GrappaKernel:
 
 
 def _source_offsets(v1, v2, blocks, taps) -> np.ndarray:
-    b1 = _block_offsets(blocks[0])
-    b2 = _block_offsets(blocks[1])
-    dx = _block_offsets(taps)
-    out = []
-    for x in dx:
-        for i in b1:
-            for j in b2:
-                out.append((x, i * v1[0] + j * v2[0], i * v1[1] + j * v2[1]))
-    return np.array(out, dtype=int)
+    """Readout taps by lattice blocks around the anchor, in C order."""
+    x, i, j = np.meshgrid(*map(_block_offsets, (taps, *blocks)), indexing="ij")
+    out = np.stack([x, i * v1[0] + j * v2[0], i * v1[1] + j * v2[1]], axis=-1)
+    return out.reshape(-1, 3)
 
 
 def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
@@ -69,10 +66,8 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     """
     acs = np.asarray(acs, dtype=np.complex128)
     nc, nx, n1, n2 = acs.shape
-    v1, v2 = lattice_basis(mask)
-    src = _source_offsets(v1, v2, blocks, taps)
-    targets = [t for t in cell_offsets(mask) if t != (0, 0)]
-    tgt = np.array(targets, dtype=int) if targets else np.zeros((0, 2), dtype=int)
+    src = _source_offsets(*lattice_basis(mask), blocks, taps)
+    tgt = np.array(cell_offsets(mask)[1:], dtype=int).reshape(-1, 2)
 
     all_d1 = np.concatenate([src[:, 1], tgt[:, 0], [0]])
     all_d2 = np.concatenate([src[:, 2], tgt[:, 1], [0]])
@@ -118,62 +113,47 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
             coeff = coeff / np.maximum(evals, floor)[:, None]
             return evecs @ coeff
 
-    weights = {}
-    for a, b in targets:
-        tvals = acs[:, anchors[:, 0], anchors[:, 1] + a, anchors[:, 2] + b]
-        w = solve(A.conj().T @ tvals.T)  # [n_unknown, nc]
-        if not np.all(np.isfinite(w)):
-            raise NumericalError(f"non-finite GRAPPA weights at offset {(a, b)}")
-        weights[(a, b)] = np.ascontiguousarray(w.T)
-    return GrappaKernel(weights, src, mask.r1, mask.r2, mask.shift, mask.kind, nc)
+    tvals = acs[:, anchors[:, None, 0], anchors[:, None, 1] + tgt[:, 0],
+                anchors[:, None, 2] + tgt[:, 1]]  # [nc, W, ntgt]
+    rhs = A.conj().T @ np.transpose(tvals, (1, 2, 0)).reshape(len(anchors), -1)
+    weights = solve(rhs).T  # [(R - 1) * nc, n_unknown], rows (offset, coil)
+    if not np.all(np.isfinite(weights)):
+        raise NumericalError("non-finite GRAPPA weights")
+    return GrappaKernel(np.ascontiguousarray(weights), src, mask.r1, mask.r2,
+                        mask.shift, mask.kind, nc)
 
 
 def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
                   kernel: GrappaKernel) -> np.ndarray:
-    """Fill unsampled entries of [coil, kx, p1, p2]; zero-extension."""
-    nc, nx, n1, n2 = kdata.shape
-    src = kernel.src
-    anchors2 = cell_anchors(mask)
-    pad_lo = np.array([
-        max(-int(src[:, 0].min()), 0),
-        max(-int(src[:, 1].min() + anchors2[:, 0].min()), 0),
-        max(-int(src[:, 2].min() + anchors2[:, 1].min()), 0),
-    ])
-    pad_hi = np.array([
-        max(int(src[:, 0].max()), 0),
-        max(int(src[:, 1].max() + anchors2[:, 0].max()) - (n1 - 1), 0),
-        max(int(src[:, 2].max() + anchors2[:, 1].max()) - (n2 - 1), 0),
-    ])
-    padded = np.pad(kdata, [(0, 0)] + [(int(l), int(h)) for l, h in
-                                       zip(pad_lo, pad_hi)])
-    out = kdata.copy()
-    ax = np.arange(nx)
-    grid = np.concatenate(
-        [
-            np.repeat(ax, len(anchors2))[:, None],
-            np.tile(anchors2, (nx, 1)),
-        ],
-        axis=1,
-    )
+    """Fill unsampled entries of [coil, kx, p1, p2] on the decimated lattice.
 
-    sampled = mask.grid
-    chunk = 1 << 16
-    for start in range(0, len(grid), chunk):
-        g = grid[start : start + chunk]
-        gx = g[:, 0:1] + src[None, :, 0] + pad_lo[0]
-        g1 = g[:, 1:2] + src[None, :, 1] + pad_lo[1]
-        g2 = g[:, 2:3] + src[None, :, 2] + pad_lo[2]
-        S = padded[:, gx, g1, g2]  # [nc, W, nsrc]
-        S = np.transpose(S, (1, 0, 2)).reshape(len(g), -1)
-        for (a, b), w in kernel.weights.items():
-            t1 = g[:, 1] + a
-            t2 = g[:, 2] + b
-            ok = (t1 >= 0) & (t1 < n1) & (t2 >= 0) & (t2 < n2)
-            ok &= ~sampled[np.clip(t1, 0, n1 - 1), np.clip(t2, 0, n2 - 1)]
-            if not np.any(ok):
-                continue
-            pred = S[ok] @ w.T  # [W_ok, nc]
-            out[:, g[ok, 0], t1[ok], t2[ok]] = pred.T
+    The acquired lattice points are scattered onto the anchor grid of
+    :func:`lattice_cells` (zero off the pattern grid, so zero-extended),
+    where every source stencil is one rectangular window.
+    """
+    nc, nx = kdata.shape[:2]
+    u, v, k = lattice_cells(mask)
+    s1, s2 = steps(mask)
+    d1, d2 = acquired_coords(mask, kernel.src[:, 1], kernel.src[:, 2], inverse=True)
+    win = np.stack([kernel.src[:, 0], d1 // s1, d2 // s2])  # decimated offsets
+    lo, shape = -win.min(axis=1), np.ptp(win, axis=1) + 1
+    u, v = u - u.min(), v - v.min()  # window (u, v) is the stencil of anchor (u, v)
+    grid = np.zeros((nc, nx + shape[0] - 1, u.max() + shape[1], v.max() + shape[2]),
+                    dtype=kdata.dtype)
+    lat = k == 0
+    grid[:, lo[0] : lo[0] + nx, u[lat] + lo[1], v[lat] + lo[2]] = kdata[:, :, lat]
+
+    fill = (k > 0) & ~mask.grid
+    tu, tv, tk = u[fill], v[fill], k[fill] - 1
+    out = kdata.copy()
+    for x0 in range(0, nx, FILL_KX_CHUNK):
+        S = np.lib.stride_tricks.sliding_window_view(
+            grid[:, x0 : x0 + FILL_KX_CHUNK + shape[0] - 1], tuple(shape),
+            axis=(1, 2, 3))
+        S = np.moveaxis(S, 0, 3)  # [x, u, v, coil, taps, block1, block2]
+        pred = S.reshape(*S.shape[:3], -1) @ kernel.weights.T
+        pred = pred.reshape(*pred.shape[:3], -1, nc)[:, tu, tv, tk]  # [x, n, nc]
+        out[:, x0 : x0 + FILL_KX_CHUNK, fill] = np.moveaxis(pred, 2, 0)
     return out
 
 

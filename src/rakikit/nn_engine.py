@@ -272,20 +272,22 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     lr = cfg.learning_rate
     for step in range(1, cfg.iterations + 1):
-        value, grads = backward(
-            model, x, target, cfg.alpha, cfg.beta, valid=valid,
-            squared_l2=cfg.squared_l2,
-        )
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite loss at step {step}")
-        history.append(value)
-        flat = [g for pair in grads for g in pair]
-        for i, (p, g) in enumerate(zip(params, flat)):
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            mhat = m[i] / (1 - b1**step)
-            vhat = v[i] / (1 - b2**step)
-            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        # a diverging run ends in the NumericalError below, not in warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grads = backward(
+                model, x, target, cfg.alpha, cfg.beta, valid=valid,
+                squared_l2=cfg.squared_l2,
+            )
+            if not np.isfinite(value):
+                raise NumericalError(f"non-finite loss at step {step}")
+            history.append(value)
+            flat = [g for pair in grads for g in pair]
+            for i, (p, g) in enumerate(zip(params, flat)):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat = m[i] / (1 - b1**step)
+                vhat = v[i] / (1 - b2**step)
+                p -= lr * mhat / (np.sqrt(vhat) + eps)
         lr *= cfg.lr_decay
     return model, history
 

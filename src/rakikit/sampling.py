@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import BundleError, ConfigError, GeometryError
 from .tensors import CTensor, center_slices, save_bundle, load_bundle, bundle_meta
 
 
@@ -90,12 +90,9 @@ def acquired_coords(mask: SamplingMask, i, j, inverse: bool = False):
     return i, j + s * (i // mask.r1)
 
 
-def on_lattice(mask: SamplingMask, lo=(0, 0)) -> np.ndarray:
-    """Pattern lattice (no ACS, no ellipse) over acquired indices lo..extents."""
-    i, j = np.ogrid[lo[0] : mask.extents[0], lo[1] : mask.extents[1]]
-    d1, d2 = acquired_coords(mask, i, j, inverse=True)
-    s1, s2 = steps(mask)
-    return (d1 % s1 == 0) & (d2 % s2 == 0)
+def on_lattice(mask: SamplingMask) -> np.ndarray:
+    """Pattern lattice (no ACS, no ellipse): the grid positions at offset 0."""
+    return lattice_cells(mask)[2] == 0
 
 
 def lattice_basis(mask: SamplingMask) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -110,13 +107,18 @@ def cell_offsets(mask: SamplingMask) -> list[tuple[int, int]]:
     return [(a, b) for a in range(s1) for b in range(s2)]
 
 
-def cell_anchors(mask: SamplingMask) -> np.ndarray:
-    """Acquired lattice points whose fundamental cell meets the grid, [n, 2].
+def lattice_cells(mask: SamplingMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each grid position as anchor (u, v) plus cell offset, each [n1, n2].
 
-    Anchors plus cell offsets cover every grid position exactly once.
+    The unwrapped desheared index, split by the steps: the anchor sits at
+    desheared ``(u * s1, v * s2)`` (possibly off the grid) and ``k``
+    indexes :func:`cell_offsets`, so ``k == 0`` is the pattern lattice.
     """
-    lo = 1 - np.array(steps(mask))
-    return np.argwhere(on_lattice(mask, lo)) + lo
+    n1, n2 = mask.extents
+    d1, d2 = acquired_coords(mask, *np.ogrid[:n1, :n2], inverse=True)
+    s1, s2 = steps(mask)
+    (u, a), (v, b) = np.divmod(d1, s1), np.divmod(d2, s2)
+    return tuple(np.broadcast_arrays(u, v, a * s2 + b))
 
 
 def _ellipse_interior(extents) -> np.ndarray:
@@ -261,7 +263,10 @@ def save_mask(mask: SamplingMask, path: str | Path) -> None:
 
 def load_mask(path: str | Path) -> SamplingMask:
     x = load_bundle(path)
-    desc = bundle_meta(path)["mask"]
+    desc = bundle_meta(path).get("mask")
+    keys = {"axes", "r1", "r2", "shift", "elliptical", "acs_box", "kind"}
+    if not (isinstance(desc, dict) and keys <= desc.keys()):
+        raise BundleError(f"bundle {path} has no complete mask descriptor")
     grid = np.real(x.data[0]) > 0.5
     never = np.real(x.data[1]) > 0.5
     box = tuple(tuple(b) for b in desc["acs_box"]) if desc["acs_box"] else None

@@ -126,6 +126,29 @@ class TestExitCodes:
         assert err.startswith("data error: bundle header")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_mask_without_mask_meta_is_data_error(self, pipeline, tmp_path,
+                                                  capsys):
+        r = pipeline["root"]
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "grappa", "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "masked_kspace"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "mask descriptor" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
+    def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
+                                                       seed):
+        scenario = tmp_path / "s.json"
+        scenario.write_text("[1, 2]")
+        capsys.readouterr()
+        assert main(["bench", "--scenario", str(scenario), *seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "JSON object" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_recon_without_maps_is_config_error(self, pipeline, tmp_path):
         r = pipeline["root"]
         assert main(["recon", "--config", str(pipeline["cfg"]),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rakikit import (
     CTensor,
@@ -21,6 +23,7 @@ from rakikit import (
     default_spec,
 )
 from rakikit.grappa import cell_offsets, lattice_basis
+from rakikit.sampling import acquired_coords, steps
 
 from conftest import compact_scene
 
@@ -50,6 +53,78 @@ class TestLatticeGeometry:
         assert cell_offsets(m) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         mk = make_kyt_mask(8, 4, 3)
         assert cell_offsets(mk) == [(0, 0), (1, 0), (2, 0)]
+
+
+def per_anchor_fill(kdata, mask, kernel):
+    """The gather-per-anchor fill the windowed matmul replaced, as reference.
+
+    Anchors are the acquired lattice points whose fundamental cell meets
+    the grid; sources are read at lattice offsets around each, zero
+    outside the grid; one weight block per missing cell offset.
+    """
+    nc, nx, n1, n2 = kdata.shape
+    (s1, s2), src = steps(mask), kernel.src
+    i, j = np.ogrid[1 - s1 : n1, 1 - s2 : n2]
+    d1, d2 = acquired_coords(mask, i, j, inverse=True)
+    anchors = np.argwhere((d1 % s1 == 0) & (d2 % s2 == 0)) + (1 - s1, 1 - s2)
+    pad = int(np.abs(src).max()) + max(s1, s2)  # anchors start at 1 - steps
+    padded = np.pad(kdata, [(0, 0)] + [(pad, pad)] * 3)
+    out = kdata.copy()
+    for x in range(nx):
+        S = padded[:, x + pad + src[None, :, 0],
+                   anchors[:, 0:1] + pad + src[None, :, 1],
+                   anchors[:, 1:2] + pad + src[None, :, 2]]  # [nc, W, nsrc]
+        S = np.transpose(S, (1, 0, 2)).reshape(len(anchors), -1)
+        for n, (a, b) in enumerate(cell_offsets(mask)[1:]):
+            w = kernel.weights[n * nc : (n + 1) * nc]
+            t1, t2 = anchors[:, 0] + a, anchors[:, 1] + b
+            ok = (t1 >= 0) & (t1 < n1) & (t2 >= 0) & (t2 < n2)
+            ok[ok] &= ~mask.grid[t1[ok], t2[ok]]
+            out[:, x, t1[ok], t2[ok]] = (S[ok] @ w.T).T
+    out[:, :, mask.never_acquired] = 0.0
+    return out
+
+
+class TestWindowedFill:
+    @given(
+        st.sampled_from(["uniform", "elliptical", "kyt"]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=2, max_value=19),
+        st.integers(min_value=2, max_value=19),
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_anchor_fill(self, kind, r1, r2, shift, n1, n2, shape):
+        if kind == "kyt":
+            mask = make_kyt_mask(n1, n2, r1, shift=shift)
+        else:
+            make = make_uniform_mask if kind == "uniform" else make_elliptical_mask
+            mask = make((n1, n2), r1, r2, shift=shift % r2)
+        rng = np.random.default_rng(n1 + 20 * n2)
+        acs = rng.standard_normal((2, 7, 40, 40)) + 1j * rng.standard_normal(
+            (2, 7, 40, 40))
+        kernel = grappa_calibrate(acs, mask, blocks=shape[:2], taps=shape[2])
+        full = rng.standard_normal((2, 5, n1, n2)) + 1j * rng.standard_normal(
+            (2, 5, n1, n2))
+        masked = apply_mask(CTensor(full, ("coil", "kx", *mask.axes)), mask)
+        ref = per_anchor_fill(masked.data, mask, kernel)
+        got = grappa_apply(masked, mask, kernel).data
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert (got[:, :, mask.never_acquired] == 0).all()
+        np.testing.assert_array_equal(got[:, :, mask.grid],
+                                      masked.data[:, :, mask.grid])
+
+    def test_unaccelerated_mask_changes_nothing(self):
+        mask = make_uniform_mask((9, 7), 1, 1)
+        rng = np.random.default_rng(0)
+        acs = rng.standard_normal((2, 7, 12, 12)) + 0j
+        kernel = grappa_calibrate(acs, mask)
+        assert kernel.weights.shape == (0, 2 * 5 * 4 * 4)
+        x = CTensor(rng.standard_normal((2, 5, 9, 7)) + 0j,
+                    ("coil", "kx", "ky", "kz"))
+        np.testing.assert_array_equal(grappa_apply(x, mask, kernel).data, x.data)
 
 
 class TestReconstruction:

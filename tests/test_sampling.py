@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rakikit import (
+    BundleError,
     ConfigError,
     CTensor,
     GeometryError,
@@ -18,9 +19,11 @@ from rakikit import (
     make_kyt_mask,
     make_uniform_mask,
     reshear,
+    save_bundle,
     save_mask,
 )
-from rakikit.sampling import cell_anchors, cell_offsets, deshear_array, steps
+from rakikit.sampling import (acquired_coords, cell_offsets, deshear_array,
+                              lattice_cells, steps)
 
 
 def rand_c(shape, seed=0):
@@ -214,16 +217,15 @@ class TestOneGeometry:
         np.testing.assert_array_equal(
             deshear_array(mask.grid, mask, 0), (i % s1 == 0) & (j % s2 == 0))
 
-        # GRAPPA anchors are acquired and their cells cover the grid once
-        anchors = cell_anchors(mask)
-        inside = ((anchors >= 0) & (anchors < (n1, n2))).all(axis=1)
-        assert mask.grid[tuple(anchors[inside].T)].all()
-        hits = np.zeros((n1, n2), dtype=int)
-        for a, b in cell_offsets(mask):
-            p = anchors + (a, b)
-            ok = ((p >= 0) & (p < (n1, n2))).all(axis=1)
-            np.add.at(hits, tuple(p[ok].T), 1)
-        np.testing.assert_array_equal(hits, 1)
+        # every grid position is one (anchor, cell offset) and maps back from
+        # it; offset 0 is exactly the acquired lattice
+        u, v, k = lattice_cells(mask)
+        np.testing.assert_array_equal(k == 0, mask.grid)
+        assert len(set(zip(u.ravel(), v.ravel(), k.ravel()))) == n1 * n2
+        a1, a2 = acquired_coords(mask, u * s1, v * s2)
+        offs = np.array(cell_offsets(mask))[k]
+        np.testing.assert_array_equal(a1 + offs[..., 0], i)
+        np.testing.assert_array_equal(a2 + offs[..., 1], j)
 
 
 class TestMaskIO:
@@ -247,3 +249,12 @@ class TestMaskIO:
         assert (back.kind, back.elliptical, back.acs_box) == (
             mask.kind, mask.elliptical, mask.acs_box
         )
+
+    @pytest.mark.parametrize("meta", [{}, {"mask": "lattice"},
+                                      {"mask": {"axes": ["ky", "kz"], "r1": 2}}],
+                             ids=["no-mask", "not-object", "missing-keys"])
+    def test_missing_mask_descriptor_is_bundle_error(self, tmp_path, meta):
+        save_bundle(CTensor(np.zeros((2, 4, 4), complex), ("maps", "ky", "kz")),
+                    tmp_path / "m", meta=meta)
+        with pytest.raises(BundleError, match="mask descriptor"):
+            load_mask(tmp_path / "m")
