@@ -163,6 +163,11 @@ def _load_maps(path: str) -> SensitivityMaps:
     prefix = _bundle_prefix(path, "maps")
     maps = load_bundle(prefix)
     meta = bundle_meta(prefix)
+    keys = ("kernel_size", "sigma_threshold", "crop_threshold")
+    bad = [k for k in keys if type(meta.get(k)) not in (int, float)]
+    if bad:
+        raise BundleError(f"maps bundle {prefix} meta lacks a number for "
+                          + ", ".join(bad))
     eig_prefix = prefix.parent / "eigval"
     eigval = np.real(load_bundle(eig_prefix).data)
     return SensitivityMaps(
@@ -242,7 +247,8 @@ def cmd_recon(args) -> int:
             report["inference_s"] = time.monotonic() - t0
         elif method == "raki":
             t0 = time.monotonic()
-            models, _ = train_raki(problem, init=rcfg["init"])
+            models, report["loss_history"] = train_raki(problem,
+                                                        init=rcfg["init"])
             report["learning_s"] = time.monotonic() - t0
             report["model_count"] = len(models)
             t0 = time.monotonic()
@@ -250,8 +256,8 @@ def cmd_recon(args) -> int:
             report["inference_s"] = time.monotonic() - t0
         else:
             t0 = time.monotonic()
-            model, _ = train_eraki(problem, target_margin=rcfg["target_margin"],
-                                   init=rcfg["init"])
+            model, report["loss_history"] = train_eraki(
+                problem, target_margin=rcfg["target_margin"], init=rcfg["init"])
             report["learning_s"] = time.monotonic() - t0
             report["model_count"] = 1
             t0 = time.monotonic()

@@ -113,12 +113,19 @@ def load_config(path: str | None, seed_flag: int | None) -> dict:
         cfg["seed"] = seed_flag
     if cfg["seed"] is None:
         raise ConfigError("config key seed is mandatory (file or --seed)")
+    train_config(cfg)  # range-check the train section whatever the command
     return cfg
 
 
 def train_config(cfg: dict) -> TrainConfig:
     """TrainConfig from a merged config's ``train`` section and seed."""
     t = cfg["train"]
+    try:
+        widths = tuple(t["widths"])
+        kernel_sizes = tuple(tuple(k) for k in t["kernel_sizes"])
+    except TypeError:
+        raise ConfigError("train.widths must be a list and train.kernel_sizes "
+                          "a list of lists") from None
     return TrainConfig(
         alpha=t["alpha"],
         beta=t["beta"],
@@ -126,7 +133,7 @@ def train_config(cfg: dict) -> TrainConfig:
         learning_rate=t["learning_rate"],
         lr_decay=t["lr_decay"],
         iterations=t["iterations"],
-        widths=tuple(t["widths"]),
-        kernel_sizes=tuple(tuple(k) for k in t["kernel_sizes"]),
+        widths=widths,
+        kernel_sizes=kernel_sizes,
         seed=cfg["seed"],
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in [0,1], got {self.alpha}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not self.learning_rate > 0:
+            raise ConfigError(
+                f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (0.0 < self.lr_decay <= 1.0):
+            raise ConfigError(f"lr_decay must be in (0,1], got {self.lr_decay}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if len(self.widths) + 1 != len(self.kernel_sizes):
@@ -94,6 +100,17 @@ class TrainConfig:
                 f"{len(self.kernel_sizes)} layers need {len(self.kernel_sizes) - 1} "
                 f"hidden widths, got {len(self.widths)}"
             )
+        if not all(_positive_int(w) for w in self.widths):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.widths}")
+        if not all(len(ks) == 3 and all(_positive_int(k) for k in ks)
+                   for ks in self.kernel_sizes):
+            raise ConfigError(
+                f"kernel sizes must be three extents >= 1, got {self.kernel_sizes}"
+            )
+
+
+def _positive_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
 
 
 def init_model(in_channels: int, out_channels: int, cfg: TrainConfig) -> ModelWeights:

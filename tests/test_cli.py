@@ -95,9 +95,21 @@ class TestExitCodes:
         {"seed": 1, "mask": None},  # section given as a non-object
         {"seed": 1, "train": [1, 2]},
         {"seed": 1, "recon": "grappa"},
+        {"seed": 1, "train": {"widths": [0, 0, 0, 0]}},  # out of range
+        {"seed": 1, "train": {"widths": [8, 8, 8, 2.5]}},
+        {"seed": 1, "train": {"widths": 8}},
+        {"seed": 1, "train": {"kernel_sizes": [[3, 3, 0], [1, 1, 3], [1, 1, 1],
+                                               [1, 1, 1], [1, 1, 1]]}},
+        {"seed": 1, "train": {"kernel_sizes": [3, 1, 1, 1, 1]}},
+        {"seed": 1, "train": {"learning_rate": -1.0}},
+        {"seed": 1, "train": {"learning_rate": 0}},
+        {"seed": 1, "train": {"lr_decay": 0.0}},
+        {"seed": 1, "train": {"lr_decay": 1.5}},
     ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
             "str-seed", "float-seed", "null-section", "list-section",
-            "str-section"])
+            "str-section", "zero-widths", "float-width", "number-widths",
+            "zero-kernel-extent", "flat-kernel-sizes", "negative-lr",
+            "zero-lr", "zero-lr-decay", "lr-decay-above-1"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -124,6 +136,29 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: bundle header")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["kernel_size", "sigma_threshold",
+                                     "crop_threshold"])
+    def test_maps_meta_missing_key_is_data_error(self, pipeline, tmp_path,
+                                                 capsys, key):
+        r = pipeline["root"]
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        for name in ("maps", "eigval"):
+            for suffix in (".json", ".bin"):
+                src = (r / "maps" / name).with_suffix(suffix)
+                (maps / name).with_suffix(suffix).write_bytes(src.read_bytes())
+        header = json.loads((maps / "maps.json").read_text())
+        del header["meta"][key]
+        (maps / "maps.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "zerofill", "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--maps", str(maps),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and key in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_mask_without_mask_meta_is_data_error(self, pipeline, tmp_path,
@@ -191,7 +226,7 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
-    @pytest.mark.parametrize("method", ["zerofill", "grappa", "eraki"])
+    @pytest.mark.parametrize("method", ["zerofill", "grappa", "eraki", "raki"])
     def test_recon_methods(self, pipeline, tmp_path, method):
         r = pipeline["root"]
         out = tmp_path / method
@@ -203,6 +238,15 @@ class TestPipeline:
         assert image.shape == (12, 24, 24)
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == method
+        # the training loss history: one list for eRAKI, one per coil for RAKI
+        history = report.get("loss_history")
+        if method == "eraki":
+            assert len(history) == 5 and history[-1] < history[0]
+        elif method == "raki":
+            assert len(history) == report["model_count"] == 4
+            assert all(len(h) == 5 and h[-1] < h[0] for h in history)
+        else:
+            assert history is None
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {"data", "mask", "maps"}
 

@@ -28,7 +28,7 @@ from rakikit import (
     train_raki,
     zerofill_recon,
 )
-from rakikit.recon_models import _ridge_solution
+from rakikit.recon_models import RIDGE_INIT, _ridge_solution
 
 CFG = TrainConfig(
     alpha=0.0,
@@ -41,6 +41,72 @@ CFG = TrainConfig(
     kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1), (1, 1, 1)),
     seed=0,
 )
+
+
+@pytest.fixture(scope="module")
+def joint_problem():
+    """3-echo joint problem: 4 coils, 8x48x48, R=3x3, 16x16 ACS."""
+    spec = default_spec(extents=(8, 48, 48), n_coils=4,
+                        te_ms=(0.0, 20.0, 40.0), texture=0.5, seed=0)
+    ph = make_phantom(spec)
+    ksp = CTensor(
+        ph["kspace"].data, ("coil", "echo", "kx", "ky", "kz")
+    ).transpose(("coil", "echo", "kx", "ky", "kz"))
+    mask = make_uniform_mask(
+        (48, 48), 3, 3, shift=1, acs_box=centered_acs_box((48, 48), (16, 16))
+    )
+    masks = echo_shifted_masks(mask, 3)
+    masked = ksp.with_data(
+        np.stack(
+            [apply_mask(CTensor(ksp.data[:, e], ("coil", "kx", "ky", "kz")),
+                        masks[e]).data for e in range(3)],
+            axis=1,
+        )
+    )
+    acs0 = extract_acs(
+        CTensor(masked.data[:, 0], ("coil", "kx", "ky", "kz")), mask
+    )
+    maps = espirit_maps(acs0, kernel_size=5, out_extents=(48, 48))
+    return ReconProblem(masked, masks, "eraki_joint", CFG, maps=maps)
+
+
+def ridge_features(ts, cfg):
+    """First-kernel windows of the margin-cropped input, one row per output."""
+    lo = np.zeros(3, dtype=int)
+    for ks in cfg.kernel_sizes[1:]:
+        lo += (np.array(ks) - 1) // 2
+    x = ts.inputs[
+        :,
+        lo[0] : ts.inputs.shape[1] - lo[0] or None,
+        lo[1] : ts.inputs.shape[2] - lo[1] or None,
+        lo[2] : ts.inputs.shape[3] - lo[2] or None,
+    ]
+    win = np.lib.stride_tricks.sliding_window_view(
+        x, cfg.kernel_sizes[0], axis=(1, 2, 3)
+    )
+    ou, ov, ox = win.shape[1:4]
+    return win.transpose(1, 2, 3, 0, 4, 5, 6).reshape(ou * ov * ox, -1)
+
+
+def per_channel_ridge(ts, cfg):
+    """Reference: one primal ridge solve per output channel."""
+    F = ridge_features(ts, cfg)
+    nfeat = F.shape[1]
+    W = np.zeros((ts.out_channels, nfeat))
+    eye = np.eye(nfeat)
+    for c in range(ts.out_channels):
+        sel = ts.valid[c].ravel()
+        A = F[sel]
+        y = ts.targets[c].ravel()[sel]
+        gram = A.T @ A
+        gram += RIDGE_INIT * np.trace(gram) / nfeat * eye
+        W[c] = np.linalg.solve(gram, A.T @ y)
+    return W
+
+
+def pair_rows(ts):
+    """Number of valid rows of each (re, im) channel pair."""
+    return ts.valid[0::2].reshape(ts.out_channels // 2, -1).sum(axis=1)
 
 
 class TestProblemValidation:
@@ -89,30 +155,8 @@ class TestChannelLaws:
         assert ts.out_channels == 18
         assert linear_init(ts, CFG).out_channels == 18
 
-    def test_three_echo_joint_has_54_outputs(self):
-        spec = default_spec(extents=(8, 48, 48), n_coils=4,
-                            te_ms=(0.0, 20.0, 40.0), texture=0.5, seed=0)
-        ph = make_phantom(spec)
-        ksp = CTensor(
-            ph["kspace"].data, ("coil", "echo", "kx", "ky", "kz")
-        ).transpose(("coil", "echo", "kx", "ky", "kz"))
-        mask = make_uniform_mask(
-            (48, 48), 3, 3, shift=1, acs_box=centered_acs_box((48, 48), (16, 16))
-        )
-        masks = echo_shifted_masks(mask, 3)
-        masked = ksp.with_data(
-            np.stack(
-                [apply_mask(CTensor(ksp.data[:, e], ("coil", "kx", "ky", "kz")),
-                            masks[e]).data for e in range(3)],
-                axis=1,
-            )
-        )
-        acs0 = extract_acs(
-            CTensor(masked.data[:, 0], ("coil", "kx", "ky", "kz")), mask
-        )
-        maps = espirit_maps(acs0, kernel_size=5, out_extents=(48, 48))
-        p = ReconProblem(masked, masks, "eraki_joint", CFG, maps=maps)
-        ts = build_targets(p)
+    def test_three_echo_joint_has_54_outputs(self, joint_problem):
+        ts = build_targets(joint_problem)
         assert ts.out_channels == 54
         assert ts.in_channels == 2 * 4 * 3  # re/im per coil per echo
 
@@ -139,21 +183,7 @@ class TestLinearInit:
         pred = forward(model, ts.inputs)
 
         W = _ridge_solution(ts, CFG)
-        lo = np.zeros(3, dtype=int)
-        for ks in CFG.kernel_sizes[1:]:
-            lo += (np.array(ks) - 1) // 2
-        x = ts.inputs[
-            :,
-            lo[0] : ts.inputs.shape[1] - lo[0] or None,
-            lo[1] : ts.inputs.shape[2] - lo[1] or None,
-            lo[2] : ts.inputs.shape[3] - lo[2] or None,
-        ]
-        win = np.lib.stride_tricks.sliding_window_view(
-            x, CFG.kernel_sizes[0], axis=(1, 2, 3)
-        )
-        ou, ov, ox = win.shape[1:4]
-        F = win.transpose(1, 2, 3, 0, 4, 5, 6).reshape(ou * ov * ox, -1)
-        expected = (F @ W.T).T.reshape(pred.shape)
+        expected = (ridge_features(ts, CFG) @ W.T).T.reshape(pred.shape)
         np.testing.assert_allclose(pred, expected, atol=1e-10)
 
     def test_warm_start_beats_random_init_fit(self, small_scene):
@@ -170,6 +200,57 @@ class TestLinearInit:
                            ts.inputs), ts.targets, None,
                    0.0, 0.0, valid=ts.valid, squared_l2=True)
         assert lin < rnd / 10
+
+
+SINGLE_LAYER = TrainConfig(widths=(), kernel_sizes=((2, 2, 3),), seed=0)
+WIDE_KERNEL = TrainConfig(
+    widths=(16,) * 4,
+    kernel_sizes=((3, 3, 5), (1, 1, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1)),
+)
+
+
+def single_echo_targets(scene, cfg, coil=None):
+    """eRAKI targets (``coil`` None) or one coil's per-coil RAKI targets."""
+    mode = "eraki" if coil is None else "raki_percoil"
+    p = ReconProblem(scene["masked"], (scene["mask"],), mode, cfg,
+                     maps=scene["maps"])
+    return build_targets(p, coil=coil)
+
+
+class TestRidgeSolution:
+    """Paired dual/primal ridge solve against the per-channel primal loop."""
+
+    @staticmethod
+    def assert_matches_reference(ts, cfg, dual):
+        nfeat = ts.in_channels * np.prod(cfg.kernel_sizes[0])
+        assert ((pair_rows(ts) < nfeat) == dual).all()
+        W = _ridge_solution(ts, cfg)
+        ref = per_channel_ridge(ts, cfg)
+        assert np.linalg.norm(W - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_row_poor_joint_problem_takes_dual_branch(self, joint_problem):
+        self.assert_matches_reference(build_targets(joint_problem), CFG,
+                                      dual=True)
+
+    @pytest.mark.parametrize("coil", [None, 3], ids=["eraki", "per-coil"])
+    @pytest.mark.parametrize("cfg, dual", [(WIDE_KERNEL, True), (CFG, False)],
+                             ids=["dual", "primal"])
+    def test_single_echo_problem(self, small_scene, coil, cfg, dual):
+        ts = single_echo_targets(small_scene, cfg, coil)
+        self.assert_matches_reference(ts, cfg, dual)
+
+    def test_single_layer_kernel_is_the_ridge_solution(self, small_scene):
+        ts = single_echo_targets(small_scene, SINGLE_LAYER)
+        kernel = linear_init(ts, SINGLE_LAYER).layers[0].kernel
+        ref = per_channel_ridge(ts, SINGLE_LAYER)
+        assert np.linalg.norm(kernel.reshape(ref.shape) - ref) \
+            <= 1e-9 * np.linalg.norm(ref)
+
+    def test_channel_pairs_share_valid_rows(self, small_scene, joint_problem):
+        for ts in (build_targets(joint_problem),
+                   single_echo_targets(small_scene, CFG),
+                   single_echo_targets(small_scene, CFG, coil=0)):
+            np.testing.assert_array_equal(ts.valid[0::2], ts.valid[1::2])
 
 
 class TestInference:
