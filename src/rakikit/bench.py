@@ -1,10 +1,12 @@
-"""Timing harness comparing learning and reconstruction cost per method.
+"""The method runner and the timing harness that compares the methods.
 
-Runs zero-filled, GRAPPA, per-coil RAKI, and the coil-combined model on
-identical inputs with identical iteration budgets, timing learning and
-inference separately on the monotonic clock. Sensitivity-map estimation
-is timed as its own row. Everything except the clock readings is
-deterministic under a fixed seed.
+:func:`reconstruct` runs one method (zero-filled, GRAPPA, per-coil RAKI or
+the coil-combined model) on masked k-space, timing learning and inference
+separately on the monotonic clock; ``rakikit recon`` and :func:`run_bench`
+both call it. The harness runs every method on identical inputs with
+identical iteration budgets; sensitivity-map estimation is timed as its
+own row. Everything except the clock readings is deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -19,19 +21,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS, merge, train_config
-from .errors import ConfigError
-from .espirit import coil_combine, espirit_maps
-from .grappa import grappa_recon
+from .errors import ConfigError, NumericalError
+from .espirit import SensitivityMaps, coil_combine, espirit_maps
+from .grappa import DEFAULT_LAMBDA, grappa_recon
 from .nn_engine import TrainConfig
 from .phantom import default_spec, make_phantom
 from .recon_models import (
     ReconProblem,
+    echo_shifted_masks,
     infer,
     train_eraki,
     train_raki,
     zerofill_recon,
 )
-from .sampling import apply_mask, centered_acs_box, extract_acs, make_uniform_mask
+from .sampling import (SamplingMask, apply_mask, centered_acs_box, extract_acs,
+                       make_uniform_mask)
 from .tensors import CTensor, ifftc
 
 BENCH_METHODS = ("zerofill", "grappa", "raki", "eraki")
@@ -99,12 +103,77 @@ def _config_hash(scenario: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def reconstruct(method: str, data: CTensor, mask: SamplingMask,
+                maps: SensitivityMaps | None, cfg: TrainConfig,
+                lam: float = DEFAULT_LAMBDA, acs_kx: int | None = None
+                ) -> tuple[CTensor, CTensor, dict]:
+    """Run one method on masked k-space -> (k-space, magnitude image, row).
+
+    The row holds ``model_count``, ``paper_equivalent_models``,
+    ``learning_s`` (``train_*`` or ``grappa_recon``), ``inference_s``
+    (``infer``, ``zerofill_recon`` or the coil combination) and, for the
+    learned methods, ``loss_history``. Multi-echo data gets one
+    echo-shifted mask per echo. GRAPPA (ridge ``lam``, calibration readout
+    window ``acs_kx``) combines with ``maps``, or by root-sum-of-squares
+    without them.
+    """
+    if method not in BENCH_METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose {BENCH_METHODS}")
+    if method != "grappa" and maps is None:
+        raise ConfigError(f"method {method} requires sensitivity maps")
+    if not np.isfinite(data.data).all():
+        raise NumericalError("k-space holds non-finite values")
+    # models learned, and as the paper counts them (real and imaginary apart)
+    r, nc = mask.r1 * mask.r2 - 1, data.extent("coil")  # GRAPPA: r kernels
+    counts = {"zerofill": (0, 0), "grappa": (r, r), "raki": (nc, 2 * nc),
+              "eraki": (1, 1)}[method]
+    row = {"model_count": counts[0], "paper_equivalent_models": counts[1],
+           "learning_s": 0.0, "inference_s": 0.0}
+    if method == "grappa":
+        t0 = time.monotonic()
+        kspace = grappa_recon(data, mask, lam=lam, acs_kx=acs_kx)
+        row["learning_s"] = time.monotonic() - t0  # calibrate + apply
+        t0 = time.monotonic()
+        img = ifftc(kspace, tuple(a for a in ("kx", *mask.axes) if a != "t"))
+        if maps is None:  # root-sum-of-squares over the coils
+            rss = np.sqrt(np.sum(np.abs(img.data) ** 2, axis=img.axis("coil")))
+            img = CTensor(rss, tuple(a for a in img.axes if a != "coil"))
+        else:
+            img = coil_combine(img, maps)
+        image = img.with_data(np.abs(img.data))
+        row["inference_s"] = time.monotonic() - t0
+        return kspace, image, row
+
+    ne = data.extent("echo") if data.has_axis("echo") else 1
+    masks = echo_shifted_masks(mask, ne) if ne > 1 else (mask,)
+    mode = "raki_percoil" if method == "raki" else "eraki"
+    problem = ReconProblem(data, masks, mode, cfg, maps=maps)
+    t0 = time.monotonic()
+    if method == "zerofill":
+        res = zerofill_recon(problem)
+    else:
+        trainer = train_raki if method == "raki" else train_eraki
+        models, row["loss_history"] = trainer(problem)
+        row["learning_s"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        res = infer(models, problem)
+    row["inference_s"] = time.monotonic() - t0
+    return res.kspace, res.image, row
+
+
 def run_bench(scenario: dict | None = None) -> BenchReport:
     """Run every requested method on one synthetic scene and time it."""
     scenario = merge(DEFAULT_SCENARIO, scenario or {}, "scenario")
     cfg = train_config(scenario)
+    methods = scenario["methods"]
+    if not (isinstance(methods, list)
+            and all(m in BENCH_METHODS for m in methods)):
+        raise ConfigError(f"scenario.methods must list methods from "
+                          f"{BENCH_METHODS}, got {methods!r}")
     pspec = scenario["phantom"]
     mspec = scenario["mask"]
+    if mspec["acs"] is None:
+        raise ConfigError("scenario.mask.acs must be set: maps need the ACS")
     extents = tuple(pspec["extents"])
     n1, n2 = extents[1], extents[2]
 
@@ -138,65 +207,18 @@ def run_bench(scenario: dict | None = None) -> BenchReport:
             np.linalg.norm((img - ref)[metric]) / np.linalg.norm(ref[metric])
         )
 
-    nc = pspec["n_coils"]
-    r_total = mspec["r1"] * mspec["r2"]
-
     # warm-up outside any timed section (first-call allocator effects)
     warm = TrainConfig(iterations=1, widths=cfg.widths,
                        kernel_sizes=cfg.kernel_sizes, seed=cfg.seed)
     train_eraki(ReconProblem(masked, (mask,), "eraki", warm, maps=maps))
 
     rows: dict[str, dict] = {}
-    for method in scenario["methods"]:
-        if method not in BENCH_METHODS:
-            raise ConfigError(
-                f"unknown method {method!r}; choose from {BENCH_METHODS}"
-            )
-        row = {"model_count": 0, "paper_equivalent_models": 0,
-               "learning_s": 0.0, "inference_s": 0.0}
+    for method in methods:
         try:
-            if method == "zerofill":
-                prob = ReconProblem(masked, (mask,), "eraki", cfg, maps=maps)
-                t0 = time.monotonic()
-                res = zerofill_recon(prob)
-                row["inference_s"] = time.monotonic() - t0
-            elif method == "grappa":
-                row["model_count"] = r_total - 1  # one kernel per offset
-                row["paper_equivalent_models"] = r_total - 1
-                t0 = time.monotonic()
-                filled = grappa_recon(masked, mask)
-                row["learning_s"] = time.monotonic() - t0  # calibrate+apply
-                t0 = time.monotonic()
-                img = coil_combine(ifftc(filled, ("kx", "ky", "kz")), maps)
-                row["inference_s"] = time.monotonic() - t0
-                rows[method] = row
-                row["nrmse"] = nrmse_of(np.abs(img.data))
-                continue
-            elif method == "raki":
-                row["model_count"] = nc
-                row["paper_equivalent_models"] = 2 * nc  # real/imag per coil
-                prob = ReconProblem(masked, (mask,), "raki_percoil", cfg,
-                                    maps=maps)
-                t0 = time.monotonic()
-                models, _ = train_raki(prob)
-                row["learning_s"] = time.monotonic() - t0
-                t0 = time.monotonic()
-                res = infer(models, prob)
-                row["inference_s"] = time.monotonic() - t0
-            else:  # eraki
-                row["model_count"] = 1
-                row["paper_equivalent_models"] = 1
-                prob = ReconProblem(masked, (mask,), "eraki", cfg, maps=maps)
-                t0 = time.monotonic()
-                model, _ = train_eraki(prob)
-                row["learning_s"] = time.monotonic() - t0
-                t0 = time.monotonic()
-                res = infer(model, prob)
-                row["inference_s"] = time.monotonic() - t0
-            img = res.image.transpose(("kx", "ky", "kz")).data
-            row["nrmse"] = nrmse_of(img)
+            _, image, row = reconstruct(method, masked, mask, maps, cfg)
+            row["nrmse"] = nrmse_of(image.transpose(("kx", "ky", "kz")).data)
         except Exception as exc:  # record the failure, keep benching
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row = {"error": f"{type(exc).__name__}: {exc}"}
         rows[method] = row
 
     ratios = {}

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import report_table, report_to_json, run_bench, thread_count
+from .bench import (BENCH_METHODS, reconstruct, report_table, report_to_json,
+                    run_bench, thread_count)
 from .config import load_config, read_json, train_config
 from .errors import (
     BundleError,
@@ -27,18 +28,9 @@ from .errors import (
     GeometryError,
     NumericalError,
 )
-from .espirit import SensitivityMaps, coil_combine, espirit_maps
-from .grappa import grappa_recon
+from .espirit import SensitivityMaps, espirit_maps
 from .phantom import default_spec, make_phantom
 from .quantmap import fit_decay
-from .recon_models import (
-    ReconProblem,
-    echo_shifted_masks,
-    infer,
-    train_eraki,
-    train_raki,
-    zerofill_recon,
-)
 from .sampling import (
     centered_acs_box,
     load_mask,
@@ -47,8 +39,7 @@ from .sampling import (
     make_uniform_mask,
     save_mask,
 )
-from .tensors import (CTensor, bundle_meta, ifftc, load_bundle, nrmse, psnr,
-                      save_bundle)
+from .tensors import CTensor, bundle_meta, load_bundle, nrmse, psnr, save_bundle
 
 
 def _hash_bundle(prefix: Path) -> str:
@@ -192,78 +183,16 @@ def cmd_maps(args) -> int:
     return 0
 
 
-def _rss_image(kspace: CTensor, fourier) -> CTensor:
-    img = ifftc(kspace, fourier)
-    mag = np.sqrt(np.sum(np.abs(img.data) ** 2, axis=img.axis("coil")))
-    axes = tuple(a for a in img.axes if a != "coil")
-    return CTensor(mag, axes)
-
-
 def cmd_recon(args) -> int:
     cfg = load_config(args.config, args.seed)
     data = load_bundle(_bundle_prefix(args.data, "kspace"))
     mask = load_mask(_bundle_prefix(args.mask, "mask"))
     maps = _load_maps(args.maps) if args.maps else None
     rcfg = cfg["recon"]
-    tcfg = train_config(cfg)
-    method = args.method
-    fourier = tuple(a for a in ("kx", *mask.axes) if a != "t")
-    report = {"method": method, "model_count": 0, "learning_s": 0.0,
-              "inference_s": 0.0}
-
-    if method in ("zerofill", "raki", "eraki", "eraki-joint", "eraki-kyt"):
-        if maps is None:
-            raise ConfigError(f"recon --method {method} requires --maps")
-
-    if method == "grappa":
-        t0 = time.monotonic()
-        filled = grappa_recon(data, mask, lam=rcfg["lam"], acs_kx=rcfg["acs_kx"])
-        report["learning_s"] = time.monotonic() - t0
-        report["model_count"] = mask.r1 * mask.r2 - 1
-        t0 = time.monotonic()
-        if maps is not None:
-            img = coil_combine(ifftc(filled, fourier), maps)
-            image = img.with_data(np.abs(img.data))
-        else:
-            image = _rss_image(filled, fourier)
-        report["inference_s"] = time.monotonic() - t0
-        kspace = filled
-    else:
-        ne = data.extent("echo") if data.has_axis("echo") else 1
-        masks = echo_shifted_masks(mask, ne) if ne > 1 else (mask,)
-        mode = {
-            "zerofill": "eraki",
-            "raki": "raki_percoil",
-            "eraki": "eraki",
-            "eraki-joint": "eraki_joint",
-            "eraki-kyt": "eraki_kyt",
-        }.get(method)
-        if mode is None:
-            raise ConfigError(f"unknown recon method {method!r}")
-        problem = ReconProblem(data, masks, mode, tcfg, maps=maps)
-        if method == "zerofill":
-            t0 = time.monotonic()
-            res = zerofill_recon(problem)
-            report["inference_s"] = time.monotonic() - t0
-        elif method == "raki":
-            t0 = time.monotonic()
-            models, report["loss_history"] = train_raki(problem,
-                                                        init=rcfg["init"])
-            report["learning_s"] = time.monotonic() - t0
-            report["model_count"] = len(models)
-            t0 = time.monotonic()
-            res = infer(models, problem)
-            report["inference_s"] = time.monotonic() - t0
-        else:
-            t0 = time.monotonic()
-            model, report["loss_history"] = train_eraki(
-                problem, target_margin=rcfg["target_margin"], init=rcfg["init"])
-            report["learning_s"] = time.monotonic() - t0
-            report["model_count"] = 1
-            t0 = time.monotonic()
-            res = infer(model, problem)
-            report["inference_s"] = time.monotonic() - t0
-        kspace, image = res.kspace, res.image
+    kspace, image, row = reconstruct(args.method, data, mask, maps,
+                                     train_config(cfg), lam=rcfg["lam"],
+                                     acs_kx=rcfg["acs_kx"])
+    report = {"method": args.method, **row}
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,7 +204,7 @@ def cmd_recon(args) -> int:
               "mask": _bundle_prefix(args.mask, "mask")}
     if args.maps:
         inputs["maps"] = _bundle_prefix(args.maps, "maps")
-    write_manifest(out, f"recon --method {method}", cfg, inputs)
+    write_manifest(out, f"recon --method {args.method}", cfg, inputs)
     return 0
 
 
@@ -370,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon", help="reconstruct undersampled k-space")
     common(p)
-    p.add_argument("--method", required=True,
-                   choices=["zerofill", "grappa", "raki", "eraki",
-                            "eraki-joint", "eraki-kyt"])
+    p.add_argument("--method", required=True, choices=BENCH_METHODS)
     p.add_argument("--data", required=True, help="masked k-space bundle")
     p.add_argument("--mask", required=True, help="mask bundle")
     p.add_argument("--maps", help="sensitivity maps bundle")

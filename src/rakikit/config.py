@@ -52,30 +52,48 @@ DEFAULTS = {
         "kernel_sizes": [[3, 3, 5], [1, 1, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1]],
     },
     "recon": {
-        "init": "linear",
-        "target_margin": 1,
         "acs_kx": None,  # GRAPPA calibration readout window; None = all
         "lam": DEFAULT_LAMBDA,  # GRAPPA ridge
     },
     "fit": {
         "threshold": 0.0,
     },
-    "bench": {},
 }
+
+# list leaves of positive integers, keyed below the root: (length, nullable)
+LIST_LEAVES = {"phantom.extents": (3, False), "mask.extents": (2, False),
+               "mask.acs": (2, True), "espirit.out_extents": (2, True)}
+POSITIVE = ("espirit.kernel_size",)  # integer leaves that must be >= 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_leaf(default, value, where: str) -> None:
     """A leaf takes its default's type; ints widen to float, bools never."""
     if isinstance(default, bool):
         ok, want = isinstance(value, bool), "a boolean"
-    elif isinstance(default, (int, float)):
-        kind = Integral if isinstance(default, int) else Real
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-        want = "an integer" if kind is Integral else "a number"
+    elif isinstance(default, int):
+        ok, want = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok = isinstance(value, Real) and not isinstance(value, bool)
+        want = "a number"
     else:
         return
     if not ok:
         raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+def _check_list(value, length: int, nullable: bool, where: str) -> None:
+    """A list leaf holds ``length`` positive integers (or null if allowed)."""
+    if value is None and nullable:
+        return
+    if not (isinstance(value, list) and len(value) == length
+            and all(_is_int(v) and v >= 1 for v in value)):
+        null = " or null" if nullable else ""
+        raise ConfigError(f"{where} must be a list of {length} positive "
+                          f"integers{null}, got {value!r}")
 
 
 def merge(defaults: dict, override, path: str = "config") -> dict:
@@ -90,8 +108,14 @@ def merge(defaults: dict, override, path: str = "config") -> dict:
         if isinstance(defaults[key], dict):
             out[key] = merge(defaults[key], value, where)
             continue
-        # the seed is an int wherever given, even where its default is None
-        _check_leaf(0 if key == "seed" else defaults[key], value, where)
+        leaf = where.split(".", 1)[1]  # the key below the root
+        if leaf in LIST_LEAVES:
+            _check_list(value, *LIST_LEAVES[leaf], where)
+        else:
+            # the seed is an int wherever given, even where its default is None
+            _check_leaf(0 if key == "seed" else defaults[key], value, where)
+        if leaf in POSITIVE and value < 1:
+            raise ConfigError(f"{where} must be at least 1, got {value!r}")
         out[key] = value
     return out
 

@@ -24,7 +24,7 @@ from .sampling import (SamplingMask, acquired_coords, cell_offsets, deshear_arra
                        extract_acs, make_elliptical_mask, make_uniform_mask, steps)
 from .tensors import CTensor, fftc, ifftc
 
-MODES = ("raki_percoil", "eraki", "eraki_joint", "eraki_kyt")
+MODES = ("raki_percoil", "eraki", "eraki_joint")
 
 
 @dataclass
@@ -45,7 +45,7 @@ class ReconProblem:
             )
         if self.mode == "raki_percoil" and ne != 1:
             raise ConfigError("per-coil RAKI supports a single echo")
-        if self.mode in ("eraki", "eraki_joint", "eraki_kyt") and self.maps is None:
+        if self.mode != "raki_percoil" and self.maps is None:
             raise ConfigError(f"mode {self.mode!r} requires sensitivity maps")
 
     @property
@@ -165,8 +165,8 @@ def _combo_targets_per_echo(problem: ReconProblem) -> list[np.ndarray]:
     return out
 
 
-def build_targets(problem: ReconProblem, coil: int | None = None,
-                  target_margin: int = 1) -> OffsetTargetSet:
+def build_targets(problem: ReconProblem, coil: int | None = None
+                  ) -> OffsetTargetSet:
     """Assemble the decimated input and ACS-derived offset targets.
 
     For the combined modes the target is y_combo (one channel pair per
@@ -174,7 +174,8 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
     own ACS k-space (per-coil RAKI). Targets are aligned to the valid-
     convolution output by the receptive-field center; positions whose
     acquired-frame location falls outside the ACS box (or was never
-    acquired) are masked out of the loss.
+    acquired) are masked out of the loss, and so is the one-sample rim of
+    the box for the combined targets.
     """
     mask0 = problem.masks[0]
     if mask0.acs_box is None:
@@ -187,7 +188,7 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
 
     if coil is None:
         combos = _combo_targets_per_echo(problem)
-        mg = target_margin  # skip combination-truncated box-edge targets
+        mg = 1  # skip combination-truncated box-edge targets
     else:
         # per-coil RAKI: the target is the coil's own measured k-space
         arr = _to_internal(problem.kspace_masked, mask0)
@@ -223,8 +224,8 @@ def build_targets(problem: ReconProblem, coil: int | None = None,
     any_valid = val.any(axis=(0, 1))
     if not any_valid.any():
         raise GeometryError("no ACS-covered anchor positions for training")
-    urange = np.flatnonzero(any_valid.any(axis=1))
-    vrange = np.flatnonzero(any_valid.any(axis=0))
+    urange = np.flatnonzero(any_valid.any(axis=1)).tolist()  # python ints
+    vrange = np.flatnonzero(any_valid.any(axis=0)).tolist()
 
     rf = receptive_field(problem.cfg.kernel_sizes)
     c1, c2, cx = ((r - 1) // 2 for r in rf)
@@ -370,25 +371,16 @@ def linear_init(ts: OffsetTargetSet, cfg: TrainConfig) -> ModelWeights:
     return model
 
 
-def _init_for(ts: OffsetTargetSet, cfg: TrainConfig, init: str) -> ModelWeights:
-    if init == "linear":
-        return linear_init(ts, cfg)
-    if init == "random":
-        return init_model(ts.in_channels, ts.out_channels, cfg)
-    raise ConfigError(f"unknown init {init!r}; choose 'linear' or 'random'")
-
-
-def train_eraki(problem: ReconProblem, target_margin: int = 1,
-                init: str = "linear") -> tuple[ModelWeights, list[float]]:
-    """Train the single coil-combined model (eraki / eraki_joint / eraki_kyt)."""
+def train_eraki(problem: ReconProblem) -> tuple[ModelWeights, list[float]]:
+    """Train the single coil-combined model (eraki / eraki_joint)."""
     if problem.mode == "raki_percoil":
         raise ConfigError("use train_raki for per-coil mode")
-    ts = build_targets(problem, target_margin=target_margin)
-    model = _init_for(ts, problem.cfg, init)
+    ts = build_targets(problem)
+    model = linear_init(ts, problem.cfg)
     return train(model, ts.inputs, ts.targets, problem.cfg, valid=ts.valid)
 
 
-def train_raki(problem: ReconProblem, init: str = "linear"
+def train_raki(problem: ReconProblem
                ) -> tuple[list[ModelWeights], list[list[float]]]:
     """One model per coil, each predicting that coil's own offset targets."""
     if problem.mode != "raki_percoil":
@@ -396,7 +388,7 @@ def train_raki(problem: ReconProblem, init: str = "linear"
     models, histories = [], []
     for c in range(problem.n_coils):
         ts = build_targets(problem, coil=c)
-        model = _init_for(ts, problem.cfg, init)
+        model = linear_init(ts, problem.cfg)
         trained, hist = train(model, ts.inputs, ts.targets, problem.cfg,
                               valid=ts.valid)
         models.append(trained)

@@ -34,6 +34,16 @@ class TestScenario:
             run_bench({"methods": ["zerofill", "bogus"],
                        "train": {"iterations": 1}})
 
+    @pytest.mark.parametrize("methods", ["eraki", [["eraki"]]],
+                             ids=["str", "nested"])
+    def test_methods_must_be_a_list_of_names(self, methods):
+        with pytest.raises(ConfigError, match="scenario.methods"):
+            run_bench({"methods": methods, "train": {"iterations": 1}})
+
+    def test_scenario_needs_an_acs(self):
+        with pytest.raises(ConfigError, match="scenario.mask.acs"):
+            run_bench({"mask": {"acs": None}, "train": {"iterations": 1}})
+
     def test_merge_preserves_defaults(self):
         merged = merge(DEFAULT_SCENARIO, FAST)
         assert merged["mask"] == DEFAULT_SCENARIO["mask"]
@@ -48,6 +58,16 @@ class TestReport:
             assert "error" not in row, row
             assert row["nrmse"] >= 0
             assert row["learning_s"] >= 0 and row["inference_s"] >= 0
+
+    def test_rows_use_the_recon_schema(self, fast_report):
+        # the rows of `rakikit recon`'s report.json, plus the bench's NRMSE
+        keys = {"model_count", "paper_equivalent_models", "learning_s",
+                "inference_s", "nrmse"}
+        for name, row in fast_report.methods.items():
+            learned = name in ("raki", "eraki")
+            assert set(row) == keys | ({"loss_history"} if learned else set())
+        assert len(fast_report.methods["raki"]["loss_history"]) == 8
+        assert len(fast_report.methods["eraki"]["loss_history"]) == 3
 
     def test_model_counts(self, fast_report):
         m = fast_report.methods

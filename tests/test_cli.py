@@ -13,7 +13,7 @@ from rakikit import (
     load_bundle,
     save_bundle,
 )
-from rakikit.bench import thread_count
+from rakikit.bench import BENCH_METHODS, thread_count
 from rakikit.cli import main
 from rakikit.config import DEFAULTS, merge
 from rakikit.sampling import load_mask
@@ -105,11 +105,30 @@ class TestExitCodes:
         {"seed": 1, "train": {"learning_rate": 0}},
         {"seed": 1, "train": {"lr_decay": 0.0}},
         {"seed": 1, "train": {"lr_decay": 1.5}},
+        {"seed": 1, "phantom": {"extents": [8, 8]}},  # list leaf: length
+        {"seed": 1, "phantom": {"extents": "abc"}},
+        {"seed": 1, "mask": {"extents": "ab"}},
+        {"seed": 1, "mask": {"kind": "kyt", "extents": [32]}},
+        {"seed": 1, "mask": {"acs": [16]}},
+        {"seed": 1, "espirit": {"out_extents": [8]}},
+        {"seed": 1, "espirit": {"out_extents": "x"}},
+        {"seed": 1, "phantom": {"extents": [8, 8.5, 8]}},  # element type
+        {"seed": 1, "mask": {"acs": [16, True]}},
+        {"seed": 1, "espirit": {"kernel_size": 0}},
+        {"seed": 1, "espirit": {"kernel_size": -3}},
+        {"seed": 1, "recon": {"init": "linear"}},  # deleted leaves
+        {"seed": 1, "recon": {"target_margin": 1}},
+        {"seed": 1, "bench": {}},
     ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
             "str-seed", "float-seed", "null-section", "list-section",
             "str-section", "zero-widths", "float-width", "number-widths",
             "zero-kernel-extent", "flat-kernel-sizes", "negative-lr",
-            "zero-lr", "zero-lr-decay", "lr-decay-above-1"])
+            "zero-lr", "zero-lr-decay", "lr-decay-above-1",
+            "short-phantom-extents", "str-phantom-extents",
+            "str-mask-extents", "short-kyt-extents", "short-acs",
+            "short-out-extents", "str-out-extents", "float-extent",
+            "bool-acs", "zero-kernel-size", "negative-kernel-size",
+            "recon-init", "recon-target-margin", "bench-section"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -123,6 +142,37 @@ class TestExitCodes:
     def test_int_accepted_for_float_leaf(self):
         merged = merge(DEFAULTS, {"seed": 1, "phantom": {"noise_sigma": 0}})
         assert merged["phantom"]["noise_sigma"] == 0
+
+    def test_nullable_list_leaves_accept_null(self):
+        merged = merge(DEFAULTS, {"mask": {"acs": None},
+                                  "espirit": {"out_extents": None}})
+        assert merged["mask"]["acs"] is None
+        assert merged["espirit"]["out_extents"] is None
+
+    @pytest.mark.parametrize("where", ["in-acs", "outside-acs"])
+    @pytest.mark.parametrize("method", BENCH_METHODS)
+    def test_nonfinite_kspace_is_numerical_error(self, pipeline, tmp_path,
+                                                 capsys, method, where):
+        r = pipeline["root"]
+        data = load_bundle(r / "masked_kspace")
+        mask = load_mask(r / "mask" / "mask")
+        (b1, l1), (b2, l2) = mask.acs_box
+        in_acs = np.zeros(mask.extents, dtype=bool)
+        in_acs[b1 : b1 + l1, b2 : b2 + l2] = True
+        region = in_acs if where == "in-acs" else mask.grid & ~in_acs
+        idx = np.argwhere(region)
+        i, j = idx[len(idx) // 2]
+        bad = data.data.copy()
+        bad[1, 3, i, j] = np.nan if where == "in-acs" else np.inf
+        save_bundle(data.with_data(bad), tmp_path / "data")
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", method, "--data", str(tmp_path / "data"),
+                     "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "non-finite" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("header", ["{not json", '{"dtype": "complex128"}'],
                              ids=["not-json", "missing-keys"])
@@ -226,7 +276,7 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
-    @pytest.mark.parametrize("method", ["zerofill", "grappa", "eraki", "raki"])
+    @pytest.mark.parametrize("method", BENCH_METHODS)
     def test_recon_methods(self, pipeline, tmp_path, method):
         r = pipeline["root"]
         out = tmp_path / method
@@ -238,6 +288,12 @@ class TestPipeline:
         assert image.shape == (12, 24, 24)
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == method
+        keys = {"method", "model_count", "paper_equivalent_models",
+                "learning_s", "inference_s"}
+        learned = method in ("raki", "eraki")
+        assert set(report) == keys | ({"loss_history"} if learned else set())
+        assert report["paper_equivalent_models"] == {
+            "zerofill": 0, "grappa": 3, "raki": 8, "eraki": 1}[method]
         # the training loss history: one list for eRAKI, one per coil for RAKI
         history = report.get("loss_history")
         if method == "eraki":

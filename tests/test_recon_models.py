@@ -17,11 +17,13 @@ from rakikit import (
     echo_shifted_masks,
     espirit_maps,
     extract_acs,
+    fftc,
     forward,
     ifftc,
     infer,
     linear_init,
     make_elliptical_mask,
+    make_kyt_mask,
     make_phantom,
     make_uniform_mask,
     train_eraki,
@@ -136,11 +138,14 @@ class TestProblemValidation:
         with pytest.raises(ConfigError):
             train_raki(p_comb)
 
-    def test_unknown_init_raises(self, small_scene):
+    def test_acs_smaller_than_receptive_field_message(self, small_scene):
         s = small_scene
-        p = ReconProblem(s["masked"], (s["mask"],), "eraki", CFG, maps=s["maps"])
-        with pytest.raises(ConfigError):
-            train_eraki(p, init="bogus")
+        cfg = TrainConfig(widths=(), kernel_sizes=((3, 3, 17),), seed=0)
+        p = ReconProblem(s["masked"], (s["mask"],), "eraki", cfg, maps=s["maps"])
+        with pytest.raises(GeometryError, match=r"region \(\d+, \d+, 16\) "
+                           r"\(decimated\) is smaller than the receptive "
+                           r"field \(3, 3, 17\)"):
+            build_targets(p)
 
 
 class TestChannelLaws:
@@ -331,3 +336,70 @@ class TestInference:
         assert ha == hb
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.kernel, lb.kernel)
+
+
+@pytest.fixture(scope="module")
+def kyt_scene():
+    """4-coil ky-t series, 8x32 over 8 frames, R=2 shift 1, 16-line ACS.
+
+    The maps come from the time-averaged ACS taken as a kz = 1 volume, so
+    every frame is combined with the same maps.
+    """
+    ph = make_phantom(default_spec(extents=(8, 32, 8), n_coils=4,
+                                   texture=0.5, seed=0))
+    ksp = CTensor(ph["kspace"].data[:, 0], ("coil", "kx", "ky", "t"))
+    mask = make_kyt_mask(32, 8, 2, shift=1,
+                         acs_box=(centered_acs_box((32,), (16,))[0], (0, 8)))
+    masked = apply_mask(ksp, mask)
+    acs = extract_acs(masked, mask)
+    static = CTensor(acs.data.mean(axis=acs.axis("t"), keepdims=True),
+                     ("coil", "kx", "ky", "kz"))
+    maps = espirit_maps(static, kernel_size=5, out_extents=(32, 1))
+    combined = coil_combine(ifftc(ksp, ("kx", "ky")), maps)
+    return {"kspace": ksp, "mask": mask, "masked": masked, "maps": maps,
+            "ref": np.abs(combined.data),
+            "ref_k": fftc(combined, ("kx", "ky")).data}
+
+
+class TestKytLearnedPath:
+    """The learned models on a sheared ky-t lattice (kind ``kyt``)."""
+
+    @staticmethod
+    def nrmse(result, ref):
+        img = result.image.transpose(("kx", "ky", "t")).data
+        assert np.isfinite(img).all()
+        return np.linalg.norm(img - ref) / np.linalg.norm(ref)
+
+    def test_eraki(self, kyt_scene):
+        s = kyt_scene
+        p = ReconProblem(s["masked"], (s["mask"],), "eraki", CFG, maps=s["maps"])
+        model, history = train_eraki(p)
+        res = infer(model, p)
+        assert res.image.axes == ("kx", "ky", "t")
+        assert res.image.shape == (8, 32, 8)
+        assert history[-1] < history[0]
+        zf = zerofill_recon(p)
+        assert self.nrmse(res, s["ref"]) < self.nrmse(zf, s["ref"])
+        # a ky shift per frame leaves the magnitude image unchanged, so the
+        # combined k-space is compared too: it catches a wrong reshear
+        ref_k = s["ref_k"]
+        k_err = [np.linalg.norm(r.kspace.transpose(("kx", "ky", "t")).data
+                                - ref_k) for r in (res, zf)]
+        assert k_err[0] < k_err[1]
+
+    def test_raki_keeps_acquired_samples(self, kyt_scene):
+        s = kyt_scene
+        p = ReconProblem(s["masked"], (s["mask"],), "raki_percoil", CFG,
+                         maps=s["maps"])
+        models, _ = train_raki(p)
+        res = infer(models, p)
+        assert len(models) == 4
+        assert res.image.shape == (8, 32, 8)
+        grid = s["mask"].grid
+        out = res.kspace.transpose(("coil", "kx", "ky", "t")).data
+        np.testing.assert_array_equal(out[:, :, grid],
+                                      s["masked"].data[:, :, grid])
+        zf = ReconProblem(s["masked"], (s["mask"],), "eraki", CFG,
+                          maps=s["maps"])
+        assert self.nrmse(res, s["ref"]) < self.nrmse(zerofill_recon(zf),
+                                                      s["ref"])
