@@ -63,6 +63,7 @@ DEFAULTS = {
 # list leaves of positive integers, keyed below the root: (length, nullable)
 LIST_LEAVES = {"phantom.extents": (3, False), "mask.extents": (2, False),
                "mask.acs": (2, True), "espirit.out_extents": (2, True)}
+NUMBER_LISTS = ("phantom.te_ms",)  # non-empty lists of numbers
 POSITIVE = ("espirit.kernel_size",)  # integer leaves that must be >= 1
 
 
@@ -96,6 +97,13 @@ def _check_list(value, length: int, nullable: bool, where: str) -> None:
                           f"integers{null}, got {value!r}")
 
 
+def _check_numbers(value, where: str) -> None:
+    if not (isinstance(value, list) and value
+            and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"{where} must be a non-empty list of numbers, "
+                          f"got {value!r}")
+
+
 def merge(defaults: dict, override, path: str = "config") -> dict:
     """``defaults`` updated by ``override``; unknown keys and types rejected."""
     if not isinstance(override, dict):
@@ -111,6 +119,8 @@ def merge(defaults: dict, override, path: str = "config") -> dict:
         leaf = where.split(".", 1)[1]  # the key below the root
         if leaf in LIST_LEAVES:
             _check_list(value, *LIST_LEAVES[leaf], where)
+        elif leaf in NUMBER_LISTS:
+            _check_numbers(value, where)
         else:
             # the seed is an int wherever given, even where its default is None
             _check_leaf(0 if key == "seed" else defaults[key], value, where)

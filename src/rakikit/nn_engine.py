@@ -5,6 +5,15 @@ objective with an L2 weight penalty, full-batch Adam, and exact
 hand-derived gradients (checked against central differences in the test
 suite). Complex k-space enters as stacked real/imaginary channels; the
 network itself is real.
+
+Inputs carry a leading batch axis, [B, C, X, Y, Z]; one sample
+[C, X, Y, Z] is a batch of one. Every convolution is one GEMM over its
+unfolded kernel windows (im2col), and its input gradient a col2im
+scatter. ``train`` fits only the (p1, p2) output columns that hold a
+target: once per call it gathers their receptive-field patches into a
+batch, unfolds layer 0's window over them into one column matrix, and
+steps a model whose layer 0 is the same weights as a 1x1x1 conv over that
+matrix. ``predict`` runs inference over blocks of columns the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, NumericalError
+from .errors import BundleError, ConfigError, GeometryError, NumericalError
 from .tensors import CTensor, save_bundle, load_bundle
 
 DEFAULT_KERNELS = ((3, 3, 7), (1, 1, 5), (1, 1, 3), (1, 1, 1), (1, 1, 1))
@@ -130,48 +139,92 @@ def init_model(in_channels: int, out_channels: int, cfg: TrainConfig) -> ModelWe
     return ModelWeights(layers)
 
 
-def _conv_valid(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    oc, ic, k1, k2, k3 = kernel.shape
-    o1 = x.shape[1] - k1 + 1
-    o2 = x.shape[2] - k2 + 1
-    o3 = x.shape[3] - k3 + 1
-    out = np.broadcast_to(bias[:, None, None, None], (oc, o1, o2, o3)).copy()
-    for a in range(k1):
-        for b in range(k2):
-            for c in range(k3):
-                out += np.tensordot(
-                    kernel[:, :, a, b, c],
-                    x[:, a : a + o1, b : b + o2, c : c + o3],
-                    axes=(1, 0),
-                )
-    return out
+def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
+    """Input as the engine's float64 layout [in_ch, B, X, Y, Z], and whether
+    it came as one sample [in_ch, X, Y, Z] rather than a batch [B, in_ch, X, Y, Z].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 4
+    ic = model.in_channels
+    if x.ndim not in (4, 5) or x.shape[-4] != ic:
+        raise GeometryError(
+            f"expected input [B, {ic}, X, Y, Z] or [{ic}, X, Y, Z], got {x.shape}"
+        )
+    rf = model.receptive_field
+    if any(n < r for n, r in zip(x.shape[-3:], rf)):
+        raise GeometryError(
+            f"input extents {x.shape[-3:]} smaller than receptive field {rf}"
+        )
+    return _inside(x, single), single
+
+
+def _inside(a: np.ndarray, single: bool) -> np.ndarray:
+    """[B, C, X, Y, Z] (or one [C, X, Y, Z]) -> channel-first [C, B, X, Y, Z]."""
+    return a[:, None] if single else a.swapaxes(0, 1)
+
+
+def _outside(h: np.ndarray, single: bool) -> np.ndarray:
+    return h[:, 0] if single else h.swapaxes(0, 1)
+
+
+def _unfold(h: np.ndarray, ks) -> np.ndarray:
+    """[C, B, X, Y, Z] -> kernel windows [C*k1*k2*k3, B, o1, o2, o3] (im2col).
+
+    Features run in ``kernel.reshape(out_ch, -1)`` order; a 1x1x1 window
+    is the input itself.
+    """
+    if tuple(ks) == (1, 1, 1):
+        return h
+    win = np.lib.stride_tricks.sliding_window_view(h, tuple(ks), axis=(2, 3, 4))
+    return win.transpose(0, 5, 6, 7, 1, 2, 3, 4).reshape(-1, *win.shape[1:5])
+
+
+def _fold(dcols: np.ndarray, ks, shape) -> np.ndarray:
+    """Adjoint of ``_unfold`` (col2im): add window gradients onto the input grid."""
+    if tuple(ks) == (1, 1, 1):
+        return dcols.reshape(shape)
+    o1, o2, o3 = dcols.shape[2:]
+    d = dcols.reshape(shape[0], *ks, *dcols.shape[1:])
+    dx = np.zeros(shape)
+    for a, b, c in np.ndindex(*ks):
+        dx[:, :, a : a + o1, b : b + o2, c : c + o3] += d[:, a, b, c]
+    return dx
+
+
+def _conv(h: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Valid convolution of [C, B, X, Y, Z]: one GEMM over its unfolded windows."""
+    oc = layer.kernel.shape[0]
+    cols = _unfold(h, layer.kernel.shape[2:])
+    out = layer.kernel.reshape(oc, -1) @ cols.reshape(cols.shape[0], -1)
+    out += layer.bias[:, None]
+    return out.reshape(oc, *cols.shape[1:])
+
+
+def _activations(model: ModelWeights, h: np.ndarray) -> list:
+    """Input and every layer's output, all [C, B, X, Y, Z]."""
+    acts = [h]
+    for layer in model.layers:
+        h = _conv(h, layer)
+        if layer.relu:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
 
 
 def forward(model: ModelWeights, x: np.ndarray,
             keep_activations: bool = False):
-    """Run the stack on [in_ch, X, Y, Z]; returns output (and activations).
+    """Run the stack on a batch [B, in_ch, X, Y, Z] or one sample [in_ch, X, Y, Z].
 
-    ReLU is applied after every layer flagged ``relu``. Output extents are
-    the input minus (receptive field - 1).
+    Returns the output (and every activation, input first) in the input's
+    layout. ReLU is applied after every layer flagged ``relu``. Output
+    extents are the input minus (receptive field - 1).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[0] != model.in_channels:
-        raise GeometryError(
-            f"expected input [{model.in_channels}, X, Y, Z], got {x.shape}"
-        )
-    rf = model.receptive_field
-    if any(n < r for n, r in zip(x.shape[1:], rf)):
-        raise GeometryError(
-            f"input extents {x.shape[1:]} smaller than receptive field {rf}"
-        )
-    acts = [x]
-    for layer in model.layers:
-        x = _conv_valid(x, layer.kernel, layer.bias)
-        if layer.relu:
-            x = np.maximum(x, 0.0)
-        if keep_activations:
-            acts.append(x)
-    return (x, acts) if keep_activations else x
+    h, single = _as_batch(model, x)
+    acts = _activations(model, h)
+    out = _outside(acts[-1], single)
+    if keep_activations:
+        return out, [_outside(a, single) for a in acts]
+    return out
 
 
 def _weight_norm(model: ModelWeights) -> float:
@@ -224,11 +277,14 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
              squared_l2: bool = False):
     """Exact loss gradients for every kernel and bias.
 
-    Subgradient conventions: sign(0) = 0 for the L1 term, 0 at the origin
-    for the un-squared norms. Returns (loss_value, grads) with grads a
-    list of (dkernel, dbias) matching the layer order.
+    ``x``, ``target`` and ``valid`` are batches, or one 4-D sample, as in
+    ``forward``. Subgradient conventions: sign(0) = 0 for the L1 term, 0
+    at the origin for the un-squared norms. Returns (loss_value, grads)
+    with grads a list of (dkernel, dbias) matching the layer order.
     """
-    pred, acts = forward(model, x, keep_activations=True)
+    h, single = _as_batch(model, x)
+    acts = _activations(model, h)
+    pred = _outside(acts[-1], single)
     e, n, rms, data = _data_term(pred, target, alpha, valid, squared_l2)
 
     g = alpha * np.sign(e) / n
@@ -238,31 +294,19 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         g = g + (1 - alpha) * e / (n * rms)
 
     grads = [None] * len(model.layers)
-    gout = g
+    gout = _inside(g, single)
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
-        xin = acts[li]
         if layer.relu:
             gout = gout * (acts[li + 1] > 0)
-        oc, ic, k1, k2, k3 = layer.kernel.shape
-        o1, o2, o3 = gout.shape[1:]
-        dk = np.empty_like(layer.kernel)
-        db = gout.sum(axis=(1, 2, 3))
-        need_dx = li > 0
-        dx = np.zeros_like(xin) if need_dx else None
-        for a in range(k1):
-            for b in range(k2):
-                for c in range(k3):
-                    xs = xin[:, a : a + o1, b : b + o2, c : c + o3]
-                    dk[:, :, a, b, c] = np.tensordot(
-                        gout, xs, axes=([1, 2, 3], [1, 2, 3])
-                    )
-                    if need_dx:
-                        dx[:, a : a + o1, b : b + o2, c : c + o3] += np.tensordot(
-                            layer.kernel[:, :, a, b, c], gout, axes=(0, 0)
-                        )
-        grads[li] = (dk, db)
-        gout = dx
+        oc, ks = layer.kernel.shape[0], layer.kernel.shape[2:]
+        w = layer.kernel.reshape(oc, -1)
+        cols = _unfold(acts[li], ks)
+        g2 = gout.reshape(oc, -1)
+        dk = (g2 @ cols.reshape(w.shape[1], -1).T).reshape(layer.kernel.shape)
+        grads[li] = (dk, g2.sum(axis=1))
+        if li > 0:
+            gout = _fold((w.T @ g2).reshape(cols.shape), ks, acts[li].shape)
 
     reg, scale = _penalty(model, beta, squared_l2)
     if beta > 0:
@@ -272,14 +316,78 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     return data + reg, grads
 
 
+def _layer0_columns(h: np.ndarray, idx, ks, rf) -> np.ndarray:
+    """Layer 0's column matrix under the output columns ``idx`` of the stack.
+
+    An output column is one (batch, p1, p2) position of the stack's output
+    across the whole third axis; ``idx`` holds their (b, u, v) index
+    arrays into ``h`` [C, B, X, Y, Z]. Each column's receptive-field patch
+    is gathered into a batch and unfolded by layer 0's kernel window ``ks``:
+    [C*k1*k2*k3, n, d1, d2, o3] with d = rf - ks + 1, on which layer 0 acts
+    as a 1x1x1 conv (``_flat_first``).
+    """
+    b, u, v = (np.asarray(i)[:, None, None] for i in idx)
+    patches = h[:, b, u + np.arange(rf[0])[:, None], v + np.arange(rf[1])]
+    # a 1x1x1 window returns the patches, which fancy indexing lays out
+    # column-first; every step's GEMM wants the features first
+    return np.ascontiguousarray(_unfold(patches, ks))
+
+
+def _out_extents(h: np.ndarray, rf) -> tuple[int, int, int]:
+    return tuple(n - r + 1 for n, r in zip(h.shape[2:], rf))
+
+
+def _flat_first(model: ModelWeights) -> ModelWeights:
+    """A copy whose layer 0 is the same weights as a 1x1x1 conv over its windows."""
+    flat = model.copy()
+    first = flat.layers[0]
+    first.kernel = first.kernel.reshape(first.kernel.shape[0], -1, 1, 1, 1)
+    return flat
+
+
+def _columns_of(a: np.ndarray, idx) -> np.ndarray:
+    """Output columns ``idx`` of [C, B, ou, ov, oz] as a batch [n, C, 1, 1, oz]."""
+    cols = np.ascontiguousarray(a[:, idx[0], idx[1], idx[2]])  # [C, n, oz]
+    return cols[:, :, None, None].swapaxes(0, 1)
+
+
 def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
           cfg: TrainConfig, valid: np.ndarray | None = None):
     """Full-batch Adam; deterministic under (seed, config, inputs).
 
-    Returns (trained model, loss history). Aborts with the step index on
-    a non-finite loss.
+    ``x``, ``target`` and ``valid`` are batches, or one 4-D sample, as in
+    ``forward``. Only the (p1, p2) output columns holding a valid target
+    enter the loss, so training runs on those alone: before the first
+    step their layer-0 windows are unfolded once into a column matrix, and
+    every step calls ``backward`` on it with layer 0 viewed as a 1x1x1
+    conv. Returns (trained model, loss history). Aborts with the step
+    index on a non-finite loss.
     """
-    model = model.copy()
+    h, single = _as_batch(model, x)
+    rf = model.receptive_field
+    out = _out_extents(h, rf)
+    shape = (model.out_channels, *out) if single else (
+        h.shape[1], model.out_channels, *out)
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != shape:
+        raise GeometryError(f"pred {shape} vs target {target.shape}")
+    target = _inside(target, single)
+    if valid is None:
+        keep = np.ones((h.shape[1], *out[:2]), dtype=bool)
+    else:
+        valid = _inside(np.broadcast_to(valid, shape), single)
+        keep = valid.any(axis=(0, 4))
+        if not keep.any():
+            raise GeometryError("validity mask excludes every position")
+    idx = np.nonzero(keep)
+    cols = _layer0_columns(h, idx, model.layers[0].kernel.shape[2:], rf)
+    cols = cols.swapaxes(0, 1)
+    target = _columns_of(target, idx)
+    if valid is not None:
+        valid = _columns_of(valid, idx)
+
+    kshape = model.layers[0].kernel.shape
+    model = _flat_first(model)
     params = []
     for layer in model.layers:
         params.extend([layer.kernel, layer.bias])
@@ -292,7 +400,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         # a diverging run ends in the NumericalError below, not in warnings
         with np.errstate(over="ignore", invalid="ignore"):
             value, grads = backward(
-                model, x, target, cfg.alpha, cfg.beta, valid=valid,
+                model, cols, target, cfg.alpha, cfg.beta, valid=valid,
                 squared_l2=cfg.squared_l2,
             )
             if not np.isfinite(value):
@@ -306,7 +414,38 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
                 vhat = v[i] / (1 - b2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
         lr *= cfg.lr_decay
+    model.layers[0].kernel = model.layers[0].kernel.reshape(kshape)
     return model, history
+
+
+# elements of the layer-0 column matrix in one block of ``predict`` (4 MB):
+# no more than any benchmark scene's training matrix (4.1 to 24.5 MB)
+COLUMN_BLOCK = 1 << 19
+
+
+def predict(model: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """``forward(model, x)`` evaluated over blocks of (p1, p2) output columns.
+
+    Each block unfolds layer 0 under at most ``COLUMN_BLOCK`` elements (at
+    least one column), as ``train`` does once, so a whole grid never holds
+    its full column matrix.
+    """
+    h, single = _as_batch(model, x)
+    ks, rf = model.layers[0].kernel.shape[2:], model.receptive_field
+    ou, ov, oz = _out_extents(h, rf)
+    flat = _flat_first(model)
+    per_column = (flat.in_channels * (rf[0] - ks[0] + 1) * (rf[1] - ks[1] + 1)
+                  * (h.shape[4] - ks[2] + 1))
+    block = max(1, COLUMN_BLOCK // per_column)
+    columns = (h.shape[1], ou, ov)
+    total = int(np.prod(columns))
+    out = np.empty((model.out_channels, *columns, oz))
+    for start in range(0, total, block):
+        idx = np.unravel_index(np.arange(start, min(start + block, total)), columns)
+        cols = _layer0_columns(h, idx, ks, rf).swapaxes(0, 1)
+        y = forward(flat, cols)  # [n, C, 1, 1, oz]
+        out[:, idx[0], idx[1], idx[2]] = y[:, :, 0, 0].swapaxes(0, 1)
+    return _outside(out, single)
 
 
 def save_model(model: ModelWeights, path: str | Path, extra_meta: dict | None = None):
@@ -332,10 +471,22 @@ def save_model(model: ModelWeights, path: str | Path, extra_meta: dict | None = 
 
 
 def load_model(path: str | Path) -> ModelWeights:
+    """Read a ``save_model`` directory; a malformed manifest is a BundleError."""
     path = Path(path)
-    manifest = json.loads((path / "model.json").read_text())
+    where = path / "model.json"
+    try:
+        manifest = json.loads(where.read_text())
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"model manifest {where} is not valid JSON: {exc}") from None
+    entries = manifest.get("layers") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise BundleError(f"model manifest {where} lacks a list of layers")
     layers = []
-    for entry in manifest["layers"]:
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and isinstance(entry.get("relu"), bool)):
+            raise BundleError(f"model manifest {where}: layer {i} needs a "
+                              f"string 'file' and a boolean 'relu'")
         t = load_bundle(path / entry["file"])
         data = np.real(t.data)
         ic = data.shape[1] - 1

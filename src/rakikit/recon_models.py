@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .espirit import SensitivityMaps, coil_combine, make_combo_target
-from .nn_engine import (ModelWeights, TrainConfig, forward, init_model,
+from .nn_engine import (ModelWeights, TrainConfig, init_model, predict,
                         receptive_field, train)
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, deshear_array,
                        extract_acs, make_elliptical_mask, make_uniform_mask, steps)
@@ -417,7 +417,7 @@ def _predict_grids(problem: ReconProblem, model: ModelWeights) -> np.ndarray:
     x = _complex_to_channels(dec * scale)
     x = np.pad(x, ((0, 0), (c1, rf[0] - 1 - c1), (c2, rf[1] - 1 - c2),
                    (cx, rf[2] - 1 - cx)))
-    pred = forward(model, x)
+    pred = predict(model, x)
     return _channels_to_complex(pred) / scale
 
 

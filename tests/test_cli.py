@@ -119,6 +119,8 @@ class TestExitCodes:
         {"seed": 1, "recon": {"init": "linear"}},  # deleted leaves
         {"seed": 1, "recon": {"target_margin": 1}},
         {"seed": 1, "bench": {}},
+        {"seed": 1, "phantom": {"te_ms": "ab"}},  # list of numbers
+        {"seed": 1, "phantom": {"te_ms": []}},
     ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
             "str-seed", "float-seed", "null-section", "list-section",
             "str-section", "zero-widths", "float-width", "number-widths",
@@ -128,7 +130,8 @@ class TestExitCodes:
             "str-mask-extents", "short-kyt-extents", "short-acs",
             "short-out-extents", "str-out-extents", "float-extent",
             "bool-acs", "zero-kernel-size", "negative-kernel-size",
-            "recon-init", "recon-target-margin", "bench-section"])
+            "recon-init", "recon-target-margin", "bench-section",
+            "str-te-ms", "empty-te-ms"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))

@@ -1,22 +1,36 @@
 """Training engine: forward pass, analytic gradients, Adam, model I/O."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rakikit import (
+    BundleError,
     ConfigError,
     GeometryError,
     ModelWeights,
     NumericalError,
+    ReconProblem,
     TrainConfig,
+    apply_mask,
     backward,
+    build_targets,
+    centered_acs_box,
+    default_spec,
     forward,
     init_model,
+    linear_init,
     load_model,
     loss,
+    make_phantom,
+    make_uniform_mask,
     save_model,
     train,
 )
+from rakikit import CTensor, nn_engine, recon_models
 
 TINY = TrainConfig(
     widths=(3, 2),
@@ -266,3 +280,291 @@ class TestModelIO:
             np.testing.assert_array_equal(la.kernel, lb.kernel)
             np.testing.assert_array_equal(la.bias, lb.bias)
             assert la.relu == lb.relu
+
+    def test_not_json_is_bundle_error(self, tmp_path):
+        save_model(init_model(2, 2, TINY), tmp_path / "m")
+        (tmp_path / "m" / "model.json").write_text("{layers: ")
+        with pytest.raises(BundleError, match="not valid JSON") as info:
+            load_model(tmp_path / "m")
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("manifest", [
+        {"meta": {}}, {"layers": "layer0"}, {"layers": []}, ["layer0"],
+    ], ids=["no-layers", "str-layers", "empty-layers", "not-object"])
+    def test_manifest_without_layers_is_bundle_error(self, tmp_path, manifest):
+        save_model(init_model(2, 2, TINY), tmp_path / "m")
+        (tmp_path / "m" / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="lacks a list of layers"):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("drop", ["file", "relu"])
+    def test_layer_entry_without_key_is_bundle_error(self, tmp_path, drop):
+        save_model(init_model(2, 2, TINY), tmp_path / "m")
+        path = tmp_path / "m" / "model.json"
+        manifest = json.loads(path.read_text())
+        del manifest["layers"][1][drop]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="layer 1 needs") as info:
+            load_model(tmp_path / "m")
+        assert "\n" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# the per-tap engine that the unfold + GEMM engine replaced, kept as a
+# reference: one sample [C, X, Y, Z] at a time, one tensordot per kernel tap
+
+
+def ref_conv_valid(x, kernel, bias):
+    oc, ic, k1, k2, k3 = kernel.shape
+    o1 = x.shape[1] - k1 + 1
+    o2 = x.shape[2] - k2 + 1
+    o3 = x.shape[3] - k3 + 1
+    out = np.broadcast_to(bias[:, None, None, None], (oc, o1, o2, o3)).copy()
+    for a in range(k1):
+        for b in range(k2):
+            for c in range(k3):
+                out += np.tensordot(
+                    kernel[:, :, a, b, c],
+                    x[:, a : a + o1, b : b + o2, c : c + o3],
+                    axes=(1, 0),
+                )
+    return out
+
+
+def ref_activations(model, x):
+    acts = [x]
+    for layer in model.layers:
+        x = ref_conv_valid(x, layer.kernel, layer.bias)
+        if layer.relu:
+            x = np.maximum(x, 0.0)
+        acts.append(x)
+    return acts
+
+
+def ref_backward(model, x, target, alpha, beta, valid, squared_l2):
+    """Loss and gradients of a batch [B, C, X, Y, Z], one sample at a time."""
+    acts = [ref_activations(model, xb) for xb in x]
+    e = np.stack([a[-1] for a in acts]) - target
+    if valid is not None:
+        mask = np.broadcast_to(valid, e.shape)
+        n = int(mask.sum())
+        e = np.where(mask, e, 0.0)
+    else:
+        n = e.size
+    msq = float(np.sum(e**2)) / n
+    rms = float(np.sqrt(msq))
+    data = (alpha * float(np.sum(np.abs(e))) / n
+            + (1 - alpha) * (msq if squared_l2 else rms))
+    g = alpha * np.sign(e) / n
+    if squared_l2:
+        g = g + (1 - alpha) * 2.0 * e / n
+    elif rms > 0:
+        g = g + (1 - alpha) * e / (n * rms)
+
+    grads = [(np.zeros_like(l.kernel), np.zeros_like(l.bias)) for l in model.layers]
+    for sample, gout in zip(acts, g):
+        for li in range(len(model.layers) - 1, -1, -1):
+            layer = model.layers[li]
+            xin = sample[li]
+            if layer.relu:
+                gout = gout * (sample[li + 1] > 0)
+            oc, ic, k1, k2, k3 = layer.kernel.shape
+            o1, o2, o3 = gout.shape[1:]
+            dk, db = grads[li]
+            db += gout.sum(axis=(1, 2, 3))
+            dx = np.zeros_like(xin)
+            for a in range(k1):
+                for b in range(k2):
+                    for c in range(k3):
+                        xs = xin[:, a : a + o1, b : b + o2, c : c + o3]
+                        dk[:, :, a, b, c] += np.tensordot(
+                            gout, xs, axes=([1, 2, 3], [1, 2, 3]))
+                        dx[:, a : a + o1, b : b + o2, c : c + o3] += np.tensordot(
+                            layer.kernel[:, :, a, b, c], gout, axes=(0, 0))
+            gout = dx
+
+    wn = np.sqrt(sum(float(np.sum(l.kernel**2)) + float(np.sum(l.bias**2))
+                     for l in model.layers))
+    if beta > 0:
+        reg = beta * wn**2 if squared_l2 else beta * wn
+        scale = 2.0 * beta if squared_l2 else (beta / wn if wn > 0 else 0.0)
+        for layer, (dk, db) in zip(model.layers, grads):
+            dk += scale * layer.kernel
+            db += scale * layer.bias
+    else:
+        reg = 0.0
+    return data + reg, grads
+
+
+def ref_train(model, x, target, cfg, valid):
+    model = model.copy()
+    params = [p for l in model.layers for p in (l.kernel, l.bias)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    history = []
+    lr = cfg.learning_rate
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    for step in range(1, cfg.iterations + 1):
+        value, grads = ref_backward(model, x, target, cfg.alpha, cfg.beta,
+                                    valid, cfg.squared_l2)
+        history.append(value)
+        for i, (p, g) in enumerate(zip(params, [g for gg in grads for g in gg])):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            p -= lr * (m[i] / (1 - b1**step)) / (np.sqrt(v[i] / (1 - b2**step)) + eps)
+        lr *= cfg.lr_decay
+    return model, history
+
+
+def assert_rel(actual, expected, tol=1e-10):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.linalg.norm(actual - expected) <= tol * np.linalg.norm(expected)
+
+
+STACKS = [
+    ((2, 1, 3), (1, 2, 1), (1, 1, 2)),  # later layers wider than 1 in p1/p2
+    ((3, 3, 3), (1, 1, 2), (1, 1, 1)),  # the default shape: p1/p2 in layer 0
+    ((1, 1, 1), (2, 2, 2)),
+    ((2, 2, 2),),
+]
+
+
+@st.composite
+def engine_cases(draw):
+    kernels = draw(st.sampled_from(STACKS))
+    widths = tuple(draw(st.integers(1, 4)) for _ in kernels[1:])
+    ic, oc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    batch = draw(st.integers(0, 3))  # 0: one 4-D sample
+    rf = nn_engine.receptive_field(kernels)
+    grid = tuple(r + draw(st.integers(0, 3)) for r in rf)
+    return dict(kernels=kernels, widths=widths, ic=ic, oc=oc, batch=batch,
+                grid=grid, valid=draw(st.sampled_from(["none", "random", "columns"])),
+                alpha=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                squared=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+
+
+def _engine_problem(case):
+    rng = np.random.default_rng(case["seed"])
+    cfg = TrainConfig(widths=case["widths"], kernel_sizes=case["kernels"],
+                      alpha=case["alpha"], squared_l2=case["squared"], beta=0.02,
+                      learning_rate=1e-2, iterations=5, seed=case["seed"])
+    model = init_model(case["ic"], case["oc"], cfg)
+    for layer in model.layers:  # off the ReLU kinks, as in fd_gradcheck
+        layer.bias += 0.05 * rng.standard_normal(layer.bias.shape)
+    b = max(case["batch"], 1)
+    x = rng.standard_normal((b, case["ic"], *case["grid"]))
+    out = tuple(n - r + 1 for n, r in
+                zip(case["grid"], nn_engine.receptive_field(case["kernels"])))
+    target = rng.standard_normal((b, case["oc"], *out))
+    valid = None
+    if case["valid"] != "none":
+        valid = rng.random(target.shape) > 0.4
+        if case["valid"] == "columns":  # whole (p1, p2) columns without a target
+            valid &= rng.random((b, 1, *out[:2], 1)) > 0.5
+        valid.flat[0] = True
+    return model, x, target, valid, cfg
+
+
+class TestEquivalence:
+    """The unfold + GEMM engine against the per-tap reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_cases())
+    def test_matches_per_tap_reference(self, case):
+        model, x, target, valid, cfg = _engine_problem(case)
+        ref_value, ref_grads = ref_backward(model, x, target, cfg.alpha,
+                                            cfg.beta, valid, cfg.squared_l2)
+        ref_model, ref_hist = ref_train(model, x, target, cfg, valid)
+        if case["batch"] == 0:  # the engine's 4-D form: a batch of one
+            x, target = x[0], target[0]
+            valid = None if valid is None else valid[0]
+        value, grads = backward(model, x, target, cfg.alpha, cfg.beta,
+                                valid=valid, squared_l2=cfg.squared_l2)
+        trained, hist = train(model, x, target, cfg, valid=valid)
+
+        assert_rel(value, ref_value)
+        for (dk, db), (rk, rb) in zip(grads, ref_grads):
+            assert_rel(dk, rk)
+            assert_rel(db, rb)
+        assert_rel(hist, ref_hist)
+        for layer, ref in zip(trained.layers, ref_model.layers):
+            assert_rel(layer.kernel, ref.kernel)
+            assert_rel(layer.bias, ref.bias)
+            assert layer.relu == ref.relu
+        pred = forward(model, x)
+        ref_pred = np.stack([ref_activations(model, xb)[-1]
+                             for xb in (x[None] if case["batch"] == 0 else x)])
+        assert_rel(pred, ref_pred[0] if case["batch"] == 0 else ref_pred)
+
+
+class TestColumnCache:
+    """train unfolds layer 0 once, over the target-carrying columns only."""
+
+    CFG = dict(widths=(3,), kernel_sizes=((2, 2, 3), (1, 1, 2)), seed=3)
+
+    def _case(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 6, 7, 9))
+        target = rng.standard_normal((2, 5, 6, 6))
+        valid = rng.random(target.shape) > 0.5
+        # rows u = 1 and 3 and columns v = 4 carry no target, but for one
+        # sample of column (3, 4)
+        valid[:, 1] = False
+        valid[:, 3] = False
+        valid[:, :, 4] = False
+        valid[:, 3, 4, 2] = True
+        return x, target, valid
+
+    @pytest.mark.parametrize("iterations", [1, 50])
+    def test_one_unfold_per_train_call(self, monkeypatch, iterations):
+        calls = []
+        original = nn_engine._layer0_columns
+
+        def counted(h, idx, ks, rf):
+            cols = original(h, idx, ks, rf)
+            calls.append((idx, cols))
+            return cols
+
+        monkeypatch.setattr(nn_engine, "_layer0_columns", counted)
+        x, target, valid = self._case()
+        cfg = TrainConfig(iterations=iterations, **self.CFG)
+        _, hist = train(init_model(2, 2, cfg), x, target, cfg, valid=valid)
+        assert len(hist) == iterations
+        assert len(calls) == 1
+
+        (b, u, v), cols = calls[0]
+        carrying = valid.any(axis=(0, 3))
+        assert (b == 0).all()
+        assert sorted(zip(u.tolist(), v.tolist())) == list(zip(*np.nonzero(carrying)))
+        assert (1, 4) not in set(zip(u.tolist(), v.tolist()))
+        assert (3, 4) in set(zip(u.tolist(), v.tolist()))
+        # [C*k1*k2*k3, column, 1, 1, o3]: each column's layer-0 windows
+        assert cols.shape == (2 * 2 * 2 * 3, len(u), 1, 1, 9 - 3 + 1)
+        for i, (ui, vi) in enumerate(zip(u, v)):
+            for w in range(cols.shape[-1]):
+                np.testing.assert_array_equal(
+                    cols[:, i, 0, 0, w], x[:, ui : ui + 2, vi : vi + 2, w : w + 3].ravel())
+
+    def test_blocked_inference_equals_one_forward(self, monkeypatch):
+        """Criterion-04 scene (8 coils, 32x96x96, R=3x3): predict == forward."""
+        mask = make_uniform_mask((96, 96), 3, 3, shift=1,
+                                 acs_box=centered_acs_box((96, 96), (24, 24)))
+        ph = make_phantom(default_spec(extents=(32, 96, 96), n_coils=8,
+                                       texture=2.0, seed=1))
+        ksp = CTensor(ph["kspace"].data[:, 0], ("coil", "kx", "ky", "kz"))
+        cfg = TrainConfig(widths=(36,) * 4, seed=2, kernel_sizes=(
+            (3, 3, 5), (1, 1, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1)))
+        problem = ReconProblem(apply_mask(ksp, mask), (mask,), "raki_percoil", cfg)
+        model = linear_init(build_targets(problem, coil=0), cfg)
+
+        blocks = []
+        original = nn_engine._layer0_columns
+        monkeypatch.setattr(nn_engine, "_layer0_columns",
+                            lambda *a: blocks.append(1) or original(*a))
+        blocked = recon_models._predict_grids(problem, model)
+        monkeypatch.setattr(recon_models, "predict", forward)
+        whole = recon_models._predict_grids(problem, model)
+        assert len(blocks) > 1
+        assert blocked.shape == whole.shape == (9, 32, 32, 32)  # 3x3 cell offsets
+        assert_rel(blocked, whole, tol=1e-12)
