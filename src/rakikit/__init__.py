@@ -51,7 +51,8 @@ from .phantom import (
     make_phantom,
     make_smooth_coils,
 )
-from .grappa import GrappaKernel, grappa_apply, grappa_calibrate, grappa_recon
+from .grappa import (GrappaKernel, grappa_apply, grappa_calibrate, grappa_kernel,
+                     grappa_recon)
 from .espirit import (
     SensitivityMaps,
     coil_combine,

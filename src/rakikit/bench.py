@@ -23,7 +23,7 @@ import numpy as np
 from .config import DEFAULTS, merge, train_config
 from .errors import ConfigError, NumericalError
 from .espirit import SensitivityMaps, coil_combine, espirit_maps
-from .grappa import DEFAULT_LAMBDA, grappa_recon
+from .grappa import DEFAULT_LAMBDA, grappa_apply, grappa_kernel
 from .nn_engine import TrainConfig
 from .phantom import default_spec, make_phantom
 from .recon_models import (
@@ -110,9 +110,11 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
     """Run one method on masked k-space -> (k-space, magnitude image, row).
 
     The row holds ``model_count``, ``paper_equivalent_models``,
-    ``learning_s`` (``train_*`` or ``grappa_recon``), ``inference_s``
-    (``infer``, ``zerofill_recon`` or the coil combination) and, for the
-    learned methods, ``loss_history``. Multi-echo data gets one
+    ``learning_s`` (``train_*``, or GRAPPA's calibrate and fill),
+    ``inference_s`` (``infer``, ``zerofill_recon`` or the coil
+    combination), for the learned methods ``loss_history``, and for GRAPPA
+    ``calibration_windows`` and ``calibration_residual`` (the relative
+    residual of the ridge fit on those windows). Multi-echo data gets one
     echo-shifted mask per echo. GRAPPA (ridge ``lam``, calibration readout
     window ``acs_kx``) combines with ``maps``, or by root-sum-of-squares
     without them.
@@ -131,8 +133,11 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
            "learning_s": 0.0, "inference_s": 0.0}
     if method == "grappa":
         t0 = time.monotonic()
-        kspace = grappa_recon(data, mask, lam=lam, acs_kx=acs_kx)
+        kernel = grappa_kernel(data, mask, lam=lam, acs_kx=acs_kx)
+        kspace = grappa_apply(data, mask, kernel)
         row["learning_s"] = time.monotonic() - t0  # calibrate + apply
+        row["calibration_windows"] = kernel.windows
+        row["calibration_residual"] = kernel.residual
         t0 = time.monotonic()
         img = ifftc(kspace, tuple(a for a in ("kx", *mask.axes) if a != "t"))
         if maps is None:  # root-sum-of-squares over the coils

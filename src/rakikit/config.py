@@ -8,6 +8,7 @@ scenario defaults with the same :func:`merge`.
 from __future__ import annotations
 
 import json
+import math
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -64,7 +65,10 @@ DEFAULTS = {
 LIST_LEAVES = {"phantom.extents": (3, False), "mask.extents": (2, False),
                "mask.acs": (2, True), "espirit.out_extents": (2, True)}
 NUMBER_LISTS = ("phantom.te_ms",)  # non-empty lists of numbers
-POSITIVE = ("espirit.kernel_size",)  # integer leaves that must be >= 1
+# integer leaves whose default is None -> whether null is accepted
+INT_LEAVES = {"seed": False, "recon.acs_kx": True}
+POSITIVE = ("espirit.kernel_size", "recon.acs_kx")  # integer leaves >= 1 if set
+NONNEGATIVE = ("recon.lam",)  # finite numbers >= 0
 
 
 def _is_int(value) -> bool:
@@ -121,11 +125,16 @@ def merge(defaults: dict, override, path: str = "config") -> dict:
             _check_list(value, *LIST_LEAVES[leaf], where)
         elif leaf in NUMBER_LISTS:
             _check_numbers(value, where)
+        elif leaf in INT_LEAVES:
+            if not (value is None and INT_LEAVES[leaf]):
+                _check_leaf(0, value, where)
         else:
-            # the seed is an int wherever given, even where its default is None
-            _check_leaf(0 if key == "seed" else defaults[key], value, where)
-        if leaf in POSITIVE and value < 1:
+            _check_leaf(defaults[key], value, where)
+        if leaf in POSITIVE and value is not None and value < 1:
             raise ConfigError(f"{where} must be at least 1, got {value!r}")
+        if leaf in NONNEGATIVE and not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{where} must be a finite number >= 0, "
+                              f"got {value!r}")
         out[key] = value
     return out
 

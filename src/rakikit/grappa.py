@@ -4,8 +4,13 @@ Acquired positions of every supported pattern form a 2D integer lattice
 on the phase axes; :mod:`rakikit.sampling` owns that geometry. One weight
 matrix maps ``taps`` readout samples by ``blocks`` lattice neighbours of
 an anchor to all missing offsets of its fundamental cell, all coils at
-once. It is fitted on every ACS window in the acquired frame and applied
-as one windowed matmul on the zero-extended decimated anchor grid.
+once. It is fitted on every ACS window in the acquired frame, from normal
+equations that BLAS forms straight from the window matrix (``zherk`` for
+one triangle of A^H A, ``zgemm`` for A^H T; no conjugate copy of A). The
+fill runs on the zero-extended decimated anchor grid, at the anchors that
+own a position to fill: each readout plane's (u, v) block window is
+gathered once per chunk, and tap t's weights apply, as one GEMM, to the
+planes shifted by t.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgemm, zherk
 
 from .errors import GeometryError, NumericalError
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
@@ -26,7 +32,7 @@ DEFAULT_LAMBDA = 1e-6
 
 # cap on calibration windows; beyond this the ACS is strided deterministically
 MAX_WINDOWS = 8192
-# readout planes per windowed matmul of the fill; bounds its window copy
+# readout planes per chunk of the fill; bounds its block-window buffer
 FILL_KX_CHUNK = 4
 
 
@@ -47,6 +53,8 @@ class GrappaKernel:
     shift: int
     kind: str
     n_coils: int
+    windows: int  # calibration windows fitted
+    residual: float  # ||A X - T|| / ||T|| of the ridge fit over those windows
 
 
 def _source_offsets(v1, v2, blocks, taps) -> np.ndarray:
@@ -88,39 +96,37 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
         stride = int(np.ceil(len(anchors) / MAX_WINDOWS))
         anchors = anchors[::stride]
 
-    gx = anchors[:, 0:1] + src[None, :, 0]
-    g1 = anchors[:, 1:2] + src[None, :, 1]
-    g2 = anchors[:, 2:3] + src[None, :, 2]
-    A = acs[:, gx, g1, g2]  # [nc, W, nsrc]
-    A = np.transpose(A, (1, 0, 2)).reshape(len(anchors), n_unknown)
+    # gathered [(coil, src), W] and [(offset, coil), W], so that A [W, coil * src]
+    # and T [W, offset * coil] are Fortran-ordered and reach BLAS uncopied
+    coil = np.arange(nc)[:, None]
+    wx, w1, w2 = anchors.T
+    A = acs[coil[:, None], wx + src[:, 0:1], w1 + src[:, 1:2], w2 + src[:, 2:3]]
+    A = A.reshape(n_unknown, -1).T
+    T = acs[coil, wx, w1 + tgt[:, 0, None, None], w2 + tgt[:, 1, None, None]]
+    T = T.reshape(-1, len(anchors)).T
 
-    AhA = A.conj().T @ A
+    AhA = zherk(1.0, A, trans=2)  # upper triangle of A^H A
+    AhA += np.triu(AhA, 1).conj().T
     ridge = lam * float(np.mean(np.real(np.diag(AhA))))
     AhA_reg = AhA + ridge * np.eye(n_unknown)
 
+    AhT = zgemm(1.0, A, T, trans_a=2)
     try:
         cho = scipy.linalg.cho_factor(AhA_reg, check_finite=False)
-
-        def solve(rhs):
-            return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-
+        X = scipy.linalg.cho_solve(cho, AhT, check_finite=False)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
         evals, evecs = np.linalg.eigh(AhA_reg)
         floor = max(float(evals.max()), 1.0) * 1e-14
-
-        def solve(rhs):
-            coeff = evecs.conj().T @ rhs
-            coeff = coeff / np.maximum(evals, floor)[:, None]
-            return evecs @ coeff
-
-    tvals = acs[:, anchors[:, None, 0], anchors[:, None, 1] + tgt[:, 0],
-                anchors[:, None, 2] + tgt[:, 1]]  # [nc, W, ntgt]
-    rhs = A.conj().T @ np.transpose(tvals, (1, 2, 0)).reshape(len(anchors), -1)
-    weights = solve(rhs).T  # [(R - 1) * nc, n_unknown], rows (offset, coil)
-    if not np.all(np.isfinite(weights)):
+        X = evecs @ ((evecs.conj().T @ AhT) / np.maximum(evals, floor)[:, None])
+    # X: [n_unknown, (R - 1) * nc], columns (offset, coil)
+    if not np.all(np.isfinite(X)):
         raise NumericalError("non-finite GRAPPA weights")
-    return GrappaKernel(np.ascontiguousarray(weights), src, mask.r1, mask.r2,
-                        mask.shift, mask.kind, nc)
+    # ||AX - T||^2 expanded over the normal equations: no second pass over A
+    tt = np.linalg.norm(T) ** 2
+    r2 = tt - 2 * np.vdot(X, AhT).real + np.vdot(X, AhA @ X).real
+    residual = float(np.sqrt(max(r2, 0.0) / tt)) if tt > 0 else 0.0
+    return GrappaKernel(np.ascontiguousarray(X.T), src, mask.r1, mask.r2,
+                        mask.shift, mask.kind, nc, len(anchors), residual)
 
 
 def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
@@ -129,31 +135,52 @@ def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
 
     The acquired lattice points are scattered onto the anchor grid of
     :func:`lattice_cells` (zero off the pattern grid, so zero-extended),
-    where every source stencil is one rectangular window.
+    where every source stencil is one rectangular window: readout taps by
+    a (u, v) block window. Only anchors that own a position to fill are
+    evaluated; their block windows are gathered once per readout plane and
+    ``pred = sum_t C[t : t + n] @ W_t``, one GEMM per tap.
     """
     nc, nx = kdata.shape[:2]
     u, v, k = lattice_cells(mask)
+    fill = (k > 0) & ~mask.grid
+    out = kdata.copy()
+    if not fill.any():
+        return out
     s1, s2 = steps(mask)
     d1, d2 = acquired_coords(mask, kernel.src[:, 1], kernel.src[:, 2], inverse=True)
     win = np.stack([kernel.src[:, 0], d1 // s1, d2 // s2])  # decimated offsets
-    lo, shape = -win.min(axis=1), np.ptp(win, axis=1) + 1
+    lo = -win.min(axis=1)
+    taps, b1, b2 = np.ptp(win, axis=1) + 1
     u, v = u - u.min(), v - v.min()  # window (u, v) is the stencil of anchor (u, v)
-    grid = np.zeros((nc, nx + shape[0] - 1, u.max() + shape[1], v.max() + shape[2]),
-                    dtype=kdata.dtype)
+    nu, nv = u.max() + b1, v.max() + b2
+    grid = np.zeros((nx + taps - 1, nu, nv, nc), dtype=kdata.dtype)  # coil last
     lat = k == 0
-    grid[:, lo[0] : lo[0] + nx, u[lat] + lo[1], v[lat] + lo[2]] = kdata[:, :, lat]
+    grid[lo[0] : lo[0] + nx, u[lat] + lo[1], v[lat] + lo[2]] = np.moveaxis(
+        kdata[:, :, lat], 0, -1)
+    grid = grid.reshape(len(grid), nu * nv, nc)
 
-    fill = (k > 0) & ~mask.grid
-    tu, tv, tk = u[fill], v[fill], k[fill] - 1
-    out = kdata.copy()
+    # the anchors owning a fill position, and the block window of each
+    used, anchor = np.unique(u[fill] * nv + v[fill], return_inverse=True)
+    i, j = np.ogrid[:b1, :b2]
+    cells = used[:, None] + (i * nv + j).ravel()  # [anchor, (block1, block2)]
+    nout = len(kernel.weights)
+    W = np.zeros((taps, b1, b2, nc, nout), dtype=kernel.weights.dtype)
+    W[tuple(win + lo[:, None])] = kernel.weights.reshape(nout, nc, -1).T
+    W = W.reshape(taps, -1, nout)  # tap t: W_t^T, rows (block1, block2, coil)
+
+    tk = k[fill] - 1
+    # one buffer for every chunk: fresh ones fragment the heap and raise peak RSS
+    buf = np.empty((min(FILL_KX_CHUNK, nx) + taps - 1, *cells.shape, nc), grid.dtype)
     for x0 in range(0, nx, FILL_KX_CHUNK):
-        S = np.lib.stride_tricks.sliding_window_view(
-            grid[:, x0 : x0 + FILL_KX_CHUNK + shape[0] - 1], tuple(shape),
-            axis=(1, 2, 3))
-        S = np.moveaxis(S, 0, 3)  # [x, u, v, coil, taps, block1, block2]
-        pred = S.reshape(*S.shape[:3], -1) @ kernel.weights.T
-        pred = pred.reshape(*pred.shape[:3], -1, nc)[:, tu, tv, tk]  # [x, n, nc]
-        out[:, x0 : x0 + FILL_KX_CHUNK, fill] = np.moveaxis(pred, 2, 0)
+        n = min(FILL_KX_CHUNK, nx - x0)
+        C = np.take(grid[x0 : x0 + n + taps - 1], cells, axis=1,
+                    out=buf[: n + taps - 1], mode="clip")  # in range; unbuffered
+        # C: [plane, anchor, (block1, block2), coil]
+        pred = C[:n].reshape(n * len(used), -1) @ W[0]
+        for t in range(1, taps):
+            pred += C[t : t + n].reshape(n * len(used), -1) @ W[t]
+        pred = pred.reshape(n, len(used), -1, nc)[:, anchor, tk]  # [x, n, nc]
+        out[:, x0 : x0 + n, fill] = np.moveaxis(pred, 2, 0)
     return out
 
 
@@ -186,10 +213,11 @@ def grappa_apply(kspace_masked: CTensor, mask: SamplingMask,
     return xi.with_data(filled).transpose(kspace_masked.axes)
 
 
-def grappa_recon(kspace_masked: CTensor, mask: SamplingMask,
-                 blocks=DEFAULT_BLOCKS, taps: int = DEFAULT_TAPS,
-                 lam: float = DEFAULT_LAMBDA, acs_kx: int | None = None) -> CTensor:
-    """Calibrate from the mask's ACS box and apply, in one call.
+def grappa_kernel(kspace_masked: CTensor, mask: SamplingMask,
+                  blocks=DEFAULT_BLOCKS, taps: int = DEFAULT_TAPS,
+                  lam: float = DEFAULT_LAMBDA, acs_kx: int | None = None
+                  ) -> GrappaKernel:
+    """Calibrate on the mask's ACS box of masked k-space.
 
     ``acs_kx`` optionally restricts the calibration readout window (the
     ky-t use case, e.g. a 32-sample central kx window).
@@ -197,7 +225,12 @@ def grappa_recon(kspace_masked: CTensor, mask: SamplingMask,
     acs = extract_acs(kspace_masked, mask)
     if acs_kx is not None:
         acs = crop_center(acs, {"kx": acs_kx})
-    acsi = _to_internal(acs, mask)
-    kernel = grappa_calibrate(acsi.data, mask, blocks, taps, lam)
-    return grappa_apply(kspace_masked, mask, kernel)
+    return grappa_calibrate(_to_internal(acs, mask).data, mask, blocks, taps, lam)
 
+
+def grappa_recon(kspace_masked: CTensor, mask: SamplingMask,
+                 blocks=DEFAULT_BLOCKS, taps: int = DEFAULT_TAPS,
+                 lam: float = DEFAULT_LAMBDA, acs_kx: int | None = None) -> CTensor:
+    """:func:`grappa_kernel` then :func:`grappa_apply`, in one call."""
+    kernel = grappa_kernel(kspace_masked, mask, blocks, taps, lam, acs_kx)
+    return grappa_apply(kspace_masked, mask, kernel)

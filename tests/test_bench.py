@@ -63,9 +63,10 @@ class TestReport:
         # the rows of `rakikit recon`'s report.json, plus the bench's NRMSE
         keys = {"model_count", "paper_equivalent_models", "learning_s",
                 "inference_s", "nrmse"}
+        extra = {"raki": {"loss_history"}, "eraki": {"loss_history"},
+                 "grappa": {"calibration_windows", "calibration_residual"}}
         for name, row in fast_report.methods.items():
-            learned = name in ("raki", "eraki")
-            assert set(row) == keys | ({"loss_history"} if learned else set())
+            assert set(row) == keys | extra.get(name, set())
         assert len(fast_report.methods["raki"]["loss_history"]) == 8
         assert len(fast_report.methods["eraki"]["loss_history"]) == 3
 

@@ -9,6 +9,7 @@ from rakikit import (
     CTensor,
     apply_mask,
     extract_acs,
+    grappa_kernel,
     grappa_recon,
     load_bundle,
     save_bundle,
@@ -121,6 +122,14 @@ class TestExitCodes:
         {"seed": 1, "bench": {}},
         {"seed": 1, "phantom": {"te_ms": "ab"}},  # list of numbers
         {"seed": 1, "phantom": {"te_ms": []}},
+        {"seed": 1, "recon": {"acs_kx": "ab"}},  # null or an integer >= 1
+        {"seed": 1, "recon": {"acs_kx": 2.5}},
+        {"seed": 1, "recon": {"acs_kx": [4]}},
+        {"seed": 1, "recon": {"acs_kx": True}},
+        {"seed": 1, "recon": {"acs_kx": 0}},
+        {"seed": 1, "recon": {"lam": -1}},  # a finite number >= 0
+        {"seed": 1, "recon": {"lam": float("nan")}},
+        {"seed": 1, "recon": {"lam": float("inf")}},
     ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
             "str-seed", "float-seed", "null-section", "list-section",
             "str-section", "zero-widths", "float-width", "number-widths",
@@ -131,7 +140,9 @@ class TestExitCodes:
             "short-out-extents", "str-out-extents", "float-extent",
             "bool-acs", "zero-kernel-size", "negative-kernel-size",
             "recon-init", "recon-target-margin", "bench-section",
-            "str-te-ms", "empty-te-ms"])
+            "str-te-ms", "empty-te-ms", "str-acs-kx", "float-acs-kx",
+            "list-acs-kx", "bool-acs-kx", "zero-acs-kx", "negative-lam",
+            "nan-lam", "inf-lam"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -145,6 +156,12 @@ class TestExitCodes:
     def test_int_accepted_for_float_leaf(self):
         merged = merge(DEFAULTS, {"seed": 1, "phantom": {"noise_sigma": 0}})
         assert merged["phantom"]["noise_sigma"] == 0
+
+    def test_recon_leaves_accept_their_range(self):
+        merged = merge(DEFAULTS, {"recon": {"acs_kx": None, "lam": 0}})
+        assert merged["recon"] == {"acs_kx": None, "lam": 0}
+        merged = merge(DEFAULTS, {"recon": {"acs_kx": 1, "lam": 2.5}})
+        assert merged["recon"] == {"acs_kx": 1, "lam": 2.5}
 
     def test_nullable_list_leaves_accept_null(self):
         merged = merge(DEFAULTS, {"mask": {"acs": None},
@@ -293,8 +310,15 @@ class TestPipeline:
         assert report["method"] == method
         keys = {"method", "model_count", "paper_equivalent_models",
                 "learning_s", "inference_s"}
-        learned = method in ("raki", "eraki")
-        assert set(report) == keys | ({"loss_history"} if learned else set())
+        extra = {"raki": {"loss_history"}, "eraki": {"loss_history"},
+                 "grappa": {"calibration_windows", "calibration_residual"}}
+        assert set(report) == keys | extra.get(method, set())
+        if method == "grappa":  # the kernel's diagnostics, as calibrated
+            kernel = grappa_kernel(load_bundle(r / "masked_kspace"),
+                                   load_mask(r / "mask" / "mask"))
+            assert report["calibration_windows"] == kernel.windows
+            assert report["calibration_residual"] == kernel.residual
+            assert 0 < kernel.residual < 1
         assert report["paper_equivalent_models"] == {
             "zerofill": 0, "grappa": 3, "raki": 8, "eraki": 1}[method]
         # the training loss history: one list for eRAKI, one per coil for RAKI

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rakikit import (
@@ -14,6 +15,7 @@ from rakikit import (
     extract_acs,
     grappa_apply,
     grappa_calibrate,
+    grappa_kernel,
     grappa_recon,
     ifftc,
     make_elliptical_mask,
@@ -22,7 +24,7 @@ from rakikit import (
     make_uniform_mask,
     default_spec,
 )
-from rakikit.grappa import cell_offsets, lattice_basis
+from rakikit.grappa import FILL_KX_CHUNK, MAX_WINDOWS, cell_offsets, lattice_basis
 from rakikit.sampling import acquired_coords, steps
 
 from conftest import compact_scene
@@ -85,6 +87,105 @@ def per_anchor_fill(kdata, mask, kernel):
     return out
 
 
+def make_mask(kind, r1, r2, shift, n1, n2):
+    if kind == "kyt":
+        return make_kyt_mask(n1, n2, r1, shift=shift)
+    make = make_uniform_mask if kind == "uniform" else make_elliptical_mask
+    return make((n1, n2), r1, r2, shift=shift % r2)
+
+
+def dense_calibrate(acs, mask, src, lam):
+    """The normal equations formed with explicit conjugate copies, as reference.
+
+    The windows are grappa_calibrate's: every anchor whose sources and
+    cell offsets lie in the ACS, strided down to MAX_WINDOWS. Returns the
+    weights, the window count and ||AX - T|| / ||T||.
+    """
+    nc, nx, n1, n2 = acs.shape
+    tgt = np.array(cell_offsets(mask)[1:], dtype=int).reshape(-1, 2)
+    d1 = np.concatenate([src[:, 1], tgt[:, 0], [0]])
+    d2 = np.concatenate([src[:, 2], tgt[:, 1], [0]])
+    ranges = [np.arange(-d.min(), n - d.max())
+              for d, n in ((src[:, 0], nx), (d1, n1), (d2, n2))]
+    anchors = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
+    anchors = anchors[:: -(-len(anchors) // MAX_WINDOWS)]
+    A = acs[:, anchors[:, 0:1] + src[:, 0], anchors[:, 1:2] + src[:, 1],
+            anchors[:, 2:3] + src[:, 2]]  # [nc, W, nsrc]
+    A = np.transpose(A, (1, 0, 2)).reshape(len(anchors), -1)
+    T = acs[:, anchors[:, 0:1], anchors[:, 1:2] + tgt[:, 0],
+            anchors[:, 2:3] + tgt[:, 1]]  # [nc, W, ntgt]
+    T = np.transpose(T, (1, 2, 0)).reshape(len(anchors), -1)
+    AhA = A.conj().T @ A
+    AhA_reg = AhA + lam * np.mean(np.real(np.diag(AhA))) * np.eye(len(AhA))
+    AhT = A.conj().T @ T
+    try:
+        X = scipy.linalg.cho_solve(scipy.linalg.cho_factor(AhA_reg), AhT)
+    except np.linalg.LinAlgError:
+        evals, evecs = np.linalg.eigh(AhA_reg)
+        floor = max(evals.max(), 1.0) * 1e-14
+        X = evecs @ ((evecs.conj().T @ AhT) / np.maximum(evals, floor)[:, None])
+    return X.T, len(anchors), np.linalg.norm(A @ X - T) / np.linalg.norm(T)
+
+
+def assert_matches_dense(acs, mask, kernel, lam):
+    weights, windows, residual = dense_calibrate(acs, mask, kernel.src, lam)
+    assert kernel.windows == windows
+    assert np.linalg.norm(kernel.weights - weights) <= 1e-12 * np.linalg.norm(weights)
+    assert kernel.residual == pytest.approx(residual, rel=1e-8, abs=1e-12)
+
+
+class TestCalibration:
+    @given(
+        st.sampled_from(["uniform", "elliptical", "kyt"]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=4),
+        st.tuples(st.integers(6, 12), st.integers(30, 44), st.integers(30, 44)),
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)),
+        st.sampled_from([1e-6, 1e-2]),
+    )
+    @example("uniform", 2, 2, 1, (12, 44, 44), (1, 1, 1), 1e-6)  # strided windows
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_normal_equations(self, kind, r1, r2, shift, acs_shape,
+                                            shape, lam):
+        mask = make_mask(kind, r1, r2, shift, 24, 24)
+        assume(len(cell_offsets(mask)) > 1)
+        rng = np.random.default_rng(sum(acs_shape) + 100 * shape[2])
+        acs = rng.standard_normal((2, *acs_shape)) + 1j * rng.standard_normal(
+            (2, *acs_shape))
+        kernel = grappa_calibrate(acs, mask, blocks=shape[:2], taps=shape[2],
+                                  lam=lam)
+        assert_matches_dense(acs, mask, kernel, lam)
+
+    @pytest.mark.parametrize("kind", ["uniform", "kyt"])
+    def test_eigh_fallback_matches_dense(self, kind, monkeypatch):
+        # lam = 0 and an all-zero coil: A^H A is singular, Cholesky fails and
+        # eigh reads the lower triangle, the one mirrored from the upper
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(1) or eigh(a))
+        mask = make_mask(kind, 2, 2, 1, 24, 24)
+        rng = np.random.default_rng(5)
+        acs = rng.standard_normal((3, 7, 20, 20)) + 1j * rng.standard_normal(
+            (3, 7, 20, 20))
+        acs[1] = 0
+        kernel = grappa_calibrate(acs, mask, blocks=(2, 2), taps=3, lam=0.0)
+        assert calls, "the Cholesky path was taken"
+        assert_matches_dense(acs, mask, kernel, 0.0)
+
+    def test_windows_and_residual_on_exact_scene(self):
+        # the compact-coil scene is exactly solvable: the fit leaves ~0
+        ksp, _ = compact_scene((8, 32, 32), 8, (6, 20, 20), seed=1)
+        mask = make_uniform_mask(
+            (32, 32), 2, 1, acs_box=centered_acs_box((32, 32), (24, 24))
+        )
+        kernel = grappa_kernel(apply_mask(ksp, mask), mask, lam=1e-13)
+        # anchors: 8 - 4 readout, 24 - 6 rows (4 blocks at step 2), 24 - 3 columns
+        assert kernel.windows == 4 * 18 * 21
+        assert kernel.residual < 1e-6
+
+
 class TestWindowedFill:
     @given(
         st.sampled_from(["uniform", "elliptical", "kyt"]),
@@ -93,21 +194,21 @@ class TestWindowedFill:
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=2, max_value=19),
         st.integers(min_value=2, max_value=19),
-        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)),
+        st.integers(min_value=1, max_value=2 * FILL_KX_CHUNK + 3),
     )
+    @example("uniform", 2, 2, 1, 9, 11, (4, 4, 5), FILL_KX_CHUNK)
+    @example("elliptical", 3, 3, 1, 13, 13, (4, 4, 5), FILL_KX_CHUNK + 1)
+    @example("kyt", 4, 1, 1, 16, 6, (4, 4, 5), 2 * FILL_KX_CHUNK + 1)
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_anchor_fill(self, kind, r1, r2, shift, n1, n2, shape):
-        if kind == "kyt":
-            mask = make_kyt_mask(n1, n2, r1, shift=shift)
-        else:
-            make = make_uniform_mask if kind == "uniform" else make_elliptical_mask
-            mask = make((n1, n2), r1, r2, shift=shift % r2)
-        rng = np.random.default_rng(n1 + 20 * n2)
+    def test_matches_per_anchor_fill(self, kind, r1, r2, shift, n1, n2, shape, nx):
+        mask = make_mask(kind, r1, r2, shift, n1, n2)
+        rng = np.random.default_rng(n1 + 20 * n2 + 400 * nx)
         acs = rng.standard_normal((2, 7, 40, 40)) + 1j * rng.standard_normal(
             (2, 7, 40, 40))
         kernel = grappa_calibrate(acs, mask, blocks=shape[:2], taps=shape[2])
-        full = rng.standard_normal((2, 5, n1, n2)) + 1j * rng.standard_normal(
-            (2, 5, n1, n2))
+        full = rng.standard_normal((2, nx, n1, n2)) + 1j * rng.standard_normal(
+            (2, nx, n1, n2))
         masked = apply_mask(CTensor(full, ("coil", "kx", *mask.axes)), mask)
         ref = per_anchor_fill(masked.data, mask, kernel)
         got = grappa_apply(masked, mask, kernel).data
