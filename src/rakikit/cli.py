@@ -142,6 +142,7 @@ def _save_maps(maps: SensitivityMaps, out: Path) -> None:
             "crop_threshold": maps.crop_threshold,
             "retained_frac": maps.retained_frac,
             "eigh_fallbacks": maps.eigh_fallbacks,
+            "eigval_hist": maps.eigval_hist,
         },
     )
     save_bundle(
@@ -159,11 +160,18 @@ def _load_maps(path: str) -> SensitivityMaps:
     if bad:
         raise BundleError(f"maps bundle {prefix} meta lacks a number for "
                           + ", ".join(bad))
+    fallbacks = meta.get("eigh_fallbacks", 0)
+    if type(fallbacks) is not int or fallbacks < 0:
+        raise BundleError(f"maps bundle {prefix} meta eigh_fallbacks must be "
+                          f"a non-negative integer, got {fallbacks!r}")
     eig_prefix = prefix.parent / "eigval"
     eigval = np.real(load_bundle(eig_prefix).data)
+    if eigval.shape != maps.shape[1:]:
+        raise BundleError(f"eigval bundle {eig_prefix} has extents "
+                          f"{eigval.shape}, maps have {maps.shape[1:]}")
     return SensitivityMaps(
         maps, eigval, meta["kernel_size"], meta["sigma_threshold"],
-        meta["crop_threshold"], meta.get("eigh_fallbacks", 0),
+        meta["crop_threshold"], fallbacks,
     )
 
 

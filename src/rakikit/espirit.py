@@ -3,13 +3,15 @@
 Readout-decoupled (hybrid) strategy: a 1D inverse FFT along the fully
 sampled kx axis, then an independent 2D eigen-analysis per readout
 position over (ky, kz). The row space of the block-Hankel calibration
-matrix comes from the eigendecomposition of its normal matrix. The kept
-kernels are correlated in k-space into one Gram kernel per Hermitian coil
-pair, and one centred inverse FFT of those pairs gives the per-voxel coil
-Gram matrix on the output grid (Uecker et al., MRM 71:990, 2014). Its
-leading eigenvector, found by power iteration warm-started from the
-neighbouring readout with ``eigh`` where that does not converge, gives the
-maps; its leading eigenvalue gives the support measure.
+matrix comes from the eigendecomposition of its normal matrix; readout
+positions too weak to carry signal are skipped before it. The kept
+kernels are correlated in k-space over their (2k1-1)x(2k2-1) lags, and
+two small inverse-DFT products per readout turn those lags into the
+per-voxel coil Gram matrix on the output grid (Uecker et al., MRM 71:990,
+2014). Its leading eigenvector, found by power iteration warm-started from
+the neighbouring readout (G^64, and up to G^1024 for voxels with a small
+spectral gap) with ``eigh`` where that does not converge, gives the maps;
+its leading eigenvalue gives the support measure.
 """
 
 from __future__ import annotations
@@ -20,13 +22,19 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigError, GeometryError, NumericalError
-from .tensors import CTensor, fftc, ifftc, ifftc_nd
+from .tensors import CTensor, fftc, ifftc
 
-# Power iteration runs on G^(2**_SQUARINGS); a voxel keeps its result when
-# the residual |Gv - lambda v| is at most _RESIDUAL_TOL, which bounds the
-# eigenvector error by _RESIDUAL_TOL / (lambda_1 - lambda_2). Leading
-# eigenvalues lie in [0, 1], so the tolerance is absolute.
+# Power iteration applies G^(2**_SQUARINGS) to a start vector; a voxel keeps
+# its result when the residual |Gv - lambda v| is at most _RESIDUAL_TOL,
+# which bounds the eigenvector error by _RESIDUAL_TOL / (lambda_1 - lambda_2).
+# Leading eigenvalues lie in [0, 1], so the tolerance is absolute. Voxels
+# that miss it go on squaring, up to G^(2**_MAX_SQUARINGS). G^(2**_SQUARED)
+# is built by repeated squaring and applied 2**(_SQUARINGS - _SQUARED)
+# times: over a batch of 8x8 matrices one matrix product costs about as much
+# as six matrix-vector products.
 _SQUARINGS = 6
+_SQUARED = 3
+_MAX_SQUARINGS = 10
 _RESIDUAL_TOL = 1e-12
 
 
@@ -57,6 +65,14 @@ class SensitivityMaps:
         """Fraction of voxels whose leading eigenvalue passes the crop."""
         return float(np.mean(self.eigval >= self.crop_threshold))
 
+    @property
+    def eigval_hist(self) -> list[int]:
+        """Voxel counts of the leading eigenvalue, clipped into [0, 1], over
+        the ten bins with edges 0, 0.1, ..., 1 (the last bin holds 1)."""
+        counts, _ = np.histogram(np.clip(self.eigval, 0.0, 1.0), bins=10,
+                                 range=(0.0, 1.0))
+        return counts.tolist()
+
 
 def _row_space(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
                scale: float = 0.0) -> np.ndarray:
@@ -70,6 +86,10 @@ def _row_space(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
     round-off noise masquerades as a fully determined row space).
     """
     nc, n1, n2 = hyb_x.shape
+    # s_0 <= ||A||_F <= sqrt(k1 k2) ||hyb_x||: skip the eigh when that bound
+    # already falls below the cut-off
+    if np.sqrt(k1 * k2) * np.linalg.norm(hyb_x) <= scale * 1e-12:
+        return np.zeros((0, nc, k1, k2), dtype=np.complex128)
     windows = np.lib.stride_tricks.sliding_window_view(hyb_x, (k1, k2), axis=(1, 2))
     A = windows.transpose(1, 2, 0, 3, 4).reshape(-1, nc * k1 * k2)
     lam, vec = np.linalg.eigh(A.conj().T @ A)
@@ -86,64 +106,86 @@ def _gram(kern: np.ndarray, out1: int, out2: int) -> np.ndarray:
     G(r) = sum_k v_k(r) v_k(r)^H, where v_k(r) is kernel k zero-padded to
     the output grid, inverse-transformed and scaled so that G has unit
     leading eigenvalue on voxels fully inside the row space. The image of
-    a padded kernel is band-limited, so G(r) is exactly the inverse DFT of
-    the kernels' summed cross-correlation, whose lags span (2k1-1)x(2k2-1);
-    lags wrap circularly onto grids smaller than that.
+    a padded kernel is band-limited, so G(r) is exactly the centred inverse
+    DFT of the kernels' summed cross-correlation, whose lags span
+    (2k1-1)x(2k2-1). That DFT is evaluated as one small matrix product per
+    grid axis; its exponentials are periodic in the lag, so lags wrap onto
+    grids smaller than the support.
     """
     nk, nc, k1, k2 = kern.shape
     s1, s2 = 2 * k1 - 1, 2 * k2 - 1
     spec = scipy.fft.fft2(kern, s=(s1, s2)).transpose(2, 3, 1, 0)  # [s1, s2, nc, nk]
-    upper = np.triu_indices(nc)
-    cross = (spec @ spec.conj().swapaxes(-1, -2))[..., upper[0], upper[1]]
-    corr = scipy.fft.ifft2(cross.transpose(2, 0, 1))  # lag d at index d mod s
-    corr *= np.sqrt(out1 * out2) / (k1 * k2)
-    lag1 = np.arange(1 - k1, k1)
-    lag2 = np.arange(1 - k2, k2)
-    pad = np.zeros((len(upper[0]), out1, out2), dtype=np.complex128)
-    np.add.at(
-        pad,
-        (slice(None), ((out1 // 2 + lag1) % out1)[:, None],
-         ((out2 // 2 + lag2) % out2)[None, :]),
-        corr[:, lag1[:, None], lag2[None, :]],
-    )
-    pairs = ifftc_nd(pad, axes=(1, 2))
-    G = np.empty((nc, nc, out1, out2), dtype=np.complex128)
-    G[upper[1], upper[0]] = pairs.conj()
-    G[upper] = pairs
-    return np.ascontiguousarray(G.transpose(2, 3, 0, 1))
+    # lag d of the correlation sits at index d mod s
+    corr = scipy.fft.ifft2(spec @ spec.conj().swapaxes(-1, -2), axes=(0, 1))
+    corr /= k1 * k2
+
+    def centred_idft(n: int, k: int) -> np.ndarray:
+        d = np.arange(2 * k - 1)
+        lag = np.where(d < k, d, d - (2 * k - 1))
+        return np.exp(2j * np.pi * np.outer(np.arange(n) - n // 2, lag) / n)
+
+    # einsum("ra,abij,sb->rsij", E1, corr, E2) as two products
+    half = centred_idft(out1, k1) @ corr.reshape(s1, -1)  # [out1, (s2, nc, nc)]
+    G = centred_idft(out2, k2) @ half.reshape(out1, s2, nc * nc)
+    return G.reshape(out1, out2, nc, nc)
+
+
+def _normalised_square(P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P @ P into ``out``, divided by its trace so powers cannot underflow."""
+    P = np.matmul(P, P, out=out)
+    tr = np.einsum("...ii->...", P).real
+    P *= (1.0 / np.where(tr > 0, tr, 1.0))[..., None, None]
+    return P
 
 
 def _leading_eigenpairs(G: np.ndarray, start: np.ndarray | None):
     """Leading eigenvalue and eigenvector of every Hermitian PSD G [..., nc, nc].
 
-    From ``start`` vectors (the neighbouring readout's), one application of
-    G^(2**_SQUARINGS) (repeated squaring, trace-normalised) is a power
-    iteration. Voxels whose residual exceeds ``_RESIDUAL_TOL``, and every
-    voxel when ``start`` is None, take the pair from ``eigh`` instead.
+    From ``start`` vectors (the neighbouring readout's), G^(2**_SQUARINGS)
+    applied to them is a power iteration; voxels whose residual exceeds
+    ``_RESIDUAL_TOL`` go on alone, applying G^(2**m) for m up to
+    ``_MAX_SQUARINGS``. Voxels still unconverged, and every voxel when
+    ``start`` is None, take the pair from ``eigh`` instead.
     Returns the eigenvalues, the unit eigenvectors and the fallback count.
     """
-    lead = np.zeros(G.shape[:-2])
-    vec = np.zeros(G.shape[:-1], dtype=np.complex128)
-    ok = np.zeros(G.shape[:-2], dtype=bool)
+    shape, nc = G.shape[:-2], G.shape[-1]
+    G = G.reshape(-1, nc, nc)
+    lead = np.zeros(len(G))
+    vec = np.zeros((len(G), nc), dtype=np.complex128)
+    todo = np.arange(len(G))  # voxels without a pair yet; Gt, P and v follow it
     if start is not None:
-        P = G
-        for _ in range(_SQUARINGS):
-            P = P @ P
-            tr = np.einsum("...ii->...", P).real
-            P /= np.where(tr > 0, tr, 1.0)[..., None, None]
-        v = (P @ start[..., None])[..., 0]
-        norm = np.linalg.norm(v, axis=-1)
-        v /= np.where(norm > 0, norm, 1.0)[..., None]
-        w = (G @ v[..., None])[..., 0]
-        lam = np.einsum("...c,...c->...", v.conj(), w).real
-        resid = np.linalg.norm(w - lam[..., None] * v, axis=-1)
-        ok = (norm > 0) & (resid <= _RESIDUAL_TOL)
-        lead[ok] = lam[ok]
-        vec[ok] = v[ok]
-    evals, evecs = np.linalg.eigh(G[~ok])
-    lead[~ok] = evals[:, -1]
-    vec[~ok] = evecs[..., -1]
-    return lead, vec, int(np.count_nonzero(~ok))
+        buf = np.empty((2, *G.shape), dtype=np.complex128)
+        P, m = G, 0  # P = G^(2**m), trace-normalised
+        while m < _SQUARED:
+            m += 1
+            P = _normalised_square(P, buf[m % 2])
+        v = start.reshape(-1, nc, 1)
+        for _ in range(2 ** (_SQUARINGS - _SQUARED)):
+            v = P @ v
+        Gt = G
+        for k in range(_SQUARINGS, _MAX_SQUARINGS + 1):
+            if k > _SQUARINGS:
+                while m < k:
+                    m += 1
+                    P = _normalised_square(P, buf[m % 2, :len(P)])
+                v = P @ v
+            v = v[..., 0]
+            norm = np.linalg.norm(v, axis=-1)
+            v /= np.where(norm > 0, norm, 1.0)[..., None]
+            w = (Gt @ v[..., None])[..., 0]
+            lam = np.einsum("...c,...c->...", v.conj(), w).real
+            resid = np.linalg.norm(w - lam[..., None] * v, axis=-1)
+            ok = (norm > 0) & (resid <= _RESIDUAL_TOL)
+            lead[todo[ok]] = lam[ok]
+            vec[todo[ok]] = v[ok]
+            todo, Gt, P, v = todo[~ok], Gt[~ok], P[~ok], v[~ok, :, None]
+            if len(todo) == 0:
+                break
+    if len(todo):
+        evals, evecs = np.linalg.eigh(G[todo])
+        lead[todo] = evals[:, -1]
+        vec[todo] = evecs[..., -1]
+    return lead.reshape(shape), vec.reshape(*shape, -1), len(todo)
 
 
 def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.01,

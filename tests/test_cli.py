@@ -208,27 +208,62 @@ class TestExitCodes:
         assert err.startswith("data error: bundle header")
         assert "Traceback" not in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["kernel_size", "sigma_threshold",
-                                     "crop_threshold"])
-    def test_maps_meta_missing_key_is_data_error(self, pipeline, tmp_path,
-                                                 capsys, key):
-        r = pipeline["root"]
+    @staticmethod
+    def _copy_maps(pipeline, tmp_path):
         maps = tmp_path / "maps"
         maps.mkdir()
         for name in ("maps", "eigval"):
             for suffix in (".json", ".bin"):
-                src = (r / "maps" / name).with_suffix(suffix)
+                src = (pipeline["root"] / "maps" / name).with_suffix(suffix)
                 (maps / name).with_suffix(suffix).write_bytes(src.read_bytes())
+        return maps
+
+    @staticmethod
+    def _recon_with_maps(pipeline, tmp_path, maps):
+        r = pipeline["root"]
+        return main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "zerofill", "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--maps", str(maps),
+                     "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("key", ["kernel_size", "sigma_threshold",
+                                     "crop_threshold"])
+    def test_maps_meta_missing_key_is_data_error(self, pipeline, tmp_path,
+                                                 capsys, key):
+        maps = self._copy_maps(pipeline, tmp_path)
         header = json.loads((maps / "maps.json").read_text())
         del header["meta"][key]
         (maps / "maps.json").write_text(json.dumps(header))
         capsys.readouterr()
-        assert main(["recon", "--config", str(pipeline["cfg"]),
-                     "--method", "zerofill", "--data", str(r / "masked_kspace"),
-                     "--mask", str(r / "mask"), "--maps", str(maps),
-                     "--out", str(tmp_path / "o")]) == 3
+        assert self._recon_with_maps(pipeline, tmp_path, maps) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and key in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [2.5, "7", True, -1, None],
+                             ids=["float", "str", "bool", "negative", "null"])
+    def test_maps_meta_noninteger_fallbacks_is_data_error(
+            self, pipeline, tmp_path, capsys, value):
+        maps = self._copy_maps(pipeline, tmp_path)
+        header = json.loads((maps / "maps.json").read_text())
+        header["meta"]["eigh_fallbacks"] = value
+        (maps / "maps.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        assert self._recon_with_maps(pipeline, tmp_path, maps) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "eigh_fallbacks" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_eigval_extents_differing_from_maps_is_data_error(
+            self, pipeline, tmp_path, capsys):
+        maps = self._copy_maps(pipeline, tmp_path)
+        save_bundle(CTensor(np.ones((3, 5, 5), dtype=np.complex128),
+                            ("kx", "ky", "kz")), maps / "eigval")
+        capsys.readouterr()
+        assert self._recon_with_maps(pipeline, tmp_path, maps) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: eigval bundle")
+        assert "(3, 5, 5)" in err and "(12, 24, 24)" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_mask_without_mask_meta_is_data_error(self, pipeline, tmp_path,
@@ -289,6 +324,13 @@ class TestPipeline:
         assert meta["eigh_fallbacks"] == maps.eigh_fallbacks
         assert 0 < meta["retained_frac"] < 1
         assert 0 < meta["eigh_fallbacks"] <= maps.eigval.size
+        hist = meta["eigval_hist"]
+        assert hist == maps.eigval_hist
+        assert len(hist) == 10 and all(type(n) is int for n in hist)
+        assert sum(hist) == maps.eigval.size
+        clipped = np.clip(maps.eigval, 0, 1)
+        assert hist[-1] == np.count_nonzero(clipped >= 0.9)
+        assert hist[0] == np.count_nonzero(clipped < 0.1)
 
     def test_seed_flag_overrides_file(self, pipeline, tmp_path):
         assert main(["mask", "--config", str(pipeline["cfg"]), "--seed", "99",

@@ -23,7 +23,12 @@ from rakikit import (
     make_phantom,
     make_uniform_mask,
 )
-from rakikit.espirit import SensitivityMaps, _gram, _leading_eigenpairs
+from rakikit.espirit import (
+    SensitivityMaps,
+    _gram,
+    _leading_eigenpairs,
+    _row_space,
+)
 from rakikit.tensors import center_slices
 
 from conftest import compact_scene
@@ -101,17 +106,21 @@ class TestGramKernel:
             (3, 6, 11, 12),
             (6, 6, 8, 8),  # grid smaller than the 11x11 lag support
             (6, 5, 7, 9),  # ... with odd and mixed extents
+            (6, 6, 96, 96),  # the criterion-04 grid
         ],
     )
     def test_matches_image_space_gram(self, k1, k2, out1, out2):
         rng = np.random.default_rng(k1 * 100 + out1)
-        kern = rng.standard_normal((7, 4, k1, k2)) + 1j * rng.standard_normal(
-            (7, 4, k1, k2)
+        kern = rng.standard_normal((7, 8, k1, k2)) + 1j * rng.standard_normal(
+            (7, 8, k1, k2)
         )
         ref = image_space_gram(kern, out1, out2)
         got = _gram(kern, out1, out2)
-        assert got.shape == (out1, out2, 4, 4)
-        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+        assert got.shape == (out1, out2, 8, 8)
+        assert got.flags["C_CONTIGUOUS"]
+        tol = 1e-12 * np.abs(ref).max()
+        assert np.abs(got - ref).max() < tol
+        assert np.abs(got - got.conj().swapaxes(-1, -2)).max() < tol
 
 
 class TestLeadingEigenpairs:
@@ -143,10 +152,39 @@ class TestLeadingEigenpairs:
         np.testing.assert_allclose(lead, evals[:, -1], atol=1e-12)
         np.testing.assert_array_equal(vec[1:], evecs[1:, :, -1])
 
+    @pytest.mark.parametrize("gap", [0.8, 0.95])
+    def test_slow_gaps_converge_by_further_squaring(self, gap):
+        # lambda_2 / lambda_1 = gap leaves G^64 short of the tolerance;
+        # squaring on to at most G^1024 converges without eigh
+        G, q = self._batch([[1.0, gap, 0.1, 0.0], [0.5, 0.5 * gap, 0.2, 0.05]],
+                           seed=3)
+        start = q[..., 0] + 0.1 * q[..., 1] + 0.05 * q[..., 2]
+        lead, vec, n_eigh = _leading_eigenpairs(G, start)
+        assert n_eigh == 0
+        evals, _ = np.linalg.eigh(G)
+        np.testing.assert_allclose(lead, evals[:, -1], rtol=0, atol=1e-12)
+        overlap = np.abs(np.sum(np.conj(vec) * q[..., 0], axis=-1))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+
     def test_no_start_is_all_eigh(self):
         G, _ = self._batch([[1.0, 0.3, 0.1, 0.0]] * 3)
         _, _, n_eigh = _leading_eigenpairs(G, None)
         assert n_eigh == 3
+
+
+class TestRowSpace:
+    def test_negligible_slice_returns_no_kernels_without_eigh(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        hyb = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
+        scale = float(np.linalg.norm(hyb))
+        assert len(_row_space(hyb, 6, 6, 0.01, scale)) > 0
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a negligible slice")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        kern = _row_space(hyb * 1e-20, 6, 6, 0.01, scale)
+        assert kern.shape == (0, 4, 6, 6)
 
 
 class TestMapEstimation:
@@ -253,6 +291,18 @@ class TestMapEstimation:
         assert np.abs(maps.maps.data - ref_maps)[:, keep].max() < 1e-8
         assert maps.retained_frac == keep.mean()
         assert 0 < maps.eigh_fallbacks < maps.eigval.size
+
+    def test_criterion_03_sends_only_cold_readouts_to_eigh(self):
+        # work-count guard: a warm-started readout should need (almost) no
+        # eigh; the cold ones (the first readout with kernels after one
+        # without) need it for every voxel
+        maps = espirit_maps(criterion_03_acs(), kernel_size=6,
+                            crop_threshold=0.99, out_extents=(64, 64))
+        has_kernels = maps.eigval.reshape(len(maps.eigval), -1).any(axis=1)
+        cold = has_kernels & ~np.concatenate([[False], has_kernels[:-1]])
+        cold_voxels = int(cold.sum()) * 64 * 64
+        assert cold_voxels > 0
+        assert cold_voxels <= maps.eigh_fallbacks <= 1.01 * cold_voxels
 
     def test_bad_thresholds_raise(self):
         acs = CTensor(np.ones((4, 8, 16, 16)), ("coil", "kx", "ky", "kz"))
