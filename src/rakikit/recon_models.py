@@ -262,12 +262,16 @@ def build_targets(problem: ReconProblem, coil: int | None = None
 
 
 def _acs_scale(problem: ReconProblem) -> float:
-    """RMS normalization keeps the data loss O(1) against the weight penalty."""
-    acs = extract_acs(problem.kspace_masked, problem.masks[0]).data
-    rms = float(np.sqrt(np.mean(np.abs(acs) ** 2)))
-    if rms == 0:
+    """RMS normalization keeps the data loss O(1) against the weight penalty.
+
+    The RMS is taken of |acs| / max|acs| and scaled back, so squaring
+    neither overflows nor underflows at any magnitude float64 can hold.
+    """
+    mag = np.abs(extract_acs(problem.kspace_masked, problem.masks[0]).data)
+    peak = float(mag.max())
+    if peak == 0:
         raise GeometryError("ACS region is identically zero")
-    return 1.0 / rms
+    return 1.0 / (peak * float(np.sqrt(np.mean((mag / peak) ** 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +375,23 @@ def linear_init(ts: OffsetTargetSet, cfg: TrainConfig) -> ModelWeights:
     return model
 
 
+def _train_float32(model: ModelWeights, ts: OffsetTargetSet, cfg: TrainConfig):
+    """``train`` from the warm start on float32 copies of the inputs and targets.
+
+    Both are O(1) after the ACS scaling; a value beyond float32's range
+    becomes inf and ends in ``train``'s NumericalError.
+    """
+    with np.errstate(over="ignore"):
+        x, y = ts.inputs.astype(np.float32), ts.targets.astype(np.float32)
+    return train(model, x, y, cfg, valid=ts.valid)
+
+
 def train_eraki(problem: ReconProblem) -> tuple[ModelWeights, list[float]]:
     """Train the single coil-combined model (eraki / eraki_joint)."""
     if problem.mode == "raki_percoil":
         raise ConfigError("use train_raki for per-coil mode")
     ts = build_targets(problem)
-    model = linear_init(ts, problem.cfg)
-    return train(model, ts.inputs, ts.targets, problem.cfg, valid=ts.valid)
+    return _train_float32(linear_init(ts, problem.cfg), ts, problem.cfg)
 
 
 def train_raki(problem: ReconProblem
@@ -388,9 +402,8 @@ def train_raki(problem: ReconProblem
     models, histories = [], []
     for c in range(problem.n_coils):
         ts = build_targets(problem, coil=c)
-        model = linear_init(ts, problem.cfg)
-        trained, hist = train(model, ts.inputs, ts.targets, problem.cfg,
-                              valid=ts.valid)
+        trained, hist = _train_float32(linear_init(ts, problem.cfg), ts,
+                                       problem.cfg)
         models.append(trained)
         histories.append(hist)
     return models, histories

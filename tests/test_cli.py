@@ -1,9 +1,13 @@
 """CLI pipeline: subcommands, config precedence, manifests, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rakikit import (
     CTensor,
@@ -297,6 +301,54 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+NUMBER = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                   st.sampled_from([0, 0.5, 1]))
+UNIT = st.one_of(st.floats(1e-300, 1.0), NUMBER)  # alpha, lr_decay
+WIDTHS = st.one_of(st.lists(st.integers(1, 8), min_size=4, max_size=4),
+                   st.lists(st.integers(-1, 8), max_size=5))
+KERNELS = st.one_of(
+    st.lists(st.lists(st.integers(1, 3), min_size=3, max_size=3),
+             min_size=5, max_size=5),
+    st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=6))
+
+
+@st.composite
+def train_sections(draw):
+    """Train leaves across float64's range, short or ragged layer lists,
+    and in half the draws one leaf of the wrong type; at most 3 steps."""
+    leaves = draw(st.fixed_dictionaries(
+        {"iterations": st.integers(0, 3)},
+        optional={"alpha": UNIT, "beta": NUMBER, "learning_rate": NUMBER,
+                  "lr_decay": UNIT, "squared_l2": st.booleans(),
+                  "widths": WIDTHS, "kernel_sizes": KERNELS}))
+    wrong = draw(st.none() | st.tuples(
+        st.sampled_from(sorted(DEFAULTS["train"])),
+        st.sampled_from(["x", None, True, 2.5, [1], {"a": 1}])))
+    if wrong is not None:
+        leaves[wrong[0]] = wrong[1]
+    return {**CONFIG["train"], **leaves}
+
+
+class TestTrainSectionFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(train=train_sections(), method=st.sampled_from(["raki", "eraki"]))
+    def test_recon_exits_cleanly(self, pipeline, train, method):
+        """Any train section ends in exit 0, 2, 3 or 4 with at most one line."""
+        r = pipeline["root"]
+        cfg = r / "fuzz.json"
+        cfg.write_text(json.dumps({**CONFIG, "train": train}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["recon", "--config", str(cfg), "--method", method,
+                         "--data", str(r / "masked_kspace"),
+                         "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                         "--out", str(r / "fuzz")])
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert err.count("\n") == (code != 0)
+
+
 class TestPipeline:
     def test_phantom_outputs(self, pipeline):
         r = pipeline["root"]
@@ -331,6 +383,23 @@ class TestPipeline:
         clipped = np.clip(maps.eigval, 0, 1)
         assert hist[-1] == np.count_nonzero(clipped >= 0.9)
         assert hist[0] == np.count_nonzero(clipped < 0.1)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    @pytest.mark.parametrize("method", ["raki", "eraki"])
+    def test_learned_recon_at_extreme_scale(self, pipeline, tmp_path, capsys,
+                                            method, factor):
+        """The ACS scaling never squares raw k-space: no overflow, no underflow."""
+        r = pipeline["root"]
+        data = load_bundle(r / "masked_kspace")
+        save_bundle(data.with_data(data.data * factor), tmp_path / "data")
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", method, "--data", str(tmp_path / "data"),
+                     "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        image = load_bundle(tmp_path / "o" / "image").data
+        assert np.isfinite(image).all() and np.abs(image).max() > 0
 
     def test_seed_flag_overrides_file(self, pipeline, tmp_path):
         assert main(["mask", "--config", str(pipeline["cfg"]), "--seed", "99",

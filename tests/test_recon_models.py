@@ -1,5 +1,7 @@
 """Learned reconstruction plumbing: targets, warm start, inference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from rakikit import (
     train_raki,
     zerofill_recon,
 )
-from rakikit.recon_models import RIDGE_INIT, _ridge_solution
+from rakikit import nn_engine
+from rakikit.recon_models import RIDGE_INIT, _acs_scale, _ridge_solution
 
 CFG = TrainConfig(
     alpha=0.0,
@@ -336,6 +339,38 @@ class TestInference:
         assert ha == hb
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.kernel, lb.kernel)
+
+
+class TestFloat32Training:
+    def test_trainers_step_in_float32(self, small_scene, monkeypatch):
+        """Every Adam step of both trainers runs on float32 arrays."""
+        seen = []
+        original = nn_engine.backward
+
+        def recorded(model, x, target, *args, **kwargs):
+            seen.append({x.dtype, target.dtype,
+                         *(l.kernel.dtype for l in model.layers)})
+            return original(model, x, target, *args, **kwargs)
+
+        monkeypatch.setattr(nn_engine, "backward", recorded)
+        s = small_scene
+        cfg = replace(CFG, iterations=2)
+        model, _ = train_eraki(ReconProblem(s["masked"], (s["mask"],), "eraki",
+                                            cfg, maps=s["maps"]))
+        models, _ = train_raki(ReconProblem(s["masked"], (s["mask"],),
+                                            "raki_percoil", cfg))
+        assert len(seen) == 2 + 2 * len(models)
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+        assert all(l.kernel.dtype == np.float64
+                   for m in (model, *models) for l in m.layers)
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_acs_scale_at_extreme_magnitudes(self, small_scene, factor):
+        s = small_scene
+        p = ReconProblem(s["masked"], (s["mask"],), "eraki", CFG, maps=s["maps"])
+        far = ReconProblem(s["masked"].with_data(s["masked"].data * factor),
+                           (s["mask"],), "eraki", CFG, maps=s["maps"])
+        assert _acs_scale(far) * factor == pytest.approx(_acs_scale(p), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
