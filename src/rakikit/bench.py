@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from .recon_models import (
 )
 from .sampling import (SamplingMask, apply_mask, centered_acs_box, extract_acs,
                        make_uniform_mask)
-from .tensors import CTensor, ifftc
+from .tensors import CTensor, ifftc, thread_count
 
 BENCH_METHODS = ("zerofill", "grappa", "raki", "eraki")
 
@@ -79,14 +78,6 @@ def _cpu_model() -> str:
     except OSError:
         pass
     return platform.processor() or platform.machine()
-
-
-def thread_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _environment() -> dict:
@@ -139,12 +130,13 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
         row["calibration_windows"] = kernel.windows
         row["calibration_residual"] = kernel.residual
         t0 = time.monotonic()
-        img = ifftc(kspace, tuple(a for a in ("kx", *mask.axes) if a != "t"))
+        fourier = tuple(a for a in ("kx", *mask.axes) if a != "t")
         if maps is None:  # root-sum-of-squares over the coils
+            img = ifftc(kspace, fourier)
             rss = np.sqrt(np.sum(np.abs(img.data) ** 2, axis=img.axis("coil")))
             img = CTensor(rss, tuple(a for a in img.axes if a != "coil"))
         else:
-            img = coil_combine(img, maps)
+            img = coil_combine(kspace, maps, fourier)
         image = img.with_data(np.abs(img.data))
         row["inference_s"] = time.monotonic() - t0
         return kspace, image, row
@@ -203,7 +195,7 @@ def run_bench(scenario: dict | None = None) -> BenchReport:
     )
     espirit_s = time.monotonic() - t0
 
-    ref = np.abs(coil_combine(ifftc(ksp, ("kx", "ky", "kz")), maps).data)
+    ref = np.abs(coil_combine(ksp, maps, ("kx", "ky", "kz")).data)
     metric = np.zeros(extents, dtype=bool)
     metric[2:-2, 2:-2, 2:-2] = True
 

@@ -12,6 +12,12 @@ per-voxel coil Gram matrix on the output grid (Uecker et al., MRM 71:990,
 the neighbouring readout (G^64, and up to G^1024 for voxels with a small
 spectral gap) with ``eigh`` where that does not converge, gives the maps;
 its leading eigenvalue gives the support measure.
+
+Coil combination streams the coil axis: conj(S_c) x_c is accumulated one
+coil at a time, in coil order, which is bit for bit the sum over a
+leading coil axis. Given k-space, each coil is inverse-transformed just
+before its turn, and for the combined ACS targets it is first zero-filled
+outside the ACS box, so no stage holds a multi-coil image.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigError, GeometryError, NumericalError
-from .tensors import CTensor, fftc, ifftc
+from .sampling import SamplingMask
+from .tensors import CTensor, fftc, ifftc, ifftc_nd
 
 # Power iteration applies G^(2**_SQUARINGS) to a start vector; a voxel keeps
 # its result when the residual |Gv - lambda v| is at most _RESIDUAL_TOL,
@@ -239,45 +246,95 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     )
 
 
-def coil_combine(images: CTensor, maps: SensitivityMaps) -> CTensor:
+def coil_combine(images: CTensor, maps: SensitivityMaps,
+                 fourier: tuple[str, ...] = ()) -> CTensor:
     """Matched-filter combine: m(r) = sum_c conj(C_c(r)) x_c(r).
 
     Maps always live on (coil, kx, ky, kz). Dynamic images carrying a
     ``t`` axis instead of ``kz`` are combined frame by frame with the
-    same maps (which must then have a singleton kz extent).
+    same maps (which must then have a singleton kz extent), and an
+    ``echo`` axis echo by echo. With ``fourier`` axes, ``images`` is
+    k-space: each coil goes through the centred inverse FFT along them
+    first, so the result is ``coil_combine(ifftc(images, fourier), maps)``
+    without the multi-coil image.
+
+    The sum runs one coil at a time, in coil order: besides the output it
+    holds one coil's image and product. That is the order of a sum over a
+    leading coil axis, so the result is that sum bit for bit.
     """
-    m = maps.maps.transpose(("coil", "kx", "ky", "kz"))
-    spatial = tuple(a for a in images.axes if a != "coil")
-    if images.has_axis("t") and not images.has_axis("kz"):
-        x = images.transpose(("coil", "kx", "ky", "t"))
-        if m.shape[:3] != x.shape[:3] or m.shape[3] != 1:
-            raise GeometryError(
-                f"dynamic combine needs maps [*, kz=1] matching {x.shape[:3]}, "
-                f"got {m.shape}"
-            )
-        combined = np.sum(
-            np.conj(m.data)[..., None] * x.data[..., None, :], axis=0
-        )[..., 0, :]
-        return CTensor(combined, ("kx", "ky", "t")).transpose(spatial)
-    x = images.transpose(("coil", "kx", "ky", "kz"))
-    if x.shape != m.shape:
+    axes = _coil_axes(images, fourier)
+    return _matched_filter(
+        images, maps, (lambda x: ifftc_nd(x, axes)) if axes else (lambda x: x))
+
+
+def _coil_axes(images: CTensor, labels) -> tuple[int, ...]:
+    """Indices of the named axes in one coil's slice of ``images``."""
+    coil = images.axis("coil")
+    return tuple(i - (i > coil) for i in (images.axis(a) for a in labels))
+
+
+def _matched_filter(images: CTensor, maps: SensitivityMaps, coil_image
+                    ) -> CTensor:
+    """sum_c conj(C_c) coil_image(x_c), accumulated coil by coil.
+
+    ``coil_image`` takes coil c's slice of ``images`` (the other axes in
+    their order, a view) to its image, of the same shape.
+    """
+    m = maps.maps.transpose(("coil", "kx", "ky", "kz")).data
+    x = np.moveaxis(images.data, images.axis("coil"), 0)
+    axes = tuple(a for a in images.axes if a != "coil")
+    dynamic = images.has_axis("t") and not images.has_axis("kz")
+    grid = ("kx", "ky", "t" if dynamic else "kz")
+    extents = tuple(images.extent(a) for a in grid)
+    if dynamic and (m.shape[:3] != (len(x), *extents[:2]) or m.shape[3] != 1):
         raise GeometryError(
-            f"image extents {x.shape} do not match map extents {m.shape}"
+            f"dynamic combine needs maps [*, kz=1] matching "
+            f"{(len(x), *extents[:2])}, got {m.shape}"
         )
-    combined = np.sum(np.conj(m.data) * x.data, axis=0)
-    return CTensor(combined, ("kx", "ky", "kz")).transpose(spatial)
+    if not dynamic and m.shape != (len(x), *extents):
+        raise GeometryError(
+            f"image extents {(len(x), *extents)} do not match map extents "
+            f"{m.shape}"
+        )
+    # other axes (echo) lead, so each coil's map broadcasts over them
+    order = tuple(a for a in axes if a not in grid) + grid
+    perm = [axes.index(a) for a in order]
+
+    def product(c):
+        img = coil_image(x[c]).transpose(perm)  # made before the conjugate
+        return np.conj(m[c]) * img
+
+    combined = product(0)
+    for c in range(1, len(x)):
+        combined += product(c)
+    return CTensor(combined, order).transpose(axes)
 
 
-def make_combo_target(acs: CTensor, maps: SensitivityMaps) -> CTensor:
+def make_combo_target(acs: CTensor, maps: SensitivityMaps,
+                      mask: SamplingMask | None = None) -> CTensor:
     """Coil-combined ACS k-space: fftc(combine(ifftc(acs), maps)).
 
-    The maps must live on the ACS grid (low-resolution mode) or on the
-    zero-padded full grid; extents are checked by coil_combine.
+    The maps live on the ACS grid (low-resolution mode) or on the full
+    grid. For the full grid, pass the full-grid k-space as ``acs`` with
+    its ``mask``: each coil is taken as zero outside the mask's ACS box,
+    one coil at a time. An ``echo`` axis is combined echo by echo.
+    Extents are checked by the combination.
     """
-    spatial = tuple(a for a in acs.axes if a not in ("coil", "t"))
-    img = ifftc(acs, spatial)
-    combined = coil_combine(img, maps)
-    return fftc(combined, spatial)
+    spatial = tuple(a for a in acs.axes if a not in ("coil", "echo", "t"))
+    if mask is None:
+        return fftc(coil_combine(acs, maps, spatial), spatial)
+    box = [slice(None)] * (acs.data.ndim - 1)
+    for i, (start, n) in zip(_coil_axes(acs, mask.axes), mask.acs_box):
+        box[i] = slice(start, start + n)
+    box = tuple(box)
+    axes = _coil_axes(acs, spatial)
+
+    def boxed_image(x):
+        k = np.zeros_like(x)
+        k[box] = x[box]
+        return ifftc_nd(k, axes)
+
+    return fftc(_matched_filter(acs, maps, boxed_image), spatial)
 
 
 def kspace_combine_convolution(coil_kspace: CTensor, maps: SensitivityMaps) -> CTensor:

@@ -70,7 +70,9 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     """Solve the regularized fits over all ACS sliding windows.
 
     ``acs``: fully sampled complex array [coil, kx, p1, p2]. The ridge
-    weight is ``lam * mean(diag(A^H A))`` so lam is dimensionless.
+    weight is ``lam * mean(diag(A^H A))`` so lam is dimensionless. The
+    fit runs on the windows scaled by a power of two near 1/max|acs|, so
+    it holds at any magnitude float64 can hold.
     """
     acs = np.asarray(acs, dtype=np.complex128)
     nc, nx, n1, n2 = acs.shape
@@ -104,6 +106,14 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     A = A.reshape(n_unknown, -1).T
     T = acs[coil, wx, w1 + tgt[:, 0, None, None], w2 + tgt[:, 1, None, None]]
     T = T.reshape(-1, len(anchors)).T
+    # the weights are scale-invariant: a power of two that brings max|acs|
+    # into [0.5, 1) keeps A^H A finite at any magnitude, and as it scales
+    # exactly it changes no bit of the weights or the residual
+    peak = float(np.max(np.abs(acs)))
+    if peak > 0:
+        scale = np.ldexp(1.0, -np.frexp(peak)[1])
+        A *= scale
+        T *= scale
 
     AhA = zherk(1.0, A, trans=2)  # upper triangle of A^H A
     AhA += np.triu(AhA, 1).conj().T

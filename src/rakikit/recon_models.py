@@ -71,14 +71,14 @@ def echo_shifted_masks(mask: SamplingMask, n_echo: int) -> tuple[SamplingMask, .
 
 
 def _to_internal(x: CTensor, mask: SamplingMask) -> np.ndarray:
-    """[coil, (echo,) p1, p2, kx] array from a named tensor."""
+    """[coil, (echo,) p1, p2, kx] view of a named tensor's data."""
     order = ["coil"]
     if x.has_axis("echo"):
         order.append("echo")
     order += [mask.axes[0], mask.axes[1], "kx"]
     if set(order) != set(x.axes):
         raise GeometryError(f"unexpected axes {x.axes}, need {order}")
-    return x.transpose(tuple(order)).data
+    return np.transpose(x.data, [x.axis(a) for a in order])
 
 
 def _complex_to_channels(arr: np.ndarray) -> np.ndarray:
@@ -114,7 +114,11 @@ class OffsetTargetSet:
 
 
 def _decimated_input(problem: ReconProblem) -> np.ndarray:
-    """Desheared, decimated acquired grid, echoes stacked on the coil axis."""
+    """Desheared, decimated acquired grid, echoes stacked on the coil axis.
+
+    Only the anchors are gathered: the desheared lattice points
+    ``(u * s1, v * s2)``, mapped to the acquired frame.
+    """
     mask0 = problem.masks[0]
     s1, s2 = steps(mask0)
     n1, n2 = mask0.extents
@@ -127,18 +131,9 @@ def _decimated_input(problem: ReconProblem) -> np.ndarray:
         arr = arr[:, None]
     per_echo = []
     for e, mask in enumerate(problem.masks):
-        d = deshear_array(arr[:, e], mask, 1)
-        per_echo.append(d[:, ::s1, ::s2, :])
+        i, j = acquired_coords(mask, *np.ogrid[:n1:s1, :n2:s2])
+        per_echo.append(arr[:, e, i % n1, j % n2])
     return np.concatenate(per_echo, axis=0)  # [Nc*Ne, nu, nv, nx]
-
-
-def _echo_slice(x: CTensor, e: int) -> CTensor:
-    if not x.has_axis("echo"):
-        return x
-    sl = [slice(None)] * x.data.ndim
-    sl[x.axis("echo")] = e
-    axes = tuple(a for a in x.axes if a != "echo")
-    return CTensor(x.data[tuple(sl)], axes)
 
 
 def _combo_targets_per_echo(problem: ReconProblem) -> list[np.ndarray]:
@@ -150,19 +145,12 @@ def _combo_targets_per_echo(problem: ReconProblem) -> list[np.ndarray]:
     the positions whose combination sources fall outside the box.
     """
     mask0 = problem.masks[0]
-    (b1, l1), (b2, l2) = mask0.acs_box
-    out = []
     x = problem.kspace_masked
-    for e, mask in enumerate(problem.masks):
-        arr = _to_internal(_echo_slice(x, e), mask0)  # [coil, p1, p2, kx]
-        boxed = np.zeros_like(arr)
-        boxed[:, b1 : b1 + l1, b2 : b2 + l2, :] = arr[
-            :, b1 : b1 + l1, b2 : b2 + l2, :
-        ]
-        t = CTensor(boxed.transpose(0, 3, 1, 2), ("coil", "kx", *mask0.axes))
-        y = make_combo_target(t, problem.maps)
-        out.append(y.transpose((mask0.axes[0], mask0.axes[1], "kx")).data)
-    return out
+    echo = ("echo",) if x.has_axis("echo") else ()
+    y = make_combo_target(x.transpose(("coil", *echo, "kx", *mask0.axes)),
+                          problem.maps, mask0)
+    y = y.transpose((*echo, *mask0.axes, "kx")).data
+    return list(y) if echo else [y]
 
 
 def build_targets(problem: ReconProblem, coil: int | None = None
@@ -177,6 +165,16 @@ def build_targets(problem: ReconProblem, coil: int | None = None
     acquired) are masked out of the loss, and so is the one-sample rim of
     the box for the combined targets.
     """
+    return next(_target_sets(problem, None if coil is None else [coil]))
+
+
+def _target_sets(problem: ReconProblem, coils: list[int] | None):
+    """The combined target set (``coils`` None) or one set per coil.
+
+    The input, the scale, the validity mask and the crop do not depend on
+    the coil, so the per-coil sets are built from one copy of each and
+    share their ``inputs`` and ``valid`` arrays.
+    """
     mask0 = problem.masks[0]
     if mask0.acs_box is None:
         raise GeometryError("training requires a mask with an ACS box")
@@ -185,16 +183,7 @@ def build_targets(problem: ReconProblem, coil: int | None = None
     ne = problem.n_echoes
     dec = _decimated_input(problem)
     nu, nv, nx = dec.shape[1:]
-
-    if coil is None:
-        combos = _combo_targets_per_echo(problem)
-        mg = 1  # skip combination-truncated box-edge targets
-    else:
-        # per-coil RAKI: the target is the coil's own measured k-space
-        arr = _to_internal(problem.kspace_masked, mask0)
-        combos = [arr[coil]]
-        mg = 0
-
+    mg = 1 if coils is None else 0  # skip combination-truncated box-edge targets
     scale = _acs_scale(problem)
 
     (b1, l1), (b2, l2) = mask0.acs_box
@@ -204,10 +193,9 @@ def build_targets(problem: ReconProblem, coil: int | None = None
         )
     uu, vv = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
     n_off = len(offsets)
-    tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
     val = np.zeros((ne, n_off, nu, nv), dtype=bool)
+    sources = {}  # (echo, offset) -> acquired-frame (p1, p2) of its valid anchors
     for e, mask in enumerate(problem.masks):
-        ycombo = combos[min(e, len(combos) - 1)]
         for k, (a, b) in enumerate(offsets):
             i_d = uu * s1 + a
             j_d = vv * s2 + b
@@ -218,8 +206,8 @@ def build_targets(problem: ReconProblem, coil: int | None = None
                 & (j_a >= b2 + mg) & (j_a < b2 + l2 - mg)
                 & ~mask.never_acquired[i_a, j_a]
             )
-            val[e, k][ok] = True
-            tgt[e, k][ok] = ycombo[i_a[ok], j_a[ok], :]
+            val[e, k] = ok
+            sources[e, k] = i_a[ok], j_a[ok]
 
     any_valid = val.any(axis=(0, 1))
     if not any_valid.any():
@@ -246,10 +234,7 @@ def build_targets(problem: ReconProblem, coil: int | None = None
     au, av = u0 + c1, v0 + c2  # first anchor covered by the output
 
     inputs = _complex_to_channels(dec[:, u0:u1, v0:v1, :] * scale)
-    tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
     val_c = val[:, :, au : au + ou, av : av + ov]
-    tgt_flat = tgt_c.reshape(ne * n_off, ou, ov, ox)
-    targets = _complex_to_channels(tgt_flat)
     valid_k = np.broadcast_to(
         val_c.reshape(ne * n_off, ou, ov, 1), (ne * n_off, ou, ov, ox)
     )
@@ -258,7 +243,20 @@ def build_targets(problem: ReconProblem, coil: int | None = None
     valid[1::2] = valid_k
     if not valid.any():
         raise GeometryError("receptive-field cropping removed every target")
-    return OffsetTargetSet(inputs, targets, valid, offsets, scale, (u0, v0))
+
+    if coils is None:
+        per_target = [_combo_targets_per_echo(problem)]
+    else:
+        # per-coil RAKI: the target is the coil's own measured k-space
+        arr = _to_internal(problem.kspace_masked, mask0)
+        per_target = ([arr[c]] for c in coils)
+    for combos in per_target:
+        tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
+        for (e, k), (i_a, j_a) in sources.items():
+            tgt[e, k][val[e, k]] = combos[min(e, len(combos) - 1)][i_a, j_a, :]
+        tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
+        targets = _complex_to_channels(tgt_c.reshape(ne * n_off, ou, ov, ox))
+        yield OffsetTargetSet(inputs, targets, valid, offsets, scale, (u0, v0))
 
 
 def _acs_scale(problem: ReconProblem) -> float:
@@ -400,8 +398,7 @@ def train_raki(problem: ReconProblem
     if problem.mode != "raki_percoil":
         raise ConfigError("train_raki requires mode 'raki_percoil'")
     models, histories = [], []
-    for c in range(problem.n_coils):
-        ts = build_targets(problem, coil=c)
+    for ts in _target_sets(problem, list(range(problem.n_coils))):
         trained, hist = _train_float32(linear_init(ts, problem.cfg), ts,
                                        problem.cfg)
         models.append(trained)
@@ -421,17 +418,28 @@ class ReconResult:
     image: CTensor  # magnitude image, echo axis kept when present
 
 
-def _predict_grids(problem: ReconProblem, model: ModelWeights) -> np.ndarray:
-    """Run the model over the whole decimated grid -> [groups, nu, nv, nx]."""
-    dec = _decimated_input(problem)
+def _model_input(problem: ReconProblem, rf: tuple[int, int, int]
+                 ) -> tuple[np.ndarray, float]:
+    """The scaled real-channel decimated grid, padded for receptive field
+    ``rf``, and its scale."""
     scale = _acs_scale(problem)
-    rf = model.receptive_field
     c1, c2, cx = ((r - 1) // 2 for r in rf)
-    x = _complex_to_channels(dec * scale)
+    x = _complex_to_channels(_decimated_input(problem) * scale)
     x = np.pad(x, ((0, 0), (c1, rf[0] - 1 - c1), (c2, rf[1] - 1 - c2),
                    (cx, rf[2] - 1 - cx)))
-    pred = predict(model, x)
-    return _channels_to_complex(pred) / scale
+    return x, scale
+
+
+def _predict_grids(problem: ReconProblem, model: ModelWeights,
+                   model_input: tuple[np.ndarray, float] | None = None
+                   ) -> np.ndarray:
+    """Run the model over the whole decimated grid -> [groups, nu, nv, nx].
+
+    ``model_input`` is ``_model_input(problem, model.receptive_field)``,
+    made once where several models share it.
+    """
+    x, scale = model_input or _model_input(problem, model.receptive_field)
+    return _channels_to_complex(predict(model, x)) / scale
 
 
 def _scatter_echo(pred: np.ndarray, mask: SamplingMask) -> np.ndarray:
@@ -468,18 +476,19 @@ def infer(models: ModelWeights | list[ModelWeights],
             raise GeometryError(
                 f"{problem.n_coils} coils need as many models, got {len(model_list)}"
             )
-        coils = []
-        for model in model_list:
-            pred = _predict_grids(problem, model)  # [n_off, nu, nv, nx]
-            coils.append(_scatter_echo(pred, mask0))
-        out = np.stack(coils)  # [coil, p1, p2, kx]
-        acq = _to_internal(problem.kspace_masked, mask0)
-        out[:, mask0.grid] = acq[:, mask0.grid]
-        ksp = CTensor(out.transpose(0, 3, 1, 2), ("coil", "kx", p1l, p2l))
+        acq = _to_internal(problem.kspace_masked, mask0)  # [coil, p1, p2, kx]
+        out = np.empty((problem.n_coils, acq.shape[-1], *mask0.extents),
+                       dtype=np.complex128)  # [coil, kx, p1, p2]
+        shared = _model_input(problem, model_list[0].receptive_field)
+        for c, model in enumerate(model_list):
+            pred = _predict_grids(problem, model, shared)  # [n_off, nu, nv, nx]
+            out[c] = _scatter_echo(pred, mask0).transpose(2, 0, 1)
+        out[:, :, mask0.grid] = np.moveaxis(acq, -1, 1)[:, :, mask0.grid]
+        ksp = CTensor(out, ("coil", "kx", p1l, p2l))
         ksp = ksp.transpose(problem.kspace_masked.axes)
         if problem.maps is None:
             raise ConfigError("raki_percoil image needs full-grid maps")
-        img = coil_combine(ifftc(ksp, fourier), problem.maps)
+        img = coil_combine(ksp, problem.maps, fourier)
         image = img.with_data(np.abs(img.data))
         return ReconResult(ksp, image)
 
@@ -503,23 +512,8 @@ def zerofill_recon(problem: ReconProblem) -> ReconResult:
     """Zero-filled baseline: combine the masked k-space with full-grid maps."""
     if problem.maps is None:
         raise ConfigError("zero-filled combination needs full-grid maps")
-    x = problem.kspace_masked
-    mask0 = problem.masks[0]
-    p1l, p2l = mask0.axes
-    fourier = tuple(a for a in ("kx", p1l, p2l) if a != "t")
-    img = ifftc(x, fourier)
-    if x.has_axis("echo"):
-        ne = x.extent("echo")
-        arr = img.transpose(("coil", "echo", "kx", p1l, p2l)).data
-        combos = []
-        for e in range(ne):
-            ce = coil_combine(
-                CTensor(arr[:, e], ("coil", "kx", p1l, p2l)), problem.maps
-            )
-            combos.append(ce.data)
-        comb = CTensor(np.stack(combos), ("echo", "kx", p1l, p2l))
-    else:
-        comb = coil_combine(img, problem.maps)
+    fourier = tuple(a for a in ("kx", *problem.masks[0].axes) if a != "t")
+    comb = coil_combine(problem.kspace_masked, problem.maps, fourier)
     image = comb.with_data(np.abs(comb.data))
     ksp = fftc(comb, fourier)
     return ReconResult(ksp, image)

@@ -401,6 +401,28 @@ class TestPipeline:
         image = load_bundle(tmp_path / "o" / "image").data
         assert np.isfinite(image).all() and np.abs(image).max() > 0
 
+    @pytest.mark.parametrize("exponent", [664, -664])
+    def test_grappa_recon_at_extreme_scale(self, pipeline, tmp_path, capsys,
+                                           exponent):
+        """GRAPPA's normal equations neither overflow nor underflow: the
+        k-space of data scaled by 2**±664 (about 1e±200) is the unscaled
+        k-space times the same factor, bit for bit."""
+        r = pipeline["root"]
+        factor = 2.0 ** exponent
+        data = load_bundle(r / "masked_kspace")
+        save_bundle(data.with_data(data.data * factor), tmp_path / "data")
+        capsys.readouterr()
+        for name in ("data", "plain"):
+            src = tmp_path / "data" if name == "data" else r / "masked_kspace"
+            assert main(["recon", "--config", str(pipeline["cfg"]),
+                         "--method", "grappa", "--data", str(src),
+                         "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                         "--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().err == ""
+        scaled = load_bundle(tmp_path / "data" / "kspace").data
+        plain = load_bundle(tmp_path / "plain" / "kspace").data
+        np.testing.assert_array_equal(scaled, plain * factor)
+
     def test_seed_flag_overrides_file(self, pipeline, tmp_path):
         assert main(["mask", "--config", str(pipeline["cfg"]), "--seed", "99",
                      "--out", str(tmp_path / "m")]) == 0

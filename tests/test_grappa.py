@@ -323,3 +323,22 @@ class TestDeterminism:
         a = grappa_recon(masked, mask).data
         b = grappa_recon(masked, mask).data
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("exponent", [-664, -7, 5, 664])
+    def test_weights_exact_under_power_of_two_scaling(self, exponent):
+        # the fit runs on windows scaled near max|acs| = 1, so a power-of-two
+        # factor on the data changes no bit of the weights or the residual,
+        # and 2**664 (about 1e200) no longer overflows the normal equations
+        ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20), seed=4)
+        mask = make_uniform_mask(
+            (32, 32), 2, 2, shift=1, acs_box=centered_acs_box((32, 32), (20, 20))
+        )
+        masked = apply_mask(ksp, mask)
+        base = grappa_kernel(masked, mask)
+        factor = 2.0 ** exponent
+        scaled = grappa_kernel(masked.with_data(masked.data * factor), mask)
+        np.testing.assert_array_equal(scaled.weights, base.weights)
+        assert scaled.residual == base.residual
+        np.testing.assert_array_equal(
+            grappa_apply(masked.with_data(masked.data * factor), mask, scaled).data,
+            grappa_apply(masked, mask, base).data * factor)
