@@ -34,13 +34,11 @@ from .sampling import (
     SamplingMask,
     apply_mask,
     centered_acs_box,
-    deshear,
     extract_acs,
     load_mask,
     make_elliptical_mask,
     make_kyt_mask,
     make_uniform_mask,
-    reshear,
     save_mask,
 )
 from .phantom import (

@@ -1,8 +1,8 @@
 """The one config schema: defaults, a checked merge, and the training config.
 
 A config is nested JSON objects whose leaves take the type of their
-default. The CLI reads ``DEFAULTS``; the bench harness merges its own
-scenario defaults with the same :func:`merge`.
+default, numbers finite. The CLI reads ``DEFAULTS``; the bench harness
+merges its own scenario defaults with the same :func:`merge`.
 """
 
 from __future__ import annotations
@@ -68,11 +68,16 @@ NUMBER_LISTS = ("phantom.te_ms",)  # non-empty lists of numbers
 # integer leaves whose default is None -> whether null is accepted
 INT_LEAVES = {"seed": False, "recon.acs_kx": True}
 POSITIVE = ("espirit.kernel_size", "recon.acs_kx")  # integer leaves >= 1 if set
-NONNEGATIVE = ("recon.lam",)  # finite numbers >= 0
+NONNEGATIVE = ("recon.lam",)  # number leaves >= 0
 
 
 def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _check_leaf(default, value, where: str) -> None:
@@ -82,8 +87,8 @@ def _check_leaf(default, value, where: str) -> None:
     elif isinstance(default, int):
         ok, want = _is_int(value), "an integer"
     elif isinstance(default, float):
-        ok = isinstance(value, Real) and not isinstance(value, bool)
-        want = "a number"
+        ok = _is_number(value)
+        want = "a finite number"
     else:
         return
     if not ok:
@@ -102,10 +107,9 @@ def _check_list(value, length: int, nullable: bool, where: str) -> None:
 
 
 def _check_numbers(value, where: str) -> None:
-    if not (isinstance(value, list) and value
-            and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"{where} must be a non-empty list of numbers, "
-                          f"got {value!r}")
+    if not (isinstance(value, list) and value and all(map(_is_number, value))):
+        raise ConfigError(f"{where} must be a non-empty list of finite "
+                          f"numbers, got {value!r}")
 
 
 def merge(defaults: dict, override, path: str = "config") -> dict:
@@ -132,9 +136,8 @@ def merge(defaults: dict, override, path: str = "config") -> dict:
             _check_leaf(defaults[key], value, where)
         if leaf in POSITIVE and value is not None and value < 1:
             raise ConfigError(f"{where} must be at least 1, got {value!r}")
-        if leaf in NONNEGATIVE and not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{where} must be a finite number >= 0, "
-                              f"got {value!r}")
+        if leaf in NONNEGATIVE and value < 0:
+            raise ConfigError(f"{where} must be >= 0, got {value!r}")
         out[key] = value
     return out
 

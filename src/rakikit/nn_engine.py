@@ -112,6 +112,8 @@ class TrainConfig:
             raise ConfigError(f"lr_decay must be in (0,1], got {self.lr_decay}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.widths) + 1 != len(self.kernel_sizes):
             raise ConfigError(
                 f"{len(self.kernel_sizes)} layers need {len(self.kernel_sizes) - 1} "

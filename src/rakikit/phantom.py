@@ -55,6 +55,8 @@ class PhantomSpec:
             raise ConfigError(f"unknown coil_model {self.coil_model!r}")
         if self.texture < 0:
             raise ConfigError(f"texture depth must be >= 0, got {self.texture}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for e in self.ellipsoids:
             if any(a <= 0 for a in e.semi_axes):
                 raise ConfigError("ellipsoid semi-axes must be positive")

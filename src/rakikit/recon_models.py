@@ -2,12 +2,12 @@
 single-model reconstruction, with multi-echo joint and ky-t variants.
 
 All learned modes share one geometry, owned by :mod:`rakikit.sampling`:
-deshear the pattern so the acquired set is a rectangular lattice (the
-ky-t shear included), decimate it into a dense grid of
-real/imaginary channels, and train a small 3D CNN whose output channels
-are the missing offsets of the sampling cell (2R per echo). Targets come
-from the ACS region only; the trained model is then applied across the
-whole decimated grid and the predictions scattered back to the lattice.
+each grid position is an anchor of the acquired lattice plus a cell offset
+(``lattice_cells``, ky-t included). The anchors form a dense decimated grid
+of real/imaginary channels, and a small 3D CNN predicts one channel pair per
+cell offset (2R per echo). Targets come from the ACS region only; the trained
+model runs over the whole decimated grid, and each grid position takes the
+prediction at its (offset, anchor).
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .errors import ConfigError, GeometryError
 from .espirit import SensitivityMaps, coil_combine, make_combo_target
 from .nn_engine import (ModelWeights, TrainConfig, init_model, predict,
                         receptive_field, train)
-from .sampling import (SamplingMask, acquired_coords, cell_offsets, deshear_array,
-                       extract_acs, make_elliptical_mask, make_uniform_mask, steps)
+from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
+                       lattice_cells, make_elliptical_mask, make_uniform_mask,
+                       steps)
 from .tensors import CTensor, fftc, ifftc
 
 MODES = ("raki_percoil", "eraki", "eraki_joint")
@@ -100,9 +101,6 @@ class OffsetTargetSet:
     inputs: np.ndarray  # real [2*Nc*Ne, nu, nv, nx]
     targets: np.ndarray  # real [2*R*Ne, ou, ov, ox]
     valid: np.ndarray  # bool, same shape as targets
-    offsets: list[tuple[int, int]]  # row-major over the sampling cell
-    scale: float
-    anchor_origin: tuple[int, int]  # decimated coords of inputs[:, 0, 0, :]
 
     @property
     def in_channels(self) -> int:
@@ -114,9 +112,9 @@ class OffsetTargetSet:
 
 
 def _decimated_input(problem: ReconProblem) -> np.ndarray:
-    """Desheared, decimated acquired grid, echoes stacked on the coil axis.
+    """Decimated acquired grid, echoes stacked on the coil axis.
 
-    Only the anchors are gathered: the desheared lattice points
+    Only the anchors are gathered: the rectangular-lattice points
     ``(u * s1, v * s2)``, mapped to the acquired frame.
     """
     mask0 = problem.masks[0]
@@ -178,8 +176,7 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
     mask0 = problem.masks[0]
     if mask0.acs_box is None:
         raise GeometryError("training requires a mask with an ACS box")
-    s1, s2 = steps(mask0)
-    offsets = cell_offsets(mask0)
+    n_off = len(cell_offsets(mask0))
     ne = problem.n_echoes
     dec = _decimated_input(problem)
     nu, nv, nx = dec.shape[1:]
@@ -191,23 +188,15 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
         raise GeometryError(
             f"target margin {mg} leaves no ACS interior in box {mask0.acs_box}"
         )
-    uu, vv = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
-    n_off = len(offsets)
+    box = (slice(b1 + mg, b1 + l1 - mg), slice(b2 + mg, b2 + l2 - mg))
     val = np.zeros((ne, n_off, nu, nv), dtype=bool)
-    sources = {}  # (echo, offset) -> acquired-frame (p1, p2) of its valid anchors
+    sources = []  # per echo: (offset, anchor) index of each acquired box position
     for e, mask in enumerate(problem.masks):
-        for k, (a, b) in enumerate(offsets):
-            i_d = uu * s1 + a
-            j_d = vv * s2 + b
-            i_a, j_a = acquired_coords(mask, i_d, j_d)
-            i_a, j_a = i_a % mask.extents[0], j_a % mask.extents[1]
-            ok = (
-                (i_a >= b1 + mg) & (i_a < b1 + l1 - mg)
-                & (j_a >= b2 + mg) & (j_a < b2 + l2 - mg)
-                & ~mask.never_acquired[i_a, j_a]
-            )
-            val[e, k] = ok
-            sources[e, k] = i_a[ok], j_a[ok]
+        ok = ~mask.never_acquired[box]
+        u, v, k = (c[box][ok] for c in lattice_cells(mask))
+        idx = (k, u % nu, v % nv)
+        val[e][idx] = True
+        sources.append((idx, ok))
 
     any_valid = val.any(axis=(0, 1))
     if not any_valid.any():
@@ -252,11 +241,11 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
         per_target = ([arr[c]] for c in coils)
     for combos in per_target:
         tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
-        for (e, k), (i_a, j_a) in sources.items():
-            tgt[e, k][val[e, k]] = combos[min(e, len(combos) - 1)][i_a, j_a, :]
+        for e, (idx, ok) in enumerate(sources):
+            tgt[e][idx] = combos[min(e, len(combos) - 1)][box][ok]
         tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
         targets = _complex_to_channels(tgt_c.reshape(ne * n_off, ou, ov, ox))
-        yield OffsetTargetSet(inputs, targets, valid, offsets, scale, (u0, v0))
+        yield OffsetTargetSet(inputs, targets, valid)
 
 
 def _acs_scale(problem: ReconProblem) -> float:
@@ -443,14 +432,10 @@ def _predict_grids(problem: ReconProblem, model: ModelWeights,
 
 
 def _scatter_echo(pred: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Offset predictions [n_off, nu, nv, nx] -> full acquired-frame grid."""
-    s1, s2 = steps(mask)
-    n1, n2 = mask.extents
-    nx = pred.shape[-1]
-    out = np.zeros((n1, n2, nx), dtype=np.complex128)
-    for k, (a, b) in enumerate(cell_offsets(mask)):
-        out[a::s1, b::s2, :] = pred[k]
-    out = deshear_array(out, mask, 0, inverse=True)
+    """Offset predictions [n_off, nu, nv, nx] -> full grid, by (offset, anchor)."""
+    nu, nv = pred.shape[1:3]
+    u, v, k = lattice_cells(mask)
+    out = pred[k, u % nu, v % nv]
     out[mask.never_acquired] = 0.0
     return out
 
@@ -459,10 +444,10 @@ def infer(models: ModelWeights | list[ModelWeights],
           problem: ReconProblem) -> ReconResult:
     """Apply trained weights across the full undersampled grid.
 
-    Combined modes return the coil-combined k-space as predicted (no data
-    consistency is defined on the combined grid); per-coil RAKI restores
-    the acquired multi-coil samples exactly (hard data consistency) and
-    combines with the full-grid maps for the image.
+    Only per-coil RAKI has hard data consistency: it restores the acquired
+    coil samples exactly, then combines with the full-grid maps. The
+    combined modes return their k-space as predicted, acquired positions
+    included: no data consistency is defined on the combined grid.
     """
     mask0 = problem.masks[0]
     p1l, p2l = mask0.axes

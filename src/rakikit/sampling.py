@@ -6,8 +6,8 @@ Elliptical corners are tracked separately as "never acquired" so they can
 be excluded from training losses and zeroed in outputs.
 
 The lattice geometry of GRAPPA and the learned models lives here: the
-rectangular steps of the desheared lattice plus one desheared->acquired
-map (:func:`acquired_coords`); everything else is derived from them.
+steps of a rectangular index lattice, one map from it to the acquired frame
+(:func:`acquired_coords`) and that map's inverse split (:func:`lattice_cells`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class SamplingMask:
     acs_box: tuple[tuple[int, int], tuple[int, int]] | None  # (start, length) per axis
     never_acquired: np.ndarray = field(default=None)
     kind: str = "lattice"  # "lattice" | "kyt"
-    desheared: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=bool))
@@ -51,8 +50,7 @@ class SamplingMask:
         ACS-only extras are ignored; never-acquired elliptical corners
         count as skipped (they need no acquisition time).
         """
-        lattice = on_lattice(replace(self, shift=0) if self.desheared else self)
-        sampled = (self.grid & lattice) if self.acs_box else self.grid
+        sampled = (self.grid & on_lattice(self)) if self.acs_box else self.grid
         return self.grid.size / int(sampled.sum())
 
 
@@ -74,12 +72,12 @@ def centered_acs_box(extents, acs_extents):
 
 
 def steps(mask: SamplingMask) -> tuple[int, int]:
-    """Steps of the rectangular lattice the acquired set deshears onto."""
+    """Steps of the rectangular index lattice the acquired set maps from."""
     return (mask.r1, 1) if mask.kind == "kyt" else (mask.r1, mask.r2)
 
 
 def acquired_coords(mask: SamplingMask, i, j, inverse: bool = False):
-    """Desheared (p1, p2) indices -> acquired frame, unwrapped (or back).
+    """Lattice (p1, p2) indices -> acquired frame, unwrapped (or back).
 
     CAIPI moves p2 by ``shift`` per R1 block of p1; ky-t moves ky by
     ``shift`` per frame.
@@ -110,9 +108,10 @@ def cell_offsets(mask: SamplingMask) -> list[tuple[int, int]]:
 def lattice_cells(mask: SamplingMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each grid position as anchor (u, v) plus cell offset, each [n1, n2].
 
-    The unwrapped desheared index, split by the steps: the anchor sits at
-    desheared ``(u * s1, v * s2)`` (possibly off the grid) and ``k``
-    indexes :func:`cell_offsets`, so ``k == 0`` is the pattern lattice.
+    The unwrapped lattice index, split by the steps: the anchor sits at
+    lattice index ``(u * s1, v * s2)`` (possibly off the grid) and ``k``
+    indexes :func:`cell_offsets`, so ``k == 0`` is the pattern lattice; on
+    extents that divide by the steps, ``(u % nu, v % nv)`` is a decimated index.
     """
     n1, n2 = mask.extents
     d1, d2 = acquired_coords(mask, *np.ogrid[:n1, :n2], inverse=True)
@@ -206,45 +205,6 @@ def extract_acs(x: CTensor, mask: SamplingMask) -> CTensor:
     return x.with_data(x.data[tuple(sl)].copy())
 
 
-def deshear_array(data: np.ndarray, mask: SamplingMask, axis: int,
-                  inverse: bool = False) -> np.ndarray:
-    """Gather ``data`` (p1, p2 on ``axis``, ``axis + 1``) onto the desheared
-    frame through the wrapped lattice map, or back with ``inverse``."""
-    n1, n2 = mask.extents
-    b1, b2 = acquired_coords(mask, *np.ogrid[:n1, :n2], inverse=inverse)
-    return data[(slice(None),) * axis + (b1 % n1, b2 % n2)]
-
-
-def deshear(x: CTensor | SamplingMask, mask: SamplingMask | None = None):
-    """Remap a CAIPI-shifted lattice onto the rectangular Delta=0 lattice.
-
-    Pass a SamplingMask alone, or a CTensor plus the mask describing its
-    pattern. Inverse of :func:`reshear` (bit-exact round trip).
-    """
-    return _shear(x, mask, inverse=False)
-
-
-def reshear(x: CTensor | SamplingMask, mask: SamplingMask | None = None):
-    return _shear(x, mask, inverse=True)
-
-
-def _shear(x, mask, inverse):
-    if isinstance(x, SamplingMask):
-        mask = x
-    if mask.kind == "kyt":
-        raise GeometryError("deshear applies to lattice masks only")
-    if isinstance(x, SamplingMask):
-        return replace(
-            x, grid=deshear_array(x.grid, x, 0, inverse),
-            never_acquired=deshear_array(x.never_acquired, x, 0, inverse),
-            desheared=not inverse,
-        )
-    _pattern_axis_indices(x, mask)  # extents must match the mask
-    y = x.transpose((*(a for a in x.axes if a not in mask.axes), *mask.axes))
-    out = deshear_array(y.data, mask, y.data.ndim - 2, inverse)
-    return y.with_data(out).transpose(x.axes)
-
-
 def save_mask(mask: SamplingMask, path: str | Path) -> None:
     """Mask as a 0/1 tensor bundle plus a JSON descriptor in meta."""
     desc = {
@@ -255,7 +215,6 @@ def save_mask(mask: SamplingMask, path: str | Path) -> None:
         "elliptical": mask.elliptical,
         "acs_box": [list(b) for b in mask.acs_box] if mask.acs_box else None,
         "kind": mask.kind,
-        "desheared": mask.desheared,
     }
     stack = np.stack([mask.grid, mask.never_acquired]).astype(np.complex128)
     save_bundle(CTensor(stack, ("maps", *mask.axes)), path, meta={"mask": desc})
@@ -267,11 +226,12 @@ def load_mask(path: str | Path) -> SamplingMask:
     keys = {"axes", "r1", "r2", "shift", "elliptical", "acs_box", "kind"}
     if not (isinstance(desc, dict) and keys <= desc.keys()):
         raise BundleError(f"bundle {path} has no complete mask descriptor")
+    if desc.get("desheared", False):
+        raise BundleError(f"bundle {path} holds an unsupported desheared mask")
     grid = np.real(x.data[0]) > 0.5
     never = np.real(x.data[1]) > 0.5
     box = tuple(tuple(b) for b in desc["acs_box"]) if desc["acs_box"] else None
     return SamplingMask(
         grid, tuple(desc["axes"]), desc["r1"], desc["r2"], desc["shift"],
         desc["elliptical"], box, never_acquired=never, kind=desc["kind"],
-        desheared=desc.get("desheared", False),
     )

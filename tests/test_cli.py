@@ -134,6 +134,12 @@ class TestExitCodes:
         {"seed": 1, "recon": {"lam": -1}},  # a finite number >= 0
         {"seed": 1, "recon": {"lam": float("nan")}},
         {"seed": 1, "recon": {"lam": float("inf")}},
+        {"seed": -1},
+        {"seed": 1, "phantom": {"texture": float("inf")}},  # finite numbers
+        {"seed": 1, "phantom": {"noise_sigma": float("nan")}},
+        {"seed": 1, "phantom": {"te_ms": [0.0, float("inf")]}},
+        {"seed": 1, "train": {"learning_rate": float("inf")}},
+        {"seed": 1, "fit": {"threshold": float("inf")}},
     ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
             "str-seed", "float-seed", "null-section", "list-section",
             "str-section", "zero-widths", "float-width", "number-widths",
@@ -146,7 +152,8 @@ class TestExitCodes:
             "recon-init", "recon-target-margin", "bench-section",
             "str-te-ms", "empty-te-ms", "str-acs-kx", "float-acs-kx",
             "list-acs-kx", "bool-acs-kx", "zero-acs-kx", "negative-lam",
-            "nan-lam", "inf-lam"])
+            "nan-lam", "inf-lam", "negative-seed", "inf-texture",
+            "nan-noise-sigma", "inf-te-ms", "inf-lr", "inf-fit-threshold"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -156,6 +163,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["phantom", "--seed", "-3", "--out", "{tmp}/o"],
+        ["bench", "--seed", "-3"],
+        ["phantom", "--config", "{tmp}/c.json", "--out", "{tmp}/o"],
+    ], ids=["phantom-negative-seed", "bench-negative-seed",
+            "negative-noise-sigma"])
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, argv):
+        (tmp_path / "c.json").write_text(
+            json.dumps({"seed": 1, "phantom": {"noise_sigma": -1}}))
+        capsys.readouterr()
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_int_accepted_for_float_leaf(self):
         merged = merge(DEFAULTS, {"seed": 1, "phantom": {"noise_sigma": 0}})

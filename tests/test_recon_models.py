@@ -416,7 +416,7 @@ class TestKytLearnedPath:
         zf = zerofill_recon(p)
         assert self.nrmse(res, s["ref"]) < self.nrmse(zf, s["ref"])
         # a ky shift per frame leaves the magnitude image unchanged, so the
-        # combined k-space is compared too: it catches a wrong reshear
+        # combined k-space is compared too: it catches a wrong map back to the grid
         ref_k = s["ref_k"]
         k_err = [np.linalg.norm(r.kspace.transpose(("kx", "ky", "t")).data
                                 - ref_k) for r in (res, zf)]

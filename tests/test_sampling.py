@@ -1,4 +1,6 @@
-"""Undersampling masks: lattices, CAIPI shifts, elliptical, ky-t, shears."""
+"""Undersampling masks: lattices, CAIPI shifts, elliptical, ky-t, mask I/O."""
+
+import json
 
 import numpy as np
 import pytest
@@ -12,18 +14,15 @@ from rakikit import (
     GeometryError,
     apply_mask,
     centered_acs_box,
-    deshear,
     extract_acs,
     load_mask,
     make_elliptical_mask,
     make_kyt_mask,
     make_uniform_mask,
-    reshear,
     save_bundle,
     save_mask,
 )
-from rakikit.sampling import (acquired_coords, cell_offsets, deshear_array,
-                              lattice_cells, steps)
+from rakikit.sampling import acquired_coords, cell_offsets, lattice_cells, steps
 
 
 def rand_c(shape, seed=0):
@@ -143,49 +142,8 @@ class TestApplyExtract:
             extract_acs(x, make_uniform_mask((8, 8), 2, 2))
 
 
-class TestShear:
-    def test_mask_deshear_is_rectangular(self):
-        m = make_uniform_mask((12, 6), 3, 2, shift=1)
-        d = deshear(m)
-        i, j = np.meshgrid(np.arange(12), np.arange(6), indexing="ij")
-        np.testing.assert_array_equal(d.grid, (i % 3 == 0) & (j % 2 == 0))
-        assert d.desheared
-
-    def test_tensor_roundtrip_bit_exact(self):
-        x = CTensor(rand_c((3, 5, 12, 6)), ("coil", "kx", "ky", "kz"))
-        m = make_uniform_mask((12, 6), 3, 2, shift=1)
-        back = reshear(deshear(x, m), m)
-        np.testing.assert_array_equal(back.data, x.data)
-
-    def test_deshear_consistent_with_grid(self):
-        m = make_uniform_mask((12, 6), 3, 2, shift=1)
-        x = CTensor(m.grid.astype(complex), ("ky", "kz"))
-        d = deshear(x, m)
-        np.testing.assert_array_equal(np.real(d.data) > 0.5, deshear(m).grid)
-
-    def test_kyt_deshear_raises(self):
-        m = make_kyt_mask(8, 4, 4, shift=1)
-        with pytest.raises(GeometryError):
-            deshear(m)
-
-    @given(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=3),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_roundtrip_any_pattern(self, r1, r2, shift):
-        if shift >= r2:
-            shift = shift % r2
-        m = make_uniform_mask((8, 8), r1, r2, shift=shift)
-        x = CTensor(rand_c((2, 3, 8, 8), seed=r1 * 16 + r2 * 4 + shift),
-                    ("coil", "kx", "ky", "kz"))
-        back = reshear(deshear(x, m), m)
-        np.testing.assert_array_equal(back.data, x.data)
-
-
 class TestOneGeometry:
-    """Everything derives from the steps and the desheared->acquired map."""
+    """Everything derives from the steps and the lattice->acquired map."""
 
     @given(
         st.sampled_from(["lattice", "kyt"]),
@@ -206,19 +164,9 @@ class TestOneGeometry:
         n1, n2 = mask.extents
         assert n1 % s1 == 0 and n2 % s2 == 0
 
-        # deshear then reshear is the identity, for both kinds
-        x = rand_c((2, n1, n2, 3), seed=r1 + 5 * r2 + 25 * shift)
-        there = deshear_array(x, mask, 1)
-        np.testing.assert_array_equal(
-            deshear_array(there, mask, 1, inverse=True), x)
-
-        # desheared, the acquired grid is the rectangular step lattice
-        i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-        np.testing.assert_array_equal(
-            deshear_array(mask.grid, mask, 0), (i % s1 == 0) & (j % s2 == 0))
-
         # every grid position is one (anchor, cell offset) and maps back from
         # it; offset 0 is exactly the acquired lattice
+        i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
         u, v, k = lattice_cells(mask)
         np.testing.assert_array_equal(k == 0, mask.grid)
         assert len(set(zip(u.ravel(), v.ravel(), k.ravel()))) == n1 * n2
@@ -258,3 +206,24 @@ class TestMaskIO:
                     tmp_path / "m", meta=meta)
         with pytest.raises(BundleError, match="mask descriptor"):
             load_mask(tmp_path / "m")
+
+    @pytest.mark.parametrize("flag", [None, False, True],
+                             ids=["absent", "false", "true"])
+    def test_desheared_descriptor(self, tmp_path, flag):
+        """A bundle written with the old ``desheared`` key loads only if the
+        mask is in the acquired frame; a desheared one is a BundleError."""
+        mask = make_uniform_mask((12, 8), 3, 2, shift=1,
+                                 acs_box=centered_acs_box((12, 8), (6, 4)))
+        save_mask(mask, tmp_path / "m")
+        header = json.loads((tmp_path / "m.json").read_text())
+        assert "desheared" not in header["meta"]["mask"]
+        if flag is not None:
+            header["meta"]["mask"]["desheared"] = flag
+        (tmp_path / "m.json").write_text(json.dumps(header))
+        if flag:
+            with pytest.raises(BundleError, match="desheared"):
+                load_mask(tmp_path / "m")
+        else:
+            back = load_mask(tmp_path / "m")
+            np.testing.assert_array_equal(back.grid, mask.grid)
+            assert back.acceleration() == mask.acceleration()

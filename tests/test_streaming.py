@@ -36,7 +36,7 @@ from rakikit import (
 from rakikit import recon_models
 from rakikit.espirit import SensitivityMaps
 from rakikit.recon_models import _decimated_input, _train_float32, linear_init
-from rakikit.sampling import deshear_array, steps
+from rakikit.sampling import acquired_coords, steps
 
 CFG = TrainConfig(iterations=2, widths=(8, 8, 8, 8),
                   kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1),
@@ -92,12 +92,20 @@ def boxed_combo_reference(x, m, mask):
     return centred_reference(scipy.fft.fftn, combine_reference(img, m), (0, 1, 2))
 
 
+def lattice_gather(data, mask):
+    """Every rectangular-lattice index of [c, p1, p2, ...], gathered from the
+    acquired frame through the wrapped map."""
+    n1, n2 = mask.extents
+    i, j = acquired_coords(mask, *np.ogrid[:n1, :n2])
+    return data[:, i % n1, j % n2]
+
+
 def decimated_reference(x, masks):
-    """Full deshear gather of [coil, (echo,) kx, p1, p2], then decimation."""
+    """Full lattice gather of [coil, (echo,) kx, p1, p2], then decimation."""
     arr = x if x.ndim == 5 else x[:, None]
     arr = np.moveaxis(arr, 2, -1)  # [coil, echo, p1, p2, kx]
     s1, s2 = steps(masks[0])
-    return np.concatenate([deshear_array(arr[:, e], mask, 1)[:, ::s1, ::s2, :]
+    return np.concatenate([lattice_gather(arr[:, e], mask)[:, ::s1, ::s2, :]
                            for e, mask in enumerate(masks)], axis=0)
 
 
