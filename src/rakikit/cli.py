@@ -96,9 +96,9 @@ def cmd_phantom(args) -> int:
         noise_sigma=p["noise_sigma"],
         texture=p["texture"],
     )
+    ph = make_phantom(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ph = make_phantom(spec)
     for name in ("kspace", "images", "sens_true", "t2_true", "t2star_true"):
         save_bundle(ph[name], out / name)
     write_manifest(out, "phantom", cfg, {})

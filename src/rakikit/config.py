@@ -68,7 +68,7 @@ NUMBER_LISTS = ("phantom.te_ms",)  # non-empty lists of numbers
 # integer leaves whose default is None -> whether null is accepted
 INT_LEAVES = {"seed": False, "recon.acs_kx": True}
 POSITIVE = ("espirit.kernel_size", "recon.acs_kx")  # integer leaves >= 1 if set
-NONNEGATIVE = ("recon.lam",)  # number leaves >= 0
+NONNEGATIVE = ("recon.lam", "fit.threshold")  # number leaves >= 0
 
 
 def _is_int(value) -> bool:
@@ -89,6 +89,8 @@ def _check_leaf(default, value, where: str) -> None:
     elif isinstance(default, float):
         ok = _is_number(value)
         want = "a finite number"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
     else:
         return
     if not ok:

@@ -23,7 +23,7 @@ from scipy.linalg.blas import zgemm, zherk
 
 from .errors import GeometryError, NumericalError
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
-                       lattice_basis, lattice_cells, steps)
+                       internal_view, lattice_basis, lattice_cells, steps)
 from .tensors import CTensor, crop_center
 
 DEFAULT_BLOCKS = (4, 4)
@@ -194,15 +194,6 @@ def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
     return out
 
 
-def _to_internal(x: CTensor, mask: SamplingMask) -> CTensor:
-    """Transpose to [coil, kx, p1, p2]."""
-    order = ("coil", "kx", *mask.axes)
-    extra = [a for a in x.axes if a not in order]
-    if extra:
-        raise GeometryError(f"unexpected axes {extra}; reduce echo first")
-    return x.transpose(order)
-
-
 def grappa_apply(kspace_masked: CTensor, mask: SamplingMask,
                  kernel: GrappaKernel) -> CTensor:
     """Fill missing k-space by kernel interpolation; acquired entries kept.
@@ -217,10 +208,11 @@ def grappa_apply(kspace_masked: CTensor, mask: SamplingMask,
             f"{kernel.kind}) does not match mask ({mask.r1}x{mask.r2}, "
             f"shift {mask.shift}, {mask.kind})"
         )
-    xi = _to_internal(kspace_masked, mask)
-    filled = _fill_missing(xi.data, mask, kernel)
-    filled[:, :, mask.never_acquired] = 0.0  # [coil, kx, p1, p2]
-    return xi.with_data(filled).transpose(kspace_masked.axes)
+    if kspace_masked.has_axis("echo"):
+        raise GeometryError("unexpected axes ['echo']; reduce echo first")
+    filled = _fill_missing(internal_view(kspace_masked, mask), mask, kernel)
+    filled[:, :, mask.never_acquired] = 0.0
+    return CTensor(filled, ("coil", "kx", *mask.axes)).transpose(kspace_masked.axes)
 
 
 def grappa_kernel(kspace_masked: CTensor, mask: SamplingMask,
@@ -232,10 +224,12 @@ def grappa_kernel(kspace_masked: CTensor, mask: SamplingMask,
     ``acs_kx`` optionally restricts the calibration readout window (the
     ky-t use case, e.g. a 32-sample central kx window).
     """
+    if kspace_masked.has_axis("echo"):
+        raise GeometryError("unexpected axes ['echo']; reduce echo first")
     acs = extract_acs(kspace_masked, mask)
     if acs_kx is not None:
         acs = crop_center(acs, {"kx": acs_kx})
-    return grappa_calibrate(_to_internal(acs, mask).data, mask, blocks, taps, lam)
+    return grappa_calibrate(internal_view(acs, mask), mask, blocks, taps, lam)
 
 
 def grappa_recon(kspace_masked: CTensor, mask: SamplingMask,

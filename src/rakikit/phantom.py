@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .tensors import CTensor, fftc_nd, ifftc_nd, center_slices
 
 
@@ -180,12 +180,15 @@ def make_compact_coils(extents: tuple[int, int, int], n_coils: int,
     return CTensor(maps, ("coil", "kx", "ky", "kz"))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def make_phantom(spec: PhantomSpec) -> dict[str, CTensor]:
     """Generate ground truth k-space, images, sensitivities, and T maps.
 
     Returns a dict with keys ``kspace`` [coil, echo, kx, ky, kz],
     ``images`` (coil-free, [echo, kx, ky, kz]), ``coil_images``,
     ``sens_true`` [coil, kx, ky, kz], ``t2_true``, ``t2star_true``.
+    A texture or noise level that takes the k-space beyond float64 is a
+    NumericalError (non-finite images reach the k-space too).
     """
     amp, t2, t2star = _paint(spec)
     tmap = t2 if spec.echo_type == "spin" else t2star
@@ -202,10 +205,9 @@ def make_phantom(spec: PhantomSpec) -> dict[str, CTensor]:
 
     ne = len(spec.te_ms)
     images = np.empty((ne, *spec.extents), dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for e, te in enumerate(spec.te_ms):
-            decay = np.where(support, np.exp(-te / np.where(support, tmap, 1.0)), 0.0)
-            images[e] = amp * decay
+    for e, te in enumerate(spec.te_ms):
+        decay = np.where(support, np.exp(-te / np.where(support, tmap, 1.0)), 0.0)
+        images[e] = amp * decay
 
     coil_images = sens[:, None] * images[None]  # [coil, echo, x, y, z]
     kspace = fftc_nd(coil_images, axes=(2, 3, 4))
@@ -215,6 +217,9 @@ def make_phantom(spec: PhantomSpec) -> dict[str, CTensor]:
             kspace.shape
         )
         kspace = kspace + spec.noise_sigma * noise / np.sqrt(2)
+    if not np.isfinite(kspace).all():
+        raise NumericalError("phantom k-space is not finite; lower texture "
+                             "or noise_sigma")
 
     k_axes = ("coil", "echo", "kx", "ky", "kz")
     return {

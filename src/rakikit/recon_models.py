@@ -7,7 +7,9 @@ each grid position is an anchor of the acquired lattice plus a cell offset
 of real/imaginary channels, and a small 3D CNN predicts one channel pair per
 cell offset (2R per echo). Targets come from the ACS region only; the trained
 model runs over the whole decimated grid, and each grid position takes the
-prediction at its (offset, anchor).
+prediction at its (offset, anchor). K-space keeps the working order of
+``sampling.internal_view``; the network's [channel, nu, nv, nx] grid is
+entered only in ``_decimated_input`` and left only in ``_scatter_echo``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .espirit import SensitivityMaps, coil_combine, make_combo_target
 from .nn_engine import (ModelWeights, TrainConfig, init_model, predict,
                         receptive_field, train)
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
-                       lattice_cells, make_elliptical_mask, make_uniform_mask,
-                       steps)
+                       internal_view, lattice_cells, make_elliptical_mask,
+                       make_uniform_mask, steps)
 from .tensors import CTensor, fftc, ifftc
 
 MODES = ("raki_percoil", "eraki", "eraki_joint")
@@ -44,8 +46,9 @@ class ReconProblem:
             raise GeometryError(
                 f"{ne} echoes need {ne} masks, got {len(self.masks)}"
             )
-        if self.mode == "raki_percoil" and ne != 1:
-            raise ConfigError("per-coil RAKI supports a single echo")
+        if self.mode == "raki_percoil" and self.kspace_masked.has_axis("echo"):
+            raise ConfigError("per-coil RAKI supports a single echo, without "
+                              "an echo axis")
         if self.mode != "raki_percoil" and self.maps is None:
             raise ConfigError(f"mode {self.mode!r} requires sensitivity maps")
 
@@ -69,17 +72,6 @@ def echo_shifted_masks(mask: SamplingMask, n_echo: int) -> tuple[SamplingMask, .
               shift=(mask.shift + e) % mask.r2, acs_box=mask.acs_box)
         for e in range(n_echo)
     )
-
-
-def _to_internal(x: CTensor, mask: SamplingMask) -> np.ndarray:
-    """[coil, (echo,) p1, p2, kx] view of a named tensor's data."""
-    order = ["coil"]
-    if x.has_axis("echo"):
-        order.append("echo")
-    order += [mask.axes[0], mask.axes[1], "kx"]
-    if set(order) != set(x.axes):
-        raise GeometryError(f"unexpected axes {x.axes}, need {order}")
-    return np.transpose(x.data, [x.axis(a) for a in order])
 
 
 def _complex_to_channels(arr: np.ndarray) -> np.ndarray:
@@ -112,7 +104,8 @@ class OffsetTargetSet:
 
 
 def _decimated_input(problem: ReconProblem) -> np.ndarray:
-    """Decimated acquired grid, echoes stacked on the coil axis.
+    """Decimated acquired grid [Nc*Ne, nu, nv, nx], echoes stacked on the
+    coil axis.
 
     Only the anchors are gathered: the rectangular-lattice points
     ``(u * s1, v * s2)``, mapped to the acquired frame.
@@ -124,18 +117,18 @@ def _decimated_input(problem: ReconProblem) -> np.ndarray:
         raise GeometryError(
             f"pattern extents {mask0.extents} must divide by steps {(s1, s2)}"
         )
-    arr = _to_internal(problem.kspace_masked, mask0)
+    arr = internal_view(problem.kspace_masked, mask0)
     if arr.ndim == 4:
         arr = arr[:, None]
     per_echo = []
     for e, mask in enumerate(problem.masks):
         i, j = acquired_coords(mask, *np.ogrid[:n1:s1, :n2:s2])
-        per_echo.append(arr[:, e, i % n1, j % n2])
-    return np.concatenate(per_echo, axis=0)  # [Nc*Ne, nu, nv, nx]
+        per_echo.append(arr[:, e][:, :, i % n1, j % n2])  # [Nc, nx, nu, nv]
+    return np.moveaxis(np.concatenate(per_echo), 1, -1)  # [Nc*Ne, nu, nv, nx]
 
 
 def _combo_targets_per_echo(problem: ReconProblem) -> list[np.ndarray]:
-    """y_combo per echo on the full grid, [n1, n2, nx] in (p1, p2, kx) order.
+    """y_combo per echo on the full grid, [kx, n1, n2] each.
 
     The ACS box is embedded in an otherwise-zero full grid and combined
     with the full-grid maps, so interior target values agree with the
@@ -146,8 +139,7 @@ def _combo_targets_per_echo(problem: ReconProblem) -> list[np.ndarray]:
     x = problem.kspace_masked
     echo = ("echo",) if x.has_axis("echo") else ()
     y = make_combo_target(x.transpose(("coil", *echo, "kx", *mask0.axes)),
-                          problem.maps, mask0)
-    y = y.transpose((*echo, *mask0.axes, "kx")).data
+                          problem.maps, mask0).data
     return list(y) if echo else [y]
 
 
@@ -237,12 +229,12 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
         per_target = [_combo_targets_per_echo(problem)]
     else:
         # per-coil RAKI: the target is the coil's own measured k-space
-        arr = _to_internal(problem.kspace_masked, mask0)
+        arr = internal_view(problem.kspace_masked, mask0)
         per_target = ([arr[c]] for c in coils)
     for combos in per_target:
         tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
         for e, (idx, ok) in enumerate(sources):
-            tgt[e][idx] = combos[min(e, len(combos) - 1)][box][ok]
+            tgt[e][idx] = combos[e][(slice(None), *box)][:, ok].T
         tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
         targets = _complex_to_channels(tgt_c.reshape(ne * n_off, ou, ov, ox))
         yield OffsetTargetSet(inputs, targets, valid)
@@ -252,9 +244,11 @@ def _acs_scale(problem: ReconProblem) -> float:
     """RMS normalization keeps the data loss O(1) against the weight penalty.
 
     The RMS is taken of |acs| / max|acs| and scaled back, so squaring
-    neither overflows nor underflows at any magnitude float64 can hold.
+    neither overflows nor underflows at any magnitude float64 can hold. The
+    sum runs in the working order, so it is the same in any axis order.
     """
-    mag = np.abs(extract_acs(problem.kspace_masked, problem.masks[0]).data)
+    acs = extract_acs(problem.kspace_masked, problem.masks[0])
+    mag = np.abs(np.ascontiguousarray(internal_view(acs, problem.masks[0])))
     peak = float(mag.max())
     if peak == 0:
         raise GeometryError("ACS region is identically zero")
@@ -432,11 +426,12 @@ def _predict_grids(problem: ReconProblem, model: ModelWeights,
 
 
 def _scatter_echo(pred: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Offset predictions [n_off, nu, nv, nx] -> full grid, by (offset, anchor)."""
+    """Offset predictions [n_off, nu, nv, nx] -> full grid [nx, n1, n2], by
+    (offset, anchor)."""
     nu, nv = pred.shape[1:3]
     u, v, k = lattice_cells(mask)
-    out = pred[k, u % nu, v % nv]
-    out[mask.never_acquired] = 0.0
+    out = np.moveaxis(pred, -1, 0)[:, k, u % nu, v % nv]
+    out[:, mask.never_acquired] = 0.0
     return out
 
 
@@ -461,14 +456,13 @@ def infer(models: ModelWeights | list[ModelWeights],
             raise GeometryError(
                 f"{problem.n_coils} coils need as many models, got {len(model_list)}"
             )
-        acq = _to_internal(problem.kspace_masked, mask0)  # [coil, p1, p2, kx]
-        out = np.empty((problem.n_coils, acq.shape[-1], *mask0.extents),
-                       dtype=np.complex128)  # [coil, kx, p1, p2]
+        acq = internal_view(problem.kspace_masked, mask0)
+        out = np.empty(acq.shape, dtype=np.complex128)  # [coil, kx, p1, p2]
         shared = _model_input(problem, model_list[0].receptive_field)
         for c, model in enumerate(model_list):
             pred = _predict_grids(problem, model, shared)  # [n_off, nu, nv, nx]
-            out[c] = _scatter_echo(pred, mask0).transpose(2, 0, 1)
-        out[:, :, mask0.grid] = np.moveaxis(acq, -1, 1)[:, :, mask0.grid]
+            out[c] = _scatter_echo(pred, mask0)
+        out[:, :, mask0.grid] = acq[:, :, mask0.grid]
         ksp = CTensor(out, ("coil", "kx", p1l, p2l))
         ksp = ksp.transpose(problem.kspace_masked.axes)
         if problem.maps is None:
@@ -483,8 +477,7 @@ def infer(models: ModelWeights | list[ModelWeights],
         _scatter_echo(pred[e * n_off : (e + 1) * n_off], problem.masks[e])
         for e in range(ne)
     ]
-    combined = np.stack(per_echo)  # [echo, p1, p2, kx]
-    ksp = CTensor(combined.transpose(0, 3, 1, 2), ("echo", "kx", p1l, p2l))
+    ksp = CTensor(np.stack(per_echo), ("echo", "kx", p1l, p2l))
     img = ifftc(ksp, fourier)
     image = img.with_data(np.abs(img.data))
     if not problem.kspace_masked.has_axis("echo"):

@@ -8,6 +8,7 @@ be excluded from training losses and zeroed in outputs.
 The lattice geometry of GRAPPA and the learned models lives here: the
 steps of a rectangular index lattice, one map from it to the acquired frame
 (:func:`acquired_coords`) and that map's inverse split (:func:`lattice_cells`).
+So does their working order, [coil, (echo,) kx, p1, p2] (:func:`internal_view`).
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def make_uniform_mask(extents, r1, r2, shift=0, acs_box=None) -> SamplingMask:
 
 def make_elliptical_mask(extents, r1, r2, shift=0, acs_box=None) -> SamplingMask:
     """Uniform CAIPI lattice intersected with the inscribed ellipse."""
+    if min(extents) < 2:
+        raise ConfigError(f"an elliptical mask needs extents >= 2, got {extents}")
     base = make_uniform_mask(extents, r1, r2, shift, acs_box)
     interior = _ellipse_interior(extents)
     grid = base.grid & interior
@@ -185,6 +188,16 @@ def _broadcast_grid(x: CTensor, mask: SamplingMask, grid: np.ndarray) -> np.ndar
     shape[a1] = mask.extents[0]
     shape[a2] = mask.extents[1]
     return (grid if a1 < a2 else grid.T).reshape(shape)
+
+
+def internal_view(x: CTensor, mask: SamplingMask) -> np.ndarray:
+    """[coil, (echo,) kx, p1, p2] view of a tensor's data: the working order
+    of GRAPPA and the learned models, that of the bundles and ESPIRiT."""
+    echo = ["echo"] if x.has_axis("echo") else []
+    order = ["coil", *echo, "kx", *mask.axes]
+    if set(order) != set(x.axes):
+        raise GeometryError(f"unexpected axes {x.axes}, need {order}")
+    return np.transpose(x.data, [x.axis(a) for a in order])
 
 
 def apply_mask(x: CTensor, mask: SamplingMask) -> CTensor:
@@ -220,6 +233,37 @@ def save_mask(mask: SamplingMask, path: str | Path) -> None:
     save_bundle(CTensor(stack, ("maps", *mask.axes)), path, meta={"mask": desc})
 
 
+def _box_fits(box, extents) -> bool:
+    return isinstance(box, list) and len(box) == 2 and all(
+        isinstance(b, list) and len(b) == 2 and all(type(i) is int for i in b)
+        and b[0] >= 0 and b[1] >= 1 and b[0] + b[1] <= n
+        for b, n in zip(box, extents))
+
+
+def _descriptor_fault(desc: dict, x: CTensor) -> str | None:
+    """What makes a mask descriptor unfit for its [maps=2, p1, p2] bundle."""
+    r1, r2, shift, box = desc["r1"], desc["r2"], desc["shift"], desc["acs_box"]
+    if x.data.ndim != 3 or x.axes[0] != "maps" or x.shape[0] != 2:
+        return f"data {x.axes} of shape {x.shape} is not a [maps=2, p1, p2] stack"
+    if desc["axes"] != list(x.axes[1:]):
+        return f"axes {desc['axes']!r} are not the bundle's {list(x.axes[1:])}"
+    if desc["kind"] not in ("lattice", "kyt"):
+        return f"kind {desc['kind']!r} is neither 'lattice' nor 'kyt'"
+    if not all(type(r) is int and r >= 1 for r in (r1, r2)):
+        return f"r1 {r1!r} and r2 {r2!r} must be integers >= 1"
+    if desc["kind"] == "kyt" and r2 != 1:
+        return f"a ky-t mask has r2 1, not {r2}"
+    lattice = desc["kind"] == "lattice"
+    if type(shift) is not int or (lattice and not 0 <= shift < r2):
+        return f"shift {shift!r} must be an integer, in [0, r2) for a lattice"
+    if type(desc["elliptical"]) is not bool:
+        return f"elliptical {desc['elliptical']!r} must be a boolean"
+    if box is not None and not _box_fits(box, x.shape[1:]):
+        return (f"acs_box {box!r} is not two [start, length] pairs inside "
+                f"{x.shape[1:]}")
+    return None
+
+
 def load_mask(path: str | Path) -> SamplingMask:
     x = load_bundle(path)
     desc = bundle_meta(path).get("mask")
@@ -228,6 +272,9 @@ def load_mask(path: str | Path) -> SamplingMask:
         raise BundleError(f"bundle {path} has no complete mask descriptor")
     if desc.get("desheared", False):
         raise BundleError(f"bundle {path} holds an unsupported desheared mask")
+    bad = _descriptor_fault(desc, x)
+    if bad:
+        raise BundleError(f"mask bundle {path}: {bad}")
     grid = np.real(x.data[0]) > 0.5
     never = np.real(x.data[1]) > 0.5
     box = tuple(tuple(b) for b in desc["acs_box"]) if desc["acs_box"] else None

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from rakikit import (
     CTensor,
     apply_mask,
+    default_spec,
     extract_acs,
     grappa_kernel,
     grappa_recon,
     load_bundle,
+    make_phantom,
     save_bundle,
 )
 from rakikit.bench import BENCH_METHODS, thread_count
@@ -140,6 +142,8 @@ class TestExitCodes:
         {"seed": 1, "phantom": {"te_ms": [0.0, float("inf")]}},
         {"seed": 1, "train": {"learning_rate": float("inf")}},
         {"seed": 1, "fit": {"threshold": float("inf")}},
+        {"seed": 1, "mask": {"kind": "elliptical", "extents": [1, 8],
+                             "r1": 1, "acs": None}},  # ellipse of extent 1
     ], ids=["str-number", "float-int", "bool-int", "bool-float", "int-bool",
             "str-seed", "float-seed", "null-section", "list-section",
             "str-section", "zero-widths", "float-width", "number-widths",
@@ -153,7 +157,8 @@ class TestExitCodes:
             "str-te-ms", "empty-te-ms", "str-acs-kx", "float-acs-kx",
             "list-acs-kx", "bool-acs-kx", "zero-acs-kx", "negative-lam",
             "nan-lam", "inf-lam", "negative-seed", "inf-texture",
-            "nan-noise-sigma", "inf-te-ms", "inf-lr", "inf-fit-threshold"])
+            "nan-noise-sigma", "inf-te-ms", "inf-lr", "inf-fit-threshold",
+            "elliptical-extent-1"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -177,6 +182,19 @@ class TestExitCodes:
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("leaf", ["texture", "noise_sigma"])
+    def test_nonfinite_phantom_is_numerical_error(self, tmp_path, capsys, leaf):
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"seed": 1, "phantom": {"extents": [4, 8, 8], "n_coils": 2,
+                                    leaf: 1e308}}))
+        capsys.readouterr()
+        assert main(["phantom", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "not finite" in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
@@ -305,6 +323,22 @@ class TestExitCodes:
         assert err.startswith("data error:") and "mask descriptor" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_mask_descriptor_value_is_data_error(self, pipeline, tmp_path,
+                                                 capsys):
+        r = pipeline["root"]
+        mask = tmp_path / "mask"
+        header = json.loads((r / "mask" / "mask.json").read_text())
+        header["meta"]["mask"]["r1"] = "x"
+        save_bundle(load_bundle(r / "mask" / "mask"), mask)
+        (tmp_path / "mask.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "grappa", "--data", str(r / "masked_kspace"),
+                     "--mask", str(mask), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: mask bundle") and "r1" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
     def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
                                                        seed):
@@ -370,6 +404,125 @@ class TestTrainSectionFuzz:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
         assert err.count("\n") == (code != 0)
+
+
+WRONG = st.sampled_from(["x", None, True, 2.5, [1], {"a": 1}])
+COUNT = st.integers(-1, 33)
+
+
+def extent_lists(n):
+    """Mostly n extents of at most 32; else any of -1 to 32, any length."""
+    valid = st.lists(st.integers(1, 32), min_size=n, max_size=n)
+    return st.one_of(valid, valid, st.lists(st.integers(-1, 32), max_size=n + 1))
+
+
+@st.composite
+def sections(draw, required, optional):
+    """A config section: its leaves drawn, and in half the draws one leaf of
+    the wrong type."""
+    leaves = draw(st.fixed_dictionaries(required, optional=optional))
+    wrong = draw(st.none() | st.tuples(
+        st.sampled_from(sorted({**required, **optional})), WRONG))
+    if wrong is not None:
+        leaves[wrong[0]] = wrong[1]
+    return leaves
+
+
+PHANTOM = sections(
+    # extents and coils always drawn: the defaults are larger than the bound
+    {"extents": extent_lists(3), "n_coils": st.integers(-1, 4)},
+    {"coil_model": st.sampled_from(["smooth", "compact", "x"]),
+     "coil_support": st.integers(-1, 9),
+     "te_ms": st.one_of(st.sampled_from([[0.0], [8.0, 40.0]]),
+                        st.lists(NUMBER, max_size=2)),
+     "echo_type": st.sampled_from(["spin", "gradient", "x"]),
+     "noise_sigma": NUMBER, "texture": NUMBER})
+MASK = sections(
+    {"extents": extent_lists(2)},
+    {"kind": st.sampled_from(["uniform", "elliptical", "kyt", "x"]),
+     "r1": COUNT, "r2": COUNT, "shift": st.integers(-2, 33),
+     "acs": st.none() | extent_lists(2)})
+ESPIRIT = sections(
+    {}, {"kernel_size": st.integers(-1, 12), "sigma_threshold": UNIT,
+         "crop_threshold": UNIT, "out_extents": st.none() | extent_lists(2)})
+RECON = sections({}, {"acs_kx": st.none() | COUNT, "lam": NUMBER})
+FIT = sections({}, {"threshold": NUMBER})
+
+
+@pytest.fixture(scope="module")
+def echoes(tmp_path_factory):
+    """A small 3-echo magnitude-image bundle for ``rakikit fit``."""
+    root = tmp_path_factory.mktemp("echoes")
+    ph = make_phantom(default_spec(extents=(4, 8, 8), n_coils=1,
+                                   te_ms=(8.0, 40.0, 80.0), seed=3))
+    save_bundle(ph["images"], root / "image")
+    return root / "image"
+
+
+class TestConfigSectionFuzz:
+    """Every config section, through the cheapest command that reads it,
+    ends in exit 0, 2, 3 or 4 with at most one stderr line."""
+
+    @staticmethod
+    def exits_cleanly(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert err.count("\n") == (code != 0)
+
+    @staticmethod
+    def config(root, doc):
+        cfg = root / "fuzz.json"
+        cfg.write_text(json.dumps(doc))
+        return str(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(section=PHANTOM)
+    def test_phantom(self, pipeline, section):
+        r = pipeline["root"]
+        self.exits_cleanly(["phantom", "--config",
+                            self.config(r, {"seed": 11, "phantom": section}),
+                            "--out", str(r / "fuzz_phantom")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(section=MASK)
+    def test_mask(self, pipeline, section):
+        r = pipeline["root"]
+        self.exits_cleanly(["mask", "--config",
+                            self.config(r, {"seed": 11, "mask": section}),
+                            "--out", str(r / "fuzz_mask")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(section=ESPIRIT)
+    def test_espirit(self, pipeline, section):
+        r = pipeline["root"]
+        self.exits_cleanly(["maps", "--config",
+                            self.config(r, {"seed": 11, "espirit": section}),
+                            "--acs", str(r / "acs"),
+                            "--out", str(r / "fuzz_maps")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(section=RECON)
+    def test_recon(self, pipeline, section):
+        r = pipeline["root"]
+        self.exits_cleanly(["recon", "--config",
+                            self.config(r, {**CONFIG, "recon": section}),
+                            "--method", "grappa",
+                            "--data", str(r / "masked_kspace"),
+                            "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                            "--out", str(r / "fuzz_recon")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(section=FIT)
+    def test_fit(self, pipeline, echoes, section):
+        r = pipeline["root"]
+        self.exits_cleanly(["fit", "--config",
+                            self.config(r, {"seed": 11, "fit": section}),
+                            "--echoes", str(echoes), "--te", "8,40,80",
+                            "--out", str(r / "fuzz_fit")])
 
 
 class TestPipeline:

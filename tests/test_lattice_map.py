@@ -31,8 +31,8 @@ from rakikit.espirit import SensitivityMaps
 from rakikit.nn_engine import receptive_field
 from rakikit.recon_models import (_acs_scale, _combo_targets_per_echo,
                                   _complex_to_channels, _decimated_input,
-                                  _scatter_echo, _to_internal)
-from rakikit.sampling import acquired_coords, cell_offsets, steps
+                                  _scatter_echo)
+from rakikit.sampling import acquired_coords, cell_offsets, internal_view, steps
 
 CFG = TrainConfig(iterations=1, widths=(4,),
                   kernel_sizes=((3, 3, 3), (1, 1, 1)), seed=0)
@@ -123,13 +123,13 @@ def target_sets_reference(problem, coils):
     if coils is None:
         per_target = [_combo_targets_per_echo(problem)]
     else:
-        arr = _to_internal(problem.kspace_masked, mask0)
+        arr = internal_view(problem.kspace_masked, mask0)
         per_target = [[arr[c]] for c in coils]
     out = []
     for combos in per_target:
         tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
         for (e, k), (i_a, j_a) in sources.items():
-            tgt[e, k][val[e, k]] = combos[min(e, len(combos) - 1)][i_a, j_a, :]
+            tgt[e, k][val[e, k]] = combos[min(e, len(combos) - 1)][:, i_a, j_a].T
         tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
         out.append((inputs, _complex_to_channels(
             tgt_c.reshape(ne * n_off, ou, ov, ox)), valid))
@@ -203,7 +203,7 @@ class TestOneMap:
         shape = (s1 * s2, n1 // s1, n2 // s2, NX)
         for mask in masks:
             pred = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = _scatter_echo(pred, mask)
+            got = np.moveaxis(_scatter_echo(pred, mask), 0, -1)
             assert got.dtype == np.complex128
             assert np.array_equal(got, scatter_reference(pred, mask))
 

@@ -207,6 +207,50 @@ class TestMaskIO:
         with pytest.raises(BundleError, match="mask descriptor"):
             load_mask(tmp_path / "m")
 
+    @pytest.mark.parametrize("key, value, word", [
+        ("axes", ["ky"], "axes"),
+        ("axes", ["kz", "ky"], "axes"),
+        ("axes", "ky", "axes"),
+        ("kind", "bogus", "kind"),
+        ("kind", "kyt", "r2"),  # the bundle's r2 is 2
+        ("r1", "x", "r1"),
+        ("r1", 0, "r1"),
+        ("r1", True, "r1"),
+        ("r2", -2, "r2"),
+        ("r2", 2.0, "r2"),
+        ("shift", "1", "shift"),
+        ("shift", 2, "shift"),
+        ("shift", -1, "shift"),
+        ("elliptical", 1, "elliptical"),
+        ("acs_box", [[0, 13], [0, 4]], "acs_box"),
+        ("acs_box", [[-1, 4], [0, 4]], "acs_box"),
+        ("acs_box", [[0, 0], [0, 4]], "acs_box"),
+        ("acs_box", [[0.5, 4], [0, 4]], "acs_box"),
+        ("acs_box", [[0, 4]], "acs_box"),
+        ("acs_box", [], "acs_box"),
+    ])
+    def test_descriptor_value_is_bundle_error(self, tmp_path, key, value, word):
+        """Each descriptor value must be one the pattern can take: the
+        bundle's own axes, a known kind, integer factors >= 1 (r2 1 for
+        ky-t), a lattice shift in [0, r2), a boolean and a box inside."""
+        mask = make_uniform_mask((12, 8), 3, 2, shift=1,
+                                 acs_box=centered_acs_box((12, 8), (6, 4)))
+        save_mask(mask, tmp_path / "m")
+        header = json.loads((tmp_path / "m.json").read_text())
+        header["meta"]["mask"][key] = value
+        (tmp_path / "m.json").write_text(json.dumps(header))
+        with pytest.raises(BundleError, match=word):
+            load_mask(tmp_path / "m")
+
+    def test_descriptor_over_a_third_plane_is_bundle_error(self, tmp_path):
+        mask = make_uniform_mask((12, 8), 3, 2)
+        save_mask(mask, tmp_path / "m")
+        meta = json.loads((tmp_path / "m.json").read_text())["meta"]
+        save_bundle(CTensor(np.zeros((3, 12, 8), complex), ("maps", "ky", "kz")),
+                    tmp_path / "m", meta=meta)
+        with pytest.raises(BundleError, match="maps=2"):
+            load_mask(tmp_path / "m")
+
     @pytest.mark.parametrize("flag", [None, False, True],
                              ids=["absent", "false", "true"])
     def test_desheared_descriptor(self, tmp_path, flag):
