@@ -5,11 +5,12 @@ All learned modes share one geometry, owned by :mod:`rakikit.sampling`:
 each grid position is an anchor of the acquired lattice plus a cell offset
 (``lattice_cells``, ky-t included). The anchors form a dense decimated grid
 of real/imaginary channels, and a small 3D CNN predicts one channel pair per
-cell offset (2R per echo). Targets come from the ACS region only; the trained
-model runs over the whole decimated grid, and each grid position takes the
-prediction at its (offset, anchor). K-space keeps the working order of
-``sampling.internal_view``; the network's [channel, nu, nv, nx] grid is
-entered only in ``_decimated_input`` and left only in ``_scatter_echo``.
+cell offset (2R per echo). The model trains and runs on the whole decimated
+grid; only targets from the ACS region are valid in training, and each grid
+position takes the prediction at its (offset, anchor). K-space keeps the
+working order of ``sampling.internal_view``; the network's [channel, nu, nv,
+nx] grid is entered only in ``_decimated_input`` and left only in
+``_scatter_echo``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class ReconProblem:
             raise GeometryError(
                 f"{ne} echoes need {ne} masks, got {len(self.masks)}"
             )
+        k, axes = self.kspace_masked, self.masks[0].axes
+        extents = tuple(k.extent(a) for a in axes)
+        if any(m.extents != extents for m in self.masks):
+            raise GeometryError(f"k-space {axes} extents {extents} differ from "
+                                f"the mask's {self.masks[0].extents}")
         if self.mode == "raki_percoil" and self.kspace_masked.has_axis("echo"):
             raise ConfigError("per-coil RAKI supports a single echo, without "
                               "an echo axis")
@@ -161,9 +167,12 @@ def build_targets(problem: ReconProblem, coil: int | None = None
 def _target_sets(problem: ReconProblem, coils: list[int] | None):
     """The combined target set (``coils`` None) or one set per coil.
 
-    The input, the scale, the validity mask and the crop do not depend on
-    the coil, so the per-coil sets are built from one copy of each and
-    share their ``inputs`` and ``valid`` arrays.
+    ``inputs`` is the whole scaled decimated grid. ``targets`` and
+    ``valid`` live on its valid-convolution output, each position holding
+    the anchor at its receptive-field center; ``valid`` alone marks the
+    ACS. The input, the scale and the validity mask do not depend on the
+    coil, so the per-coil sets are built from one copy of each and share
+    their ``inputs`` and ``valid`` arrays.
     """
     mask0 = problem.masks[0]
     if mask0.acs_box is None:
@@ -180,6 +189,15 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
         raise GeometryError(
             f"target margin {mg} leaves no ACS interior in box {mask0.acs_box}"
         )
+    rf = receptive_field(problem.cfg.kernel_sizes)
+    ou, ov, ox = nu - rf[0] + 1, nv - rf[1] + 1, nx - rf[2] + 1
+    if ou < 1 or ov < 1 or ox < 1:
+        raise GeometryError(
+            f"decimated grid {(nu, nv, nx)} is smaller than the receptive "
+            f"field {rf}"
+        )
+    c1, c2, cx = ((r - 1) // 2 for r in rf)
+
     box = (slice(b1 + mg, b1 + l1 - mg), slice(b2 + mg, b2 + l2 - mg))
     val = np.zeros((ne, n_off, nu, nv), dtype=bool)
     sources = []  # per echo: (offset, anchor) index of each acquired box position
@@ -190,40 +208,16 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
         val[e][idx] = True
         sources.append((idx, ok))
 
-    any_valid = val.any(axis=(0, 1))
-    if not any_valid.any():
-        raise GeometryError("no ACS-covered anchor positions for training")
-    urange = np.flatnonzero(any_valid.any(axis=1)).tolist()  # python ints
-    vrange = np.flatnonzero(any_valid.any(axis=0)).tolist()
-
-    rf = receptive_field(problem.cfg.kernel_sizes)
-    c1, c2, cx = ((r - 1) // 2 for r in rf)
-
-    # crop the input so the valid-convolution output covers the ACS anchors
-    u0 = max(0, urange[0] - c1)
-    u1 = min(nu, urange[-1] + 1 + (rf[0] - 1 - c1))
-    v0 = max(0, vrange[0] - c2)
-    v1 = min(nv, vrange[-1] + 1 + (rf[1] - 1 - c2))
-    ou = (u1 - u0) - rf[0] + 1
-    ov = (v1 - v0) - rf[1] + 1
-    ox = nx - rf[2] + 1
-    if ou < 1 or ov < 1 or ox < 1:
-        raise GeometryError(
-            f"ACS anchor region {(u1 - u0, v1 - v0, nx)} (decimated) is "
-            f"smaller than the receptive field {rf}"
-        )
-    au, av = u0 + c1, v0 + c2  # first anchor covered by the output
-
-    inputs = _complex_to_channels(dec[:, u0:u1, v0:v1, :] * scale)
-    val_c = val[:, :, au : au + ou, av : av + ov]
-    valid_k = np.broadcast_to(
-        val_c.reshape(ne * n_off, ou, ov, 1), (ne * n_off, ou, ov, ox)
-    )
     valid = np.empty((2 * ne * n_off, ou, ov, ox), dtype=bool)
-    valid[0::2] = valid_k
-    valid[1::2] = valid_k
+    # output position (i, j) holds anchor (c1 + i, c2 + j), for every readout
+    valid[0::2] = valid[1::2] = val[:, :, c1 : c1 + ou, c2 : c2 + ov].reshape(
+        ne * n_off, ou, ov, 1)
     if not valid.any():
-        raise GeometryError("receptive-field cropping removed every target")
+        raise GeometryError(
+            f"no ACS target is left once the margins of receptive field "
+            f"{rf} are taken off the decimated grid {(nu, nv, nx)}"
+        )
+    inputs = _complex_to_channels(dec * scale)
 
     if coils is None:
         per_target = [_combo_targets_per_echo(problem)]
@@ -235,7 +229,7 @@ def _target_sets(problem: ReconProblem, coils: list[int] | None):
         tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
         for e, (idx, ok) in enumerate(sources):
             tgt[e][idx] = combos[e][(slice(None), *box)][:, ok].T
-        tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
+        tgt_c = tgt[:, :, c1 : c1 + ou, c2 : c2 + ov, cx : cx + ox] * scale
         targets = _complex_to_channels(tgt_c.reshape(ne * n_off, ou, ov, ox))
         yield OffsetTargetSet(inputs, targets, valid)
 
@@ -264,9 +258,12 @@ RIDGE_INIT = 1e-3  # trace-relative ridge for the linear warm start
 def _ridge_solution(ts: OffsetTargetSet, cfg: TrainConfig) -> np.ndarray:
     """Ridge fit of a single first-layer-sized linear kernel per channel.
 
-    The remaining layers are treated as centered identities, so the input
-    is first cropped by their margins; the resulting weight matrix maps a
-    ``kernel_sizes[0]`` window directly onto the stack's output grid.
+    The remaining layers are treated as centered identities, so output
+    position p reads the ``kernel_sizes[0]`` window at p plus their
+    margins; the resulting weight matrix maps that window directly onto the
+    stack's output grid. The windows are gathered, in grid order, only
+    where some channel is valid. An even kernel extent after layer 0 has
+    no center, and is a ConfigError.
 
     The real and imaginary channels of a cell offset share their valid
     rows A, so each pair is one solve with a two-column right-hand side.
@@ -277,30 +274,25 @@ def _ridge_solution(ts: OffsetTargetSet, cfg: TrainConfig) -> np.ndarray:
     outputs, 2160 features against at most 512 rows) this took
     ``linear_init`` from 12.1 s to 0.28 s on a 2-core Xeon.
     """
-    k1 = cfg.kernel_sizes[0]
-    lo = np.zeros(3, dtype=int)
-    for ks in cfg.kernel_sizes[1:]:
-        lo += (np.array(ks) - 1) // 2
-    x = ts.inputs[
-        :,
-        lo[0] : ts.inputs.shape[1] - lo[0] or None,
-        lo[1] : ts.inputs.shape[2] - lo[1] or None,
-        lo[2] : ts.inputs.shape[3] - lo[2] or None,
-    ]
-    win = np.lib.stride_tricks.sliding_window_view(x, k1, axis=(1, 2, 3))
-    ou, ov, ox = win.shape[1:4]
-    if (ou, ov, ox) != ts.targets.shape[1:]:
-        raise GeometryError(
-            f"ridge window grid {(ou, ov, ox)} does not match targets "
-            f"{ts.targets.shape[1:]}; kernel centers must be aligned"
+    later = np.array(cfg.kernel_sizes[1:], dtype=int).reshape(-1, 3)
+    if (later % 2 == 0).any():
+        raise ConfigError(
+            f"the ridge warm start needs odd kernel extents after layer 0, "
+            f"got {[list(k) for k in cfg.kernel_sizes[1:]]}"
         )
-    F = win.transpose(1, 2, 3, 0, 4, 5, 6).reshape(ou * ov * ox, -1)
+    lo = ((later - 1) // 2).sum(axis=0)
+    win = np.lib.stride_tricks.sliding_window_view(
+        ts.inputs, cfg.kernel_sizes[0], axis=(1, 2, 3))
+    pos = np.nonzero(ts.valid.any(0))
+    F = win[:, pos[0] + lo[0], pos[1] + lo[1], pos[2] + lo[2]]
+    F = F.swapaxes(0, 1).reshape(len(pos[0]), -1)  # [position, feature]
+    T = ts.targets[:, pos[0], pos[1], pos[2]]
+    V = ts.valid[:, pos[0], pos[1], pos[2]]
     nfeat = F.shape[1]
     W = np.zeros((ts.out_channels, nfeat))
     for c in range(0, ts.out_channels, 2):  # (re, im) pairs
-        sel = ts.valid[c].ravel()
-        A = F[sel]
-        Y = ts.targets[c : c + 2].reshape(2, -1)[:, sel].T
+        A = F[V[c]]
+        Y = T[c : c + 2, V[c]].T
         dual = A.shape[0] < nfeat
         gram = A @ A.T if dual else A.T @ A
         gram[np.diag_indices_from(gram)] += RIDGE_INIT * np.trace(gram) / nfeat
@@ -413,18 +405,6 @@ def _model_input(problem: ReconProblem, rf: tuple[int, int, int]
     return x, scale
 
 
-def _predict_grids(problem: ReconProblem, model: ModelWeights,
-                   model_input: tuple[np.ndarray, float] | None = None
-                   ) -> np.ndarray:
-    """Run the model over the whole decimated grid -> [groups, nu, nv, nx].
-
-    ``model_input`` is ``_model_input(problem, model.receptive_field)``,
-    made once where several models share it.
-    """
-    x, scale = model_input or _model_input(problem, model.receptive_field)
-    return _channels_to_complex(predict(model, x)) / scale
-
-
 def _scatter_echo(pred: np.ndarray, mask: SamplingMask) -> np.ndarray:
     """Offset predictions [n_off, nu, nv, nx] -> full grid [nx, n1, n2], by
     (offset, anchor)."""
@@ -439,6 +419,12 @@ def infer(models: ModelWeights | list[ModelWeights],
           problem: ReconProblem) -> ReconResult:
     """Apply trained weights across the full undersampled grid.
 
+    Every model runs once over the whole decimated grid; its complex
+    prediction splits into groups of one channel per cell offset, and group
+    e is scattered to the grid through echo e's mask. Per-coil RAKI has one
+    model per coil and one echo, so the groups stack as [coil, ...]; the
+    combined modes have one model and stack its echoes as [echo, ...].
+
     Only per-coil RAKI has hard data consistency: it restores the acquired
     coil samples exactly, then combines with the full-grid maps. The
     combined modes return their k-space as predicted, acquired positions
@@ -449,35 +435,33 @@ def infer(models: ModelWeights | list[ModelWeights],
     fourier = tuple(a for a in ("kx", p1l, p2l) if a != "t")
     n_off = len(cell_offsets(mask0))
     ne = problem.n_echoes
+    percoil = problem.mode == "raki_percoil"
+    model_list = list(models) if isinstance(models, (list, tuple)) else [models]
+    n_models = problem.n_coils if percoil else 1
+    if len(model_list) != n_models:
+        raise GeometryError(
+            f"mode {problem.mode!r} needs {n_models} model(s) for "
+            f"{problem.n_coils} coils, got {len(model_list)}"
+        )
+    if percoil and problem.maps is None:
+        raise ConfigError("raki_percoil image needs full-grid maps")
 
-    if problem.mode == "raki_percoil":
-        model_list = list(models) if isinstance(models, (list, tuple)) else [models]
-        if len(model_list) != problem.n_coils:
-            raise GeometryError(
-                f"{problem.n_coils} coils need as many models, got {len(model_list)}"
-            )
-        acq = internal_view(problem.kspace_masked, mask0)
-        out = np.empty(acq.shape, dtype=np.complex128)  # [coil, kx, p1, p2]
-        shared = _model_input(problem, model_list[0].receptive_field)
-        for c, model in enumerate(model_list):
-            pred = _predict_grids(problem, model, shared)  # [n_off, nu, nv, nx]
-            out[c] = _scatter_echo(pred, mask0)
+    acq = internal_view(problem.kspace_masked, mask0)  # [coil, (echo,) kx, p1, p2]
+    out = np.empty((n_models * ne, *acq.shape[-3:]), dtype=np.complex128)
+    x, scale = _model_input(problem, model_list[0].receptive_field)
+    for m, model in enumerate(model_list):
+        pred = _channels_to_complex(predict(model, x)) / scale
+        for e, mask in enumerate(problem.masks):
+            out[m * ne + e] = _scatter_echo(pred[e * n_off : (e + 1) * n_off],
+                                            mask)
+
+    if percoil:
         out[:, :, mask0.grid] = acq[:, :, mask0.grid]
         ksp = CTensor(out, ("coil", "kx", p1l, p2l))
         ksp = ksp.transpose(problem.kspace_masked.axes)
-        if problem.maps is None:
-            raise ConfigError("raki_percoil image needs full-grid maps")
         img = coil_combine(ksp, problem.maps, fourier)
-        image = img.with_data(np.abs(img.data))
-        return ReconResult(ksp, image)
-
-    model = models[0] if isinstance(models, (list, tuple)) else models
-    pred = _predict_grids(problem, model)  # [ne*n_off, nu, nv, nx]
-    per_echo = [
-        _scatter_echo(pred[e * n_off : (e + 1) * n_off], problem.masks[e])
-        for e in range(ne)
-    ]
-    ksp = CTensor(np.stack(per_echo), ("echo", "kx", p1l, p2l))
+        return ReconResult(ksp, img.with_data(np.abs(img.data)))
+    ksp = CTensor(out, ("echo", "kx", p1l, p2l))
     img = ifftc(ksp, fourier)
     image = img.with_data(np.abs(img.data))
     if not problem.kspace_masked.has_axis("echo"):

@@ -15,6 +15,7 @@ parities mismatch.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +64,7 @@ class CTensor:
             raise GeometryError(f"duplicate axis labels in {axes}")
         for label in axes:
             if label not in AXIS_LABELS:
-                raise GeometryError(f"unknown axis label '{label}'")
+                raise GeometryError(f"unknown axis label {label!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -237,6 +238,17 @@ def _read_header(path: Path) -> dict:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise BundleError(f"bundle header {path} lacks {', '.join(missing)}")
+    shape, axes = header["shape"], header["axes"]
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise BundleError(f"bundle header {path} shape {shape!r} is not a "
+                          "list of integers >= 0")
+    if not (isinstance(axes, list) and len(axes) == len(shape)
+            and all(isinstance(a, str) for a in axes)):
+        raise BundleError(f"bundle header {path} axes {axes!r} are not "
+                          f"{len(shape)} strings, one per extent")
+    if not isinstance(header.get("meta", {}), dict):
+        raise BundleError(f"bundle header {path} meta is not a JSON object")
     return header
 
 
@@ -248,9 +260,9 @@ def load_bundle(path: str | Path) -> CTensor:
         raise UnknownDtypeError(f"unsupported dtype {header['dtype']!r}")
     if header["byte_order"] != "little":
         raise ByteOrderError(f"unsupported byte order {header['byte_order']!r}")
-    shape = tuple(int(n) for n in header["shape"])
+    shape = tuple(header["shape"])
     payload = path.with_suffix(".bin").read_bytes()
-    expected = 16 * int(np.prod(shape, dtype=np.int64))
+    expected = 16 * math.prod(shape)
     if len(payload) != expected:
         raise PayloadLengthError(
             f"payload is {len(payload)} bytes, header shape {shape} needs {expected}"

@@ -20,10 +20,12 @@ from rakikit import (
     make_phantom,
     save_bundle,
 )
+from rakikit import recon_models
 from rakikit.bench import BENCH_METHODS, thread_count
 from rakikit.cli import main
 from rakikit.config import DEFAULTS, merge
 from rakikit.sampling import load_mask
+from rakikit.tensors import AXIS_LABELS
 
 CONFIG = {
     "seed": 11,
@@ -339,6 +341,94 @@ class TestExitCodes:
         assert err.startswith("data error: mask bundle") and "r1" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bundle, key, value", [
+        ("masked_kspace", "shape", "abc"),
+        ("masked_kspace", "shape", ["a", 12, 24, 24]),
+        ("masked_kspace", "shape", 5),
+        ("masked_kspace", "shape", None),
+        ("masked_kspace", "shape", [4.5, 12, 24, 24]),
+        ("masked_kspace", "shape", [True, 12, 24, 24]),
+        ("masked_kspace", "shape", [-4, 12, 24, 24]),
+        ("masked_kspace", "axes", 5),
+        ("masked_kspace", "axes", None),
+        ("masked_kspace", "axes", [["coil"], "kx", "ky", "kz"]),
+        ("masked_kspace", "axes", ["coil", "kx", "ky"]),
+        ("mask/mask", "meta", [1]),
+        ("maps/maps", "meta", [1]),
+    ], ids=["shape-str", "shape-str-item", "shape-int", "shape-null",
+            "shape-float-item", "shape-bool-item", "shape-negative-item",
+            "axes-int", "axes-null", "axes-list-item", "axes-short",
+            "mask-meta-list", "maps-meta-list"])
+    def test_malformed_header_field_is_data_error(self, pipeline, tmp_path,
+                                                  capsys, bundle, key, value):
+        r = pipeline["root"]
+        for rel in BUNDLES.values():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            save_bundle(load_bundle(r / rel), tmp_path / rel)
+            header = json.loads((r / rel).with_suffix(".json").read_text())
+            if rel == bundle:
+                header[key] = value
+            (tmp_path / rel).with_suffix(".json").write_text(json.dumps(header))
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "zerofill",
+                     "--data", str(tmp_path / "masked_kspace"),
+                     "--mask", str(tmp_path / "mask"),
+                     "--maps", str(tmp_path / "maps"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: bundle header") and key in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", BENCH_METHODS)
+    def test_even_kernel_after_layer_0_is_config_error(self, pipeline,
+                                                       tmp_path, capsys,
+                                                       method):
+        """The ridge warm start cannot center an even kernel after layer 0;
+        the methods that do not train run with that config."""
+        r = pipeline["root"]
+        train = {**CONFIG["train"], "kernel_sizes": [
+            [3, 3, 5], [1, 1, 2], [1, 1, 1], [1, 1, 1], [1, 1, 1]]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**CONFIG, "train": train}))
+        capsys.readouterr()
+        code = main(["recon", "--config", str(cfg), "--method", method,
+                     "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if method in ("zerofill", "grappa"):
+            assert code == 0 and err == ""
+            return
+        assert code == 2
+        assert err.startswith("config error:") and "odd kernel" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["raki", "eraki"])
+    def test_extents_off_the_lattice_steps_exit_before_training(
+            self, pipeline, tmp_path, capsys, monkeypatch, method):
+        """R1 = 5 does not divide the 24-line pattern: a data error before
+        the warm start or any training step."""
+        r = pipeline["root"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**CONFIG,
+                                   "mask": {**CONFIG["mask"], "r1": 5}}))
+        assert main(["mask", "--config", str(cfg),
+                     "--out", str(tmp_path / "mask")]) == 0
+        called = []
+        for name in ("linear_init", "train"):
+            monkeypatch.setattr(recon_models, name,
+                                lambda *a, name=name, **k: called.append(name))
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", method, "--data", str(r / "masked_kspace"),
+                     "--mask", str(tmp_path / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "(5, 2)" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert called == []
+
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
     def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
                                                        seed):
@@ -523,6 +613,84 @@ class TestConfigSectionFuzz:
                             self.config(r, {"seed": 11, "fit": section}),
                             "--echoes", str(echoes), "--te", "8,40,80",
                             "--out", str(r / "fuzz_fit")])
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats(-1e300, 1e300)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+LABELS = st.sampled_from([*AXIS_LABELS, "x"])
+BUNDLES = {"kspace": "masked_kspace", "mask": "mask/mask", "maps": "maps/maps",
+           "eigval": "maps/eigval"}
+
+
+@st.composite
+def altered(draw, value):
+    """``value`` with one leaf, at any depth, replaced by any JSON value, or
+    one key or item dropped."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        out = value.copy()
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                   else range(len(value))))
+        if draw(st.integers(0, 3)) == 0:
+            del out[key]
+        else:
+            out[key] = draw(altered(value[key]))
+        return out
+    return draw(JSON_VALUE)
+
+
+@st.composite
+def header_faults(draw, header):
+    """A bundle header with a fault: any leaf altered, the shape or the axes
+    permuted, both permuted alike, an extent-1 axis inserted, or other labels."""
+    shape, axes = header["shape"], header["axes"]
+    kind = draw(st.sampled_from(["leaf", "shape", "axes", "both", "insert",
+                                 "labels"]))
+    if kind == "leaf":
+        return draw(altered(header))
+    if kind == "insert":
+        i = draw(st.integers(0, len(shape)))
+        return {**header, "shape": [*shape[:i], 1, *shape[i:]],
+                "axes": [*axes[:i], draw(LABELS), *axes[i:]]}
+    if kind == "labels":
+        return {**header, "axes": draw(st.lists(LABELS, min_size=len(axes),
+                                                max_size=len(axes)))}
+    order = draw(st.permutations(range(len(shape))))
+    out = dict(header)
+    if kind in ("shape", "both"):
+        out["shape"] = [shape[i] for i in order]
+    if kind in ("axes", "both"):
+        out["axes"] = [axes[i] for i in order]
+    return out
+
+
+class TestBundleHeaderFuzz:
+    """A fault in the header of the k-space, mask, maps or eigenvalue bundle
+    ends ``rakikit recon`` in exit 0, 2, 3 or 4 with at most one stderr
+    line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bundle=st.sampled_from(sorted(BUNDLES)),
+           method=st.sampled_from(BENCH_METHODS))
+    def test_recon_exits_cleanly(self, pipeline, data, bundle, method):
+        r = pipeline["root"]
+        fuzz = r / "fuzz_bundles"
+        for rel in BUNDLES.values():
+            src = r / rel
+            for suffix in (".json", ".bin"):
+                dst = (fuzz / rel).with_suffix(suffix)
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                dst.write_bytes(src.with_suffix(suffix).read_bytes())
+        header = json.loads((r / BUNDLES[bundle]).with_suffix(".json").read_text())
+        (fuzz / BUNDLES[bundle]).with_suffix(".json").write_text(
+            json.dumps(data.draw(header_faults(header))))
+        TestConfigSectionFuzz.exits_cleanly(
+            ["recon", "--config", str(pipeline["cfg"]), "--method", method,
+             "--data", str(fuzz / "masked_kspace"), "--mask", str(fuzz / "mask"),
+             "--maps", str(fuzz / "maps"), "--out", str(r / "fuzz_recon")])
 
 
 class TestPipeline:

@@ -65,7 +65,8 @@ def scatter_reference(pred, mask):
 
 def target_sets_reference(problem, coils):
     """(inputs, targets, valid) per target set, from a per-(echo, offset)
-    walk over the anchors mapped to the acquired frame."""
+    walk over the anchors mapped to the acquired frame: the whole scaled
+    decimated grid, and targets on its valid-convolution output."""
     mask0 = problem.masks[0]
     s1, s2 = steps(mask0)
     offsets = cell_offsets(mask0)
@@ -91,26 +92,14 @@ def target_sets_reference(problem, coils):
             val[e, k] = ok
             sources[e, k] = i_a[ok], j_a[ok]
 
-    any_valid = val.any(axis=(0, 1))
-    if not any_valid.any():
-        raise GeometryError("no ACS-covered anchor positions for training")
-    urange = np.flatnonzero(any_valid.any(axis=1)).tolist()
-    vrange = np.flatnonzero(any_valid.any(axis=0)).tolist()
     rf = receptive_field(problem.cfg.kernel_sizes)
-    c1, c2, cx = ((r - 1) // 2 for r in rf)
-    u0 = max(0, urange[0] - c1)
-    u1 = min(nu, urange[-1] + 1 + (rf[0] - 1 - c1))
-    v0 = max(0, vrange[0] - c2)
-    v1 = min(nv, vrange[-1] + 1 + (rf[1] - 1 - c2))
-    ou = (u1 - u0) - rf[0] + 1
-    ov = (v1 - v0) - rf[1] + 1
-    ox = nx - rf[2] + 1
+    ou, ov, ox = nu - rf[0] + 1, nv - rf[1] + 1, nx - rf[2] + 1
     if ou < 1 or ov < 1 or ox < 1:
-        raise GeometryError("ACS anchor region smaller than the receptive field")
-    au, av = u0 + c1, v0 + c2
+        raise GeometryError("decimated grid smaller than the receptive field")
+    c1, c2, cx = ((r - 1) // 2 for r in rf)
 
-    inputs = _complex_to_channels(dec[:, u0:u1, v0:v1, :] * scale)
-    val_c = val[:, :, au : au + ou, av : av + ov]
+    inputs = _complex_to_channels(dec * scale)
+    val_c = val[:, :, c1 : c1 + ou, c2 : c2 + ov]
     valid_k = np.broadcast_to(
         val_c.reshape(ne * n_off, ou, ov, 1), (ne * n_off, ou, ov, ox)
     )
@@ -118,7 +107,7 @@ def target_sets_reference(problem, coils):
     valid[0::2] = valid_k
     valid[1::2] = valid_k
     if not valid.any():
-        raise GeometryError("receptive-field cropping removed every target")
+        raise GeometryError("no ACS target inside the receptive-field margins")
 
     if coils is None:
         per_target = [_combo_targets_per_echo(problem)]
@@ -130,7 +119,7 @@ def target_sets_reference(problem, coils):
         tgt = np.zeros((ne, n_off, nu, nv, nx), dtype=np.complex128)
         for (e, k), (i_a, j_a) in sources.items():
             tgt[e, k][val[e, k]] = combos[min(e, len(combos) - 1)][:, i_a, j_a].T
-        tgt_c = tgt[:, :, au : au + ou, av : av + ov, cx : cx + ox] * scale
+        tgt_c = tgt[:, :, c1 : c1 + ou, c2 : c2 + ov, cx : cx + ox] * scale
         out.append((inputs, _complex_to_channels(
             tgt_c.reshape(ne * n_off, ou, ov, ox)), valid))
     return out
@@ -227,19 +216,25 @@ class TestOneMap:
                 assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "elliptical", "joint", "kyt"])
+NAMED = ["uniform", "elliptical", "joint", "kyt"]
+
+
+def named_masks(kind):
+    """The masks of one named pattern on a 12x12 grid with an 8x8 ACS."""
+    box = centered_acs_box((12, 12), (8, 8))
+    if kind == "kyt":
+        return (make_kyt_mask(12, 12, 3, shift=1, acs_box=box),)
+    if kind == "elliptical":
+        return (make_elliptical_mask((12, 12), 2, 2, shift=1, acs_box=box),)
+    base = make_uniform_mask((12, 12), 2, 2, shift=1, acs_box=box)
+    return echo_shifted_masks(base, 3 if kind == "joint" else 1)
+
+
+@pytest.mark.parametrize("kind", NAMED)
 def test_named_patterns_train_on_targets(kind):
     """The four pattern kinds each reach a training set, so the drawn cases
     above are not all error paths."""
-    box = centered_acs_box((12, 12), (8, 8))
-    if kind == "kyt":
-        masks = (make_kyt_mask(12, 12, 3, shift=1, acs_box=box),)
-    elif kind == "elliptical":
-        masks = (make_elliptical_mask((12, 12), 2, 2, shift=1, acs_box=box),)
-    else:
-        base = make_uniform_mask((12, 12), 2, 2, shift=1, acs_box=box)
-        masks = echo_shifted_masks(base, 3 if kind == "joint" else 1)
-    problem = problem_of(masks, "eraki", 0)
+    problem = problem_of(named_masks(kind), "eraki", 0)
     ts = build_targets(problem)
     _, targets, valid = target_sets_reference(problem, None)[0]
     assert valid.any()

@@ -624,9 +624,9 @@ class TestColumnCache:
         original = nn_engine._layer0_columns
         monkeypatch.setattr(nn_engine, "_layer0_columns",
                             lambda *a: blocks.append(1) or original(*a))
-        blocked = recon_models._predict_grids(problem, model)
-        monkeypatch.setattr(recon_models, "predict", forward)
-        whole = recon_models._predict_grids(problem, model)
+        x, _ = recon_models._model_input(problem, model.receptive_field)
+        blocked = nn_engine.predict(model, x)
+        whole = forward(model, x)
         assert len(blocks) > 1
-        assert blocked.shape == whole.shape == (9, 32, 32, 32)  # 3x3 cell offsets
+        assert blocked.shape == whole.shape == (18, 32, 32, 32)  # 3x3 offsets, re/im
         assert_rel(blocked, whole, tol=1e-12)

@@ -131,6 +131,13 @@ class TestProblemValidation:
             ReconProblem(s["masked"], (s["mask"], s["mask"]), "eraki", CFG,
                          maps=s["maps"])
 
+    @pytest.mark.parametrize("mode", ["raki_percoil", "eraki"])
+    def test_kspace_extents_must_match_mask(self, small_scene, mode):
+        s = small_scene
+        short = s["masked"].with_data(s["masked"].data[:, :, :24])
+        with pytest.raises(GeometryError, match=r"extents \(24, 48\) differ"):
+            ReconProblem(short, (s["mask"],), mode, CFG, maps=s["maps"])
+
     def test_wrong_trainer_raises(self, small_scene):
         s = small_scene
         p_coil = ReconProblem(s["masked"], (s["mask"],), "raki_percoil", CFG)
@@ -145,9 +152,9 @@ class TestProblemValidation:
         s = small_scene
         cfg = TrainConfig(widths=(), kernel_sizes=((3, 3, 17),), seed=0)
         p = ReconProblem(s["masked"], (s["mask"],), "eraki", cfg, maps=s["maps"])
-        with pytest.raises(GeometryError, match=r"region \(\d+, \d+, 16\) "
-                           r"\(decimated\) is smaller than the receptive "
-                           r"field \(3, 3, 17\)"):
+        with pytest.raises(GeometryError, match=r"decimated grid \(\d+, \d+, "
+                           r"16\) is smaller than the receptive field "
+                           r"\(3, 3, 17\)"):
             build_targets(p)
 
 
