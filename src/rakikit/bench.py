@@ -3,10 +3,11 @@
 :func:`reconstruct` runs one method (zero-filled, GRAPPA, per-coil RAKI or
 the coil-combined model) on masked k-space, timing learning and inference
 separately on the monotonic clock; ``rakikit recon`` and :func:`run_bench`
-both call it. The harness runs every method on identical inputs with
-identical iteration budgets; sensitivity-map estimation is timed as its
-own row. Everything except the clock readings is deterministic under a
-fixed seed.
+both call it. The harness builds the scene its config describes through
+the builders ``rakikit phantom``, ``mask`` and ``maps`` use, and runs every
+method on it with identical iteration budgets; sensitivity-map estimation
+is timed as its own row. Everything except the clock readings is
+deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULTS, merge, train_config
+from .config import (DEFAULTS, checked, merge, phantom_spec, sampling_mask,
+                     sensitivity_maps, train_config)
 from .errors import ConfigError, NumericalError
-from .espirit import SensitivityMaps, coil_combine, espirit_maps
+from .espirit import SensitivityMaps, coil_combine
 from .grappa import DEFAULT_LAMBDA, grappa_apply, grappa_kernel
 from .nn_engine import TrainConfig
-from .phantom import default_spec, make_phantom
+from .phantom import make_phantom
 from .recon_models import (
     ReconProblem,
     echo_shifted_masks,
@@ -33,8 +35,7 @@ from .recon_models import (
     train_raki,
     zerofill_recon,
 )
-from .sampling import (SamplingMask, apply_mask, centered_acs_box, extract_acs,
-                       make_uniform_mask)
+from .sampling import SamplingMask, apply_mask, extract_acs
 from .tensors import CTensor, ifftc, thread_count
 
 BENCH_METHODS = ("zerofill", "grappa", "raki", "eraki")
@@ -47,16 +48,6 @@ PAPER_REFERENCE = {
     "eraki_learning_s": 30.0,
     "model_count_ratio_32ch": "64:1",
 }
-
-DEFAULT_SCENARIO = {
-    "seed": 0,
-    "phantom": {"extents": [16, 48, 48], "n_coils": 8, "texture": 1.0},
-    "mask": {"r1": 2, "r2": 2, "shift": 1, "acs": [16, 16]},
-    "espirit": {"kernel_size": 5},
-    "train": {**DEFAULTS["train"], "iterations": 100},
-    "methods": list(BENCH_METHODS),
-}
-
 
 @dataclass
 class BenchReport:
@@ -89,8 +80,8 @@ def _environment() -> dict:
     }
 
 
-def _config_hash(scenario: dict) -> str:
-    blob = json.dumps(scenario, sort_keys=True).encode()
+def _config_hash(cfg: dict) -> str:
+    blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -158,45 +149,28 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
     return res.kspace, res.image, row
 
 
-def run_bench(scenario: dict | None = None) -> BenchReport:
-    """Run every requested method on one synthetic scene and time it."""
-    scenario = merge(DEFAULT_SCENARIO, scenario or {}, "scenario")
-    cfg = train_config(scenario)
-    methods = scenario["methods"]
-    if not (isinstance(methods, list)
-            and all(m in BENCH_METHODS for m in methods)):
-        raise ConfigError(f"scenario.methods must list methods from "
-                          f"{BENCH_METHODS}, got {methods!r}")
-    pspec = scenario["phantom"]
-    mspec = scenario["mask"]
-    if mspec["acs"] is None:
-        raise ConfigError("scenario.mask.acs must be set: maps need the ACS")
-    extents = tuple(pspec["extents"])
-    n1, n2 = extents[1], extents[2]
+def run_bench(config: dict) -> BenchReport:
+    """Run every method on the scene ``config`` describes and time it.
 
-    spec = default_spec(
-        extents=extents,
-        n_coils=pspec["n_coils"],
-        texture=pspec["texture"],
-        seed=scenario["seed"],
-    )
-    ph = make_phantom(spec)
+    ``config`` is merged over ``DEFAULTS`` like a ``--config`` file, seed
+    mandatory. The scene is the first echo of the phantom, masked, and the
+    maps of its ACS: what ``rakikit phantom``, ``mask`` and ``maps`` build
+    from the same config.
+    """
+    cfg = checked(merge(DEFAULTS, config))
+    tcfg = train_config(cfg)
+    ph = make_phantom(phantom_spec(cfg))
     ksp = CTensor(ph["kspace"].data[:, 0], ("coil", "kx", "ky", "kz"))
-    mask = make_uniform_mask(
-        (n1, n2), mspec["r1"], mspec["r2"], shift=mspec["shift"],
-        acs_box=centered_acs_box((n1, n2), tuple(mspec["acs"])),
-    )
+    mask = sampling_mask(cfg)
     masked = apply_mask(ksp, mask)
     acs = extract_acs(masked, mask)
 
     t0 = time.monotonic()
-    maps = espirit_maps(
-        acs, kernel_size=scenario["espirit"]["kernel_size"], out_extents=(n1, n2)
-    )
+    maps = sensitivity_maps(cfg, acs)
     espirit_s = time.monotonic() - t0
 
     ref = np.abs(coil_combine(ksp, maps, ("kx", "ky", "kz")).data)
-    metric = np.zeros(extents, dtype=bool)
+    metric = np.zeros(ref.shape, dtype=bool)
     metric[2:-2, 2:-2, 2:-2] = True
 
     def nrmse_of(img: np.ndarray) -> float:
@@ -205,22 +179,22 @@ def run_bench(scenario: dict | None = None) -> BenchReport:
         )
 
     # warm-up outside any timed section (first-call allocator effects)
-    warm = TrainConfig(iterations=1, widths=cfg.widths,
-                       kernel_sizes=cfg.kernel_sizes, seed=cfg.seed)
+    warm = replace(tcfg, iterations=1)
     train_eraki(ReconProblem(masked, (mask,), "eraki", warm, maps=maps))
 
+    rcfg = cfg["recon"]
     rows: dict[str, dict] = {}
-    for method in methods:
+    for method in BENCH_METHODS:
         try:
-            _, image, row = reconstruct(method, masked, mask, maps, cfg)
+            _, image, row = reconstruct(method, masked, mask, maps, tcfg,
+                                        lam=rcfg["lam"], acs_kx=rcfg["acs_kx"])
             row["nrmse"] = nrmse_of(image.transpose(("kx", "ky", "kz")).data)
         except Exception as exc:  # record the failure, keep benching
             row = {"error": f"{type(exc).__name__}: {exc}"}
         rows[method] = row
 
     ratios = {}
-    raki = rows.get("raki", {})
-    eraki = rows.get("eraki", {})
+    raki, eraki = rows["raki"], rows["eraki"]
     if raki.get("learning_s", 0) > 0 and eraki.get("learning_s", 0) > 0:
         ratios["raki_over_eraki_learning"] = (
             raki["learning_s"] / eraki["learning_s"]
@@ -238,7 +212,7 @@ def run_bench(scenario: dict | None = None) -> BenchReport:
         espirit_s=espirit_s,
         ratios=ratios,
         environment=_environment(),
-        config_hash=_config_hash(scenario),
+        config_hash=_config_hash(cfg),
     )
 
 

@@ -21,24 +21,18 @@ import numpy as np
 from . import __version__
 from .bench import (BENCH_METHODS, reconstruct, report_table, report_to_json,
                     run_bench, thread_count)
-from .config import load_config, read_json, train_config
+from .config import (load_config, phantom_spec, sampling_mask,
+                     sensitivity_maps, train_config)
 from .errors import (
     BundleError,
     ConfigError,
     GeometryError,
     NumericalError,
 )
-from .espirit import SensitivityMaps, espirit_maps
-from .phantom import default_spec, make_phantom
+from .espirit import SensitivityMaps
+from .phantom import make_phantom
 from .quantmap import fit_decay
-from .sampling import (
-    centered_acs_box,
-    load_mask,
-    make_elliptical_mask,
-    make_kyt_mask,
-    make_uniform_mask,
-    save_mask,
-)
+from .sampling import load_mask, save_mask
 from .tensors import CTensor, bundle_meta, load_bundle, nrmse, psnr, save_bundle
 
 
@@ -84,19 +78,7 @@ def _bundle_prefix(path: str, default_name: str) -> Path:
 
 def cmd_phantom(args) -> int:
     cfg = load_config(args.config, args.seed)
-    p = cfg["phantom"]
-    spec = default_spec(
-        extents=tuple(p["extents"]),
-        n_coils=p["n_coils"],
-        te_ms=tuple(p["te_ms"]),
-        seed=cfg["seed"],
-        coil_model=p["coil_model"],
-        coil_support=p["coil_support"],
-        echo_type=p["echo_type"],
-        noise_sigma=p["noise_sigma"],
-        texture=p["texture"],
-    )
-    ph = make_phantom(spec)
+    ph = make_phantom(phantom_spec(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("kspace", "images", "sens_true", "t2_true", "t2star_true"):
@@ -105,27 +87,9 @@ def cmd_phantom(args) -> int:
     return 0
 
 
-def _build_mask(cfg: dict):
-    m = cfg["mask"]
-    extents = tuple(m["extents"])
-    acs = m["acs"]
-    if m["kind"] == "kyt":
-        ny, nt = extents
-        box = None
-        if acs is not None:
-            box = (centered_acs_box((ny,), (acs[0],))[0], (0, nt))
-        return make_kyt_mask(ny, nt, m["r1"], shift=m["shift"], acs_box=box)
-    box = centered_acs_box(extents, tuple(acs)) if acs is not None else None
-    maker = {"uniform": make_uniform_mask, "elliptical": make_elliptical_mask}
-    if m["kind"] not in maker:
-        raise ConfigError(f"unknown config value mask.kind = {m['kind']!r}")
-    return maker[m["kind"]](extents, m["r1"], m["r2"], shift=m["shift"],
-                            acs_box=box)
-
-
 def cmd_mask(args) -> int:
     cfg = load_config(args.config, args.seed)
-    mask = _build_mask(cfg)
+    mask = sampling_mask(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_mask(mask, out / "mask")
@@ -177,13 +141,7 @@ def _load_maps(path: str) -> SensitivityMaps:
 
 def cmd_maps(args) -> int:
     cfg = load_config(args.config, args.seed)
-    e = cfg["espirit"]
-    acs = load_bundle(_bundle_prefix(args.acs, "acs"))
-    out_extents = tuple(e["out_extents"]) if e["out_extents"] else None
-    maps = espirit_maps(
-        acs, kernel_size=e["kernel_size"], sigma_threshold=e["sigma_threshold"],
-        crop_threshold=e["crop_threshold"], out_extents=out_extents,
-    )
+    maps = sensitivity_maps(cfg, load_bundle(_bundle_prefix(args.acs, "acs")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _save_maps(maps, out)
@@ -219,6 +177,9 @@ def cmd_recon(args) -> int:
 def cmd_metrics(args) -> int:
     recon = load_bundle(_bundle_prefix(args.recon, "image"))
     ref = load_bundle(_bundle_prefix(args.ref, "image"))
+    for name, x in (("recon", recon), ("ref", ref)):
+        if not np.isfinite(x.data).all():
+            raise NumericalError(f"{name} image holds non-finite values")
     doc = {
         "nrmse": nrmse(recon, ref),
         "psnr_db": psnr(recon, ref),
@@ -255,12 +216,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scenario = read_json(args.scenario, "scenario") if args.scenario else {}
-    if not isinstance(scenario, dict):
-        raise ConfigError("scenario must be a JSON object")
-    if args.seed is not None:
-        scenario["seed"] = args.seed
-    report = run_bench(scenario)
+    report = run_bench(load_config(args.config, args.seed))
     text = report_to_json(report)
     if args.out:
         out = Path(args.out)
@@ -284,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file")
+    def common(p):
+        p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
@@ -328,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bench", help="timing comparison across methods")
-    p.add_argument("--scenario", help="JSON scenario file")
-    p.add_argument("--seed", type=int)
+    common(p)
     p.add_argument("--out")
     p.add_argument("--table", action="store_true",
                    help="print the aligned text table")

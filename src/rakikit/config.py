@@ -1,8 +1,10 @@
-"""The one config schema: defaults, a checked merge, and the training config.
+"""The one config schema: defaults, a checked merge, and the builders.
 
 A config is nested JSON objects whose leaves take the type of their
-default, numbers finite. The CLI reads ``DEFAULTS``; the bench harness
-merges its own scenario defaults with the same :func:`merge`.
+default, numbers finite. Every CLI subcommand and :func:`rakikit.run_bench`
+merge their config over ``DEFAULTS``, and build the scene from it through
+the builders here: the phantom spec, the sampling mask, the sensitivity
+maps and the training config.
 """
 
 from __future__ import annotations
@@ -13,8 +15,13 @@ from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
+from .espirit import SensitivityMaps, espirit_maps
 from .grappa import DEFAULT_LAMBDA
 from .nn_engine import TrainConfig
+from .phantom import PhantomSpec, default_spec
+from .sampling import (SamplingMask, centered_acs_box, make_elliptical_mask,
+                       make_kyt_mask, make_uniform_mask)
+from .tensors import CTensor
 
 DEFAULTS = {
     "seed": None,  # mandatory: config file or --seed
@@ -26,21 +33,21 @@ DEFAULTS = {
         "te_ms": [0.0],
         "echo_type": "spin",
         "noise_sigma": 0.0,
-        "texture": 0.0,
+        "texture": 1.0,
     },
     "mask": {
         "kind": "uniform",  # uniform | elliptical | kyt
         "extents": [48, 48],
         "r1": 2,
         "r2": 2,
-        "shift": 0,
+        "shift": 1,
         "acs": [16, 16],
     },
     "espirit": {
-        "kernel_size": 6,
+        "kernel_size": 5,
         "sigma_threshold": 0.01,
         "crop_threshold": 0.9,
-        "out_extents": None,
+        "out_extents": None,  # None = mask.extents
     },
     "train": {
         "alpha": 0.0,
@@ -48,7 +55,7 @@ DEFAULTS = {
         "squared_l2": True,
         "learning_rate": 1e-4,
         "lr_decay": 0.998,
-        "iterations": 200,
+        "iterations": 100,
         "widths": [16, 16, 16, 16],
         "kernel_sizes": [[3, 3, 5], [1, 1, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1]],
     },
@@ -159,9 +166,15 @@ def load_config(path: str | None, seed_flag: int | None) -> dict:
     cfg = merge(DEFAULTS, read_json(path) if path else {})
     if seed_flag is not None:
         cfg["seed"] = seed_flag
+    return checked(cfg)
+
+
+def checked(cfg: dict) -> dict:
+    """``cfg``, merged over DEFAULTS, once its seed is set and its train
+    section is in range (whatever the command)."""
     if cfg["seed"] is None:
         raise ConfigError("config key seed is mandatory (file or --seed)")
-    train_config(cfg)  # range-check the train section whatever the command
+    train_config(cfg)
     return cfg
 
 
@@ -184,4 +197,41 @@ def train_config(cfg: dict) -> TrainConfig:
         widths=widths,
         kernel_sizes=kernel_sizes,
         seed=cfg["seed"],
+    )
+
+
+def phantom_spec(cfg: dict) -> PhantomSpec:
+    """The phantom of a merged config's ``phantom`` section and seed."""
+    p = cfg["phantom"]  # its leaves are PhantomSpec fields
+    return default_spec(**{**p, "extents": tuple(p["extents"]),
+                           "te_ms": tuple(p["te_ms"])}, seed=cfg["seed"])
+
+
+def sampling_mask(cfg: dict) -> SamplingMask:
+    """The mask of a merged config's ``mask`` section."""
+    m = cfg["mask"]
+    extents = tuple(m["extents"])
+    acs = m["acs"]
+    if m["kind"] == "kyt":
+        ny, nt = extents
+        box = None
+        if acs is not None:
+            box = (centered_acs_box((ny,), (acs[0],))[0], (0, nt))
+        return make_kyt_mask(ny, nt, m["r1"], shift=m["shift"], acs_box=box)
+    box = centered_acs_box(extents, tuple(acs)) if acs is not None else None
+    maker = {"uniform": make_uniform_mask, "elliptical": make_elliptical_mask}
+    if m["kind"] not in maker:
+        raise ConfigError(f"unknown config value mask.kind = {m['kind']!r}")
+    return maker[m["kind"]](extents, m["r1"], m["r2"], shift=m["shift"],
+                            acs_box=box)
+
+
+def sensitivity_maps(cfg: dict, acs: CTensor) -> SensitivityMaps:
+    """ESPIRiT maps of ``acs`` by a merged config's ``espirit`` section, on
+    the grid of ``espirit.out_extents``, or of ``mask.extents`` if null."""
+    e = cfg["espirit"]
+    return espirit_maps(
+        acs, kernel_size=e["kernel_size"], sigma_threshold=e["sigma_threshold"],
+        crop_threshold=e["crop_threshold"],
+        out_extents=tuple(e["out_extents"] or cfg["mask"]["extents"]),
     )

@@ -38,6 +38,8 @@ from .tensors import CTensor, save_bundle, load_bundle
 
 DEFAULT_KERNELS = ((3, 3, 7), (1, 1, 5), (1, 1, 3), (1, 1, 1), (1, 1, 1))
 DEFAULT_WIDTHS = (64, 64, 64, 64)
+# Adam's moment decays and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def receptive_field(kernel_sizes) -> tuple[int, int, int]:
@@ -92,9 +94,6 @@ class TrainConfig:
     learning_rate: float = 3e-4
     lr_decay: float = 1.0  # per-step multiplicative decay
     iterations: int = 1000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     kernel_sizes: tuple[tuple[int, int, int], ...] = DEFAULT_KERNELS
@@ -429,7 +428,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     history = []
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     lr = cfg.learning_rate
     for step in range(1, cfg.iterations + 1):
         # a diverging run ends in the NumericalError below, not in warnings

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, NumericalError
 
 T_CLAMP = (0.1, 10000.0)  # ms
 
@@ -30,8 +30,9 @@ def fit_decay(echo_images: np.ndarray, te_ms, threshold: float = 0.0
               ) -> FitResult:
     """Fit ln S = ln S0 - TE/T over the leading echo axis.
 
-    ``echo_images`` is real [echo, ...spatial] with magnitudes >= 0; a
-    voxel is fitted only when every echo magnitude exceeds ``threshold``.
+    ``echo_images`` is real [echo, ...spatial] with finite magnitudes
+    >= 0; a voxel is fitted only when every echo magnitude exceeds
+    ``threshold``.
     T is clamped to [0.1, 10000] ms; zero-variance voxels (constant
     signal) take the upper clamp with r2_goodness defined as 1.
     """
@@ -46,6 +47,8 @@ def fit_decay(echo_images: np.ndarray, te_ms, threshold: float = 0.0
             f"images [echo, ...spatial] with {te.size} echoes required, "
             f"got shape {s.shape}"
         )
+    if not np.isfinite(s).all():
+        raise NumericalError("echo images hold non-finite values")
     if np.any(s < 0):
         raise GeometryError("echo images must be non-negative magnitudes")
 

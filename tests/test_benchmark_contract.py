@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` wraps named rakikit functions and reads named
 arguments of some of them; ``perfbench/scenes.py`` imports rakikit's
-public names. A change that drops or renames one of these passes the
+public names and builds a ``TrainConfig`` by field name. A change that drops or renames one of these passes the
 rest of the suite and fails every traced benchmark run, so both files
 are loaded here by path (read only) and checked against the library.
 """
@@ -83,5 +83,8 @@ def test_observed_arguments_are_parameters():
 
 
 def test_scenes_import():
-    assert set(load("scenes").WORKLOADS) == {"c04_eraki", "desk_raki",
-                                             "me_joint_t2", "kyt_grappa"}
+    scenes = load("scenes")
+    assert set(scenes.WORKLOADS) == {"c04_eraki", "desk_raki",
+                                     "me_joint_t2", "kyt_grappa"}
+    # the scenes pass TrainConfig its fields by name
+    assert scenes.train_config(0, 8).widths == (8,) * 4

@@ -432,13 +432,53 @@ class TestExitCodes:
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
     def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
                                                        seed):
-        scenario = tmp_path / "s.json"
-        scenario.write_text("[1, 2]")
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
         capsys.readouterr()
-        assert main(["bench", "--scenario", str(scenario), *seed]) == 2
+        assert main(["bench", "--config", str(cfg), *seed]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "JSON object" in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_metrics_image_is_numerical_error(
+            self, pipeline, tmp_path, capsys, value):
+        """One non-finite voxel: exit 4, and no "nrmse": NaN written."""
+        r = pipeline["root"]
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "zerofill", "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "recon")]) == 0
+        image = load_bundle(tmp_path / "recon" / "image")
+        bad = image.data.copy()
+        bad[3, 5, 5] = value
+        save_bundle(image.with_data(bad), tmp_path / "bad")
+        for recon, ref in (("bad", "recon/image"), ("recon/image", "bad")):
+            capsys.readouterr()
+            assert main(["metrics", "--recon", str(tmp_path / recon),
+                         "--ref", str(tmp_path / ref),
+                         "--out", str(tmp_path / "m")]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("numerical error:")
+            assert "non-finite" in captured.err
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_echoes_fit_is_numerical_error(self, echoes, tmp_path,
+                                                     capsys, value):
+        images = load_bundle(echoes)
+        bad = images.data.copy()
+        bad[(1, *(n // 2 for n in bad.shape[1:]))] = value
+        save_bundle(images.with_data(bad), tmp_path / "image")
+        capsys.readouterr()
+        assert main(["fit", "--seed", "1", "--echoes", str(tmp_path / "image"),
+                     "--te", "8,40,80", "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "non-finite" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_recon_without_maps_is_config_error(self, pipeline, tmp_path):
         r = pipeline["root"]
@@ -858,17 +898,53 @@ class TestPipeline:
                      "--te", "a,b", "--out", str(tmp_path / "o")]) == 2
 
     def test_bench_outputs(self, tmp_path):
-        scenario = tmp_path / "s.json"
-        scenario.write_text(json.dumps(
-            {"seed": 2, "train": {"iterations": 2, "widths": [8, 8, 8, 8]},
-             "methods": ["zerofill", "eraki"]}
-        ))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"seed": 2, "train": {"iterations": 2, "widths": [8, 8, 8, 8]}}))
         out = tmp_path / "bench"
-        assert main(["bench", "--scenario", str(scenario),
-                     "--out", str(out)]) == 0
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
-        assert set(doc["methods"]) == {"zerofill", "eraki"}
+        assert set(doc["methods"]) == set(BENCH_METHODS)
         assert "espirit maps" in (out / "table.txt").read_text()
+
+    def test_bench_rows_are_the_pipeline_reports(self, pipeline, tmp_path):
+        """One config: ``rakikit bench`` reconstructs the scene the CLI
+        pipeline builds, so each row is that method's recon report, bit for
+        bit, in every key but the clock readings and the bench's NRMSE."""
+        r = pipeline["root"]
+        assert main(["bench", "--config", str(pipeline["cfg"]),
+                     "--out", str(tmp_path / "bench")]) == 0
+        rows = json.loads((tmp_path / "bench" / "report.json").read_text())
+        clock = {"learning_s", "inference_s"}
+        for method in BENCH_METHODS:
+            out = tmp_path / method
+            assert main(["recon", "--config", str(pipeline["cfg"]),
+                         "--method", method, "--data", str(r / "masked_kspace"),
+                         "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            row = rows["methods"][method]
+            assert {k: v for k, v in row.items() if k not in clock | {"nrmse"}} \
+                == {k: v for k, v in report.items() if k not in clock | {"method"}}
+
+    def test_maps_default_to_the_mask_extents(self, pipeline, tmp_path):
+        """``espirit.out_extents`` null: maps on ``mask.extents``, not on the
+        ACS grid, so recon takes them; the same maps as set explicitly."""
+        r = pipeline["root"]
+        doc = {**CONFIG, "espirit": {"kernel_size": 5}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["maps", "--config", str(cfg), "--acs", str(r / "acs"),
+                     "--out", str(tmp_path / "maps")]) == 0
+        maps = load_bundle(tmp_path / "maps" / "maps")
+        assert maps.shape[2:] == tuple(CONFIG["mask"]["extents"])
+        for name in ("maps.bin", "eigval.bin"):
+            assert (tmp_path / "maps" / name).read_bytes() == \
+                (r / "maps" / name).read_bytes()
+        assert main(["recon", "--config", str(cfg), "--method", "eraki",
+                     "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--maps", str(tmp_path / "maps"),
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_mask_rerun_identical(self, pipeline, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -439,7 +439,7 @@ def ref_train(model, x, target, cfg, valid):
     v = [np.zeros_like(p) for p in params]
     history = []
     lr = cfg.learning_rate
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for step in range(1, cfg.iterations + 1):
         value, grads = ref_backward(model, x, target, cfg.alpha, cfg.beta,
                                     valid, cfg.squared_l2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rakikit import ConfigError, GeometryError, fit_decay
+from rakikit import ConfigError, GeometryError, NumericalError, fit_decay
 from rakikit.quantmap import T_CLAMP
 
 
@@ -32,6 +32,14 @@ class TestValidation:
         s = np.ones((2, 4))
         s[1, 0] = -0.1
         with pytest.raises(GeometryError):
+            fit_decay(s, [0.0, 10.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_magnitudes_rejected(self, value):
+        """Checked before the log: an Inf is not fitted, a NaN not dropped."""
+        s = np.ones((2, 4))
+        s[1, 2] = value
+        with pytest.raises(NumericalError, match="non-finite"):
             fit_decay(s, [0.0, 10.0])
 
 
