@@ -180,11 +180,12 @@ def cmd_metrics(args) -> int:
     for name, x in (("recon", recon), ("ref", ref)):
         if not np.isfinite(x.data).all():
             raise NumericalError(f"{name} image holds non-finite values")
+    peak_snr = psnr(recon, ref)  # inf for equal images: JSON has no such number
     doc = {
         "nrmse": nrmse(recon, ref),
-        "psnr_db": psnr(recon, ref),
+        "psnr_db": peak_snr if np.isfinite(peak_snr) else None,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
         out = Path(args.out)

@@ -4,13 +4,16 @@ Acquired positions of every supported pattern form a 2D integer lattice
 on the phase axes; :mod:`rakikit.sampling` owns that geometry. One weight
 matrix maps ``taps`` readout samples by ``blocks`` lattice neighbours of
 an anchor to all missing offsets of its fundamental cell, all coils at
-once. It is fitted on every ACS window in the acquired frame, from normal
-equations that BLAS forms straight from the window matrix (``zherk`` for
-one triangle of A^H A, ``zgemm`` for A^H T; no conjugate copy of A). The
-fill runs on the zero-extended decimated anchor grid, at the anchors that
-own a position to fill: each readout plane's (u, v) block window is
-gathered once per chunk, and tap t's weights apply, as one GEMM, to the
-planes shifted by t.
+once. It is fitted on the ACS windows, every readout start by every
+(p1, p2) anchor, from normal equations factored over the taps: each
+readout plane's block windows are gathered once, and one GEMM per plane
+gives its products with the next ``taps`` planes, which every tap pair
+shares, so the window matrix is never formed. The fill runs in hybrid
+space on the zero-extended decimated anchor grid: transformed along kx,
+the tap sum becomes one GEMM per readout frequency at the anchors that own
+a position to fill. All products run on numpy's BLAS: scipy loads an
+OpenBLAS of its own, whose thread pool would fight numpy's, so of scipy
+only ``scipy.fft`` (pocketfft, no BLAS) is used.
 """
 
 from __future__ import annotations
@@ -18,21 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import zgemm, zherk
+import scipy.fft
 
 from .errors import GeometryError, NumericalError
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
                        internal_view, lattice_basis, lattice_cells, steps)
-from .tensors import CTensor, crop_center
+from .tensors import CTensor, crop_center, thread_count
 
 DEFAULT_BLOCKS = (4, 4)
 DEFAULT_TAPS = 5
 DEFAULT_LAMBDA = 1e-6
 
-# cap on calibration windows; beyond this the ACS is strided deterministically
+# cap on calibration windows; beyond it the (p1, p2) anchors are strided
 MAX_WINDOWS = 8192
-# readout planes per chunk of the fill; bounds its block-window buffer
+# readout frequencies per chunk of the fill; bounds its block-window buffer
 FILL_KX_CHUNK = 4
 
 
@@ -64,79 +66,127 @@ def _source_offsets(v1, v2, blocks, taps) -> np.ndarray:
     return out.reshape(-1, 3)
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
+    """Solve ``(L L^H) x = b`` by block substitution on the Cholesky factor L.
+
+    GEMMs plus LU solves of the diagonal blocks: numpy has no triangular
+    solve, and an LU of all of L would cost as much as the factorisation.
+    """
+    x = b.copy()
+    starts = range(0, len(chol), block)
+    for i in starts:  # L y = b
+        s = slice(i, i + block)
+        x[s] = np.linalg.solve(chol[s, s], x[s] - chol[s, :i] @ x[:i])
+    for i in reversed(starts):  # L^H x = y
+        s, rest = slice(i, i + block), slice(i + block, None)
+        x[s] = np.linalg.solve(chol[s, s].conj().T,
+                               x[s] - chol[rest, s].conj().T @ x[rest])
+    return x
+
+
 def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
                      blocks=DEFAULT_BLOCKS, taps: int = DEFAULT_TAPS,
                      lam: float = DEFAULT_LAMBDA) -> GrappaKernel:
     """Solve the regularized fits over all ACS sliding windows.
 
-    ``acs``: fully sampled complex array [coil, kx, p1, p2]. The ridge
-    weight is ``lam * mean(diag(A^H A))`` so lam is dimensionless. The
-    fit runs on the windows scaled by a power of two near 1/max|acs|, so
-    it holds at any magnitude float64 can hold.
+    ``acs``: fully sampled complex array [coil, kx, p1, p2]. A window is a
+    readout start times a (p1, p2) anchor; above ``MAX_WINDOWS`` only the
+    (p1, p2) anchors are strided, so the windows stay a product set. The
+    ridge weight is ``lam * mean(diag(A^H A))`` so lam is dimensionless.
+    The fit runs on the windows scaled by a power of two near 1/max|acs|,
+    so it holds at any magnitude float64 can hold. The window matrix A is
+    never formed: with Z_x the block windows of readout plane x, block
+    (t, t') of A^H A is the sum over window starts w of
+    Z_{w+t}^H Z_{w+t'}, so each plane y takes one GEMM,
+    Z_y^H [Z_y .. Z_{y+taps-1}], that serves every tap pair.
     """
     acs = np.asarray(acs, dtype=np.complex128)
     nc, nx, n1, n2 = acs.shape
     src = _source_offsets(*lattice_basis(mask), blocks, taps)
     tgt = np.array(cell_offsets(mask)[1:], dtype=int).reshape(-1, 2)
+    nb = len(src) // taps
+    blk = src[:nb, 1:]  # lattice offsets of the blocks; every tap has the same
 
-    all_d1 = np.concatenate([src[:, 1], tgt[:, 0], [0]])
-    all_d2 = np.concatenate([src[:, 2], tgt[:, 1], [0]])
-    ax = np.arange(-src[:, 0].min(), nx - src[:, 0].max())
+    all_d1 = np.concatenate([blk[:, 0], tgt[:, 0], [0]])
+    all_d2 = np.concatenate([blk[:, 1], tgt[:, 1], [0]])
+    nw = max(nx - taps + 1, 0)  # readout windows; window w reads planes w .. w + taps - 1
     a1 = np.arange(-all_d1.min(), n1 - all_d1.max())
     a2 = np.arange(-all_d2.min(), n2 - all_d2.max())
     n_unknown = nc * len(src)
     needed = max(64, n_unknown)
-    avail = len(ax) * len(a1) * len(a2)
+    avail = nw * len(a1) * len(a2)
     if avail < needed:
         raise GeometryError(
             f"insufficient ACS: {avail} calibration windows available, "
             f"{needed} required for {n_unknown} unknowns"
         )
 
-    anchors = np.stack(np.meshgrid(ax, a1, a2, indexing="ij"), axis=-1).reshape(-1, 3)
-    if len(anchors) > MAX_WINDOWS:
-        stride = int(np.ceil(len(anchors) / MAX_WINDOWS))
-        anchors = anchors[::stride]
+    anchors = np.stack(np.meshgrid(a1, a2, indexing="ij"), axis=-1).reshape(-1, 2)
+    if avail > MAX_WINDOWS:
+        anchors = anchors[:: -(-len(anchors) // max(MAX_WINDOWS // nw, 1))]
 
-    # gathered [(coil, src), W] and [(offset, coil), W], so that A [W, coil * src]
-    # and T [W, offset * coil] are Fortran-ordered and reach BLAS uncopied
-    coil = np.arange(nc)[:, None]
-    wx, w1, w2 = anchors.T
-    A = acs[coil[:, None], wx + src[:, 0:1], w1 + src[:, 1:2], w2 + src[:, 2:3]]
-    A = A.reshape(n_unknown, -1).T
-    T = acs[coil, wx, w1 + tgt[:, 0, None, None], w2 + tgt[:, 1, None, None]]
-    T = T.reshape(-1, len(anchors)).T
+    # Z [anchor, plane, (coil, block)] and each window's targets
+    # Y [anchor, w, (offset, coil)], at plane w + (taps - 1) // 2
+    flat = acs.reshape(nc, nx, n1 * n2)
+    cell = anchors @ [n2, 1]
+    Z = flat.take(cell[:, None] + blk @ [n2, 1], axis=2)  # [coil, plane, anchor, block]
+    Z = np.ascontiguousarray(Z.transpose(2, 1, 0, 3)).reshape(len(anchors), nx, -1)
+    Y = flat[:, (taps - 1) // 2 :][:, :nw].take(cell[:, None] + tgt @ [n2, 1], axis=2)
+    Y = np.ascontiguousarray(Y.transpose(2, 1, 3, 0)).reshape(len(anchors), nw, -1)
     # the weights are scale-invariant: a power of two that brings max|acs|
     # into [0.5, 1) keeps A^H A finite at any magnitude, and as it scales
     # exactly it changes no bit of the weights or the residual
     peak = float(np.max(np.abs(acs)))
     if peak > 0:
         scale = np.ldexp(1.0, -np.frexp(peak)[1])
-        A *= scale
-        T *= scale
+        Z *= scale
+        Y *= scale
 
-    AhA = zherk(1.0, A, trans=2)  # upper triangle of A^H A
-    AhA += np.triu(AhA, 1).conj().T
+    # unknowns in (tap, coil, block) order until the solve is done; the
+    # upper blocks of A^H A are accumulated, then mirrored
+    m = nc * nb
+    AhA = np.zeros((n_unknown, n_unknown), dtype=np.complex128)
+    ThA = np.zeros((Y.shape[2], n_unknown), dtype=np.complex128)  # (A^H T)^H
+    # the planes every tap reads (taps - 1 <= y < nw) are summed once
+    inner = np.zeros((m, n_unknown), dtype=np.complex128)
+    for y in range(nx):
+        lhs = Z[:, y] if y >= nw else np.concatenate((Z[:, y], Y[:, y]), axis=1)
+        G = lhs.conj().T @ Z[:, y : y + taps].reshape(len(Z), -1)
+        if y < nw:
+            ThA += G[m:]
+        # plane y is tap t of window y - t, with 0 <= y - t < nw
+        ts = range(max(0, y - nw + 1), min(y, taps - 1) + 1)
+        if len(ts) == taps:
+            inner += G[:m]
+            continue
+        for t in ts:
+            AhA[t * m : (t + 1) * m, t * m :] += G[:m, : (taps - t) * m]
+    for t in range(taps):
+        AhA[t * m : (t + 1) * m, t * m :] += inner[:, : (taps - t) * m]
+    AhA = np.triu(AhA) + np.triu(AhA, 1).conj().T
+    AhT = ThA.conj().T
     ridge = lam * float(np.mean(np.real(np.diag(AhA))))
     AhA_reg = AhA + ridge * np.eye(n_unknown)
 
-    AhT = zgemm(1.0, A, T, trans_a=2)
     try:
-        cho = scipy.linalg.cho_factor(AhA_reg, check_finite=False)
-        X = scipy.linalg.cho_solve(cho, AhT, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        X = _cho_solve(np.linalg.cholesky(AhA_reg), AhT, m)
+    except np.linalg.LinAlgError:
+        # not positive definite: drop the directions below the floor
         evals, evecs = np.linalg.eigh(AhA_reg)
         floor = max(float(evals.max()), 1.0) * 1e-14
-        X = evecs @ ((evecs.conj().T @ AhT) / np.maximum(evals, floor)[:, None])
-    # X: [n_unknown, (R - 1) * nc], columns (offset, coil)
+        inv = np.zeros_like(evals)
+        inv[evals > floor] = 1 / evals[evals > floor]
+        X = evecs @ ((evecs.conj().T @ AhT) * inv[:, None])
     if not np.all(np.isfinite(X)):
         raise NumericalError("non-finite GRAPPA weights")
     # ||AX - T||^2 expanded over the normal equations: no second pass over A
-    tt = np.linalg.norm(T) ** 2
+    tt = np.linalg.norm(Y) ** 2
     r2 = tt - 2 * np.vdot(X, AhT).real + np.vdot(X, AhA @ X).real
     residual = float(np.sqrt(max(r2, 0.0) / tt)) if tt > 0 else 0.0
-    return GrappaKernel(np.ascontiguousarray(X.T), src, mask.r1, mask.r2,
-                        mask.shift, mask.kind, nc, len(anchors), residual)
+    # X: [(tap, coil, block), (offset, coil)] -> weights [(offset, coil), (coil, src)]
+    X = X.reshape(taps, nc, nb, -1).transpose(3, 1, 0, 2).reshape(-1, n_unknown)
+    return GrappaKernel(np.ascontiguousarray(X), src, mask.r1, mask.r2,
+                        mask.shift, mask.kind, nc, nw * len(anchors), residual)
 
 
 def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
@@ -146,16 +196,20 @@ def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
     The acquired lattice points are scattered onto the anchor grid of
     :func:`lattice_cells` (zero off the pattern grid, so zero-extended),
     where every source stencil is one rectangular window: readout taps by
-    a (u, v) block window. Only anchors that own a position to fill are
-    evaluated; their block windows are gathered once per readout plane and
-    ``pred = sum_t C[t : t + n] @ W_t``, one GEMM per tap.
+    a (u, v) block window. Along kx the stencil is a correlation,
+    ``pred[x] = sum_t C[x + t - lo] @ W_t``, so it runs in hybrid space:
+    the grid, zero-padded along kx to L = nx + taps - 1 planes so that the
+    circular correlation wraps onto zeros only, is transformed along kx;
+    frequency f takes one GEMM with
+    ``W_f = sum_t W_t exp(2 pi i f (t - lo) / L)`` over the block windows
+    of the anchors that own a position to fill; the inverse transform
+    gives pred on planes 0 .. nx - 1.
     """
     nc, nx = kdata.shape[:2]
     u, v, k = lattice_cells(mask)
     fill = (k > 0) & ~mask.grid
-    out = kdata.copy()
     if not fill.any():
-        return out
+        return kdata.copy()
     s1, s2 = steps(mask)
     d1, d2 = acquired_coords(mask, kernel.src[:, 1], kernel.src[:, 2], inverse=True)
     win = np.stack([kernel.src[:, 0], d1 // s1, d2 // s2])  # decimated offsets
@@ -163,11 +217,12 @@ def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
     taps, b1, b2 = np.ptp(win, axis=1) + 1
     u, v = u - u.min(), v - v.min()  # window (u, v) is the stencil of anchor (u, v)
     nu, nv = u.max() + b1, v.max() + b2
-    grid = np.zeros((nx + taps - 1, nu, nv, nc), dtype=kdata.dtype)  # coil last
+    n_freq = nx + taps - 1
+    grid = np.zeros((n_freq, nu * nv, nc), dtype=kdata.dtype)  # coil last
     lat = k == 0
-    grid[lo[0] : lo[0] + nx, u[lat] + lo[1], v[lat] + lo[2]] = np.moveaxis(
+    grid[:nx, (u[lat] + lo[1]) * nv + v[lat] + lo[2]] = np.moveaxis(
         kdata[:, :, lat], 0, -1)
-    grid = grid.reshape(len(grid), nu * nv, nc)
+    grid = scipy.fft.fft(grid, axis=0, overwrite_x=True, workers=thread_count())
 
     # the anchors owning a fill position, and the block window of each
     used, anchor = np.unique(u[fill] * nv + v[fill], return_inverse=True)
@@ -176,21 +231,29 @@ def _fill_missing(kdata: np.ndarray, mask: SamplingMask,
     nout = len(kernel.weights)
     W = np.zeros((taps, b1, b2, nc, nout), dtype=kernel.weights.dtype)
     W[tuple(win + lo[:, None])] = kernel.weights.reshape(nout, nc, -1).T
-    W = W.reshape(taps, -1, nout)  # tap t: W_t^T, rows (block1, block2, coil)
+    # W_f, rows (block1, block2, coil); the phase exponent is reduced mod L
+    f, t = np.ogrid[:n_freq, :taps]
+    phase = np.exp(2j * np.pi * ((f * (t - lo[0])) % n_freq) / n_freq)
+    W = (phase @ W.reshape(taps, -1)).reshape(n_freq, -1, nout)
 
-    tk = k[fill] - 1
+    pred = np.empty((n_freq, len(used), nout), dtype=grid.dtype)
     # one buffer for every chunk: fresh ones fragment the heap and raise peak RSS
-    buf = np.empty((min(FILL_KX_CHUNK, nx) + taps - 1, *cells.shape, nc), grid.dtype)
+    buf = np.empty((min(FILL_KX_CHUNK, n_freq), *cells.shape, nc), grid.dtype)
+    for f0 in range(0, n_freq, FILL_KX_CHUNK):
+        n = min(FILL_KX_CHUNK, n_freq - f0)
+        C = np.take(grid[f0 : f0 + n], cells, axis=1, out=buf[:n],
+                    mode="clip")  # in range; unbuffered
+        # C: [frequency, anchor, (block1, block2), coil]
+        np.matmul(C.reshape(n, len(used), -1), W[f0 : f0 + n], out=pred[f0 : f0 + n])
+    del grid, buf, C
+    pred = scipy.fft.ifft(pred, axis=0, overwrite_x=True, workers=thread_count())
+
+    out = kdata.copy()
+    tk = k[fill] - 1
     for x0 in range(0, nx, FILL_KX_CHUNK):
-        n = min(FILL_KX_CHUNK, nx - x0)
-        C = np.take(grid[x0 : x0 + n + taps - 1], cells, axis=1,
-                    out=buf[: n + taps - 1], mode="clip")  # in range; unbuffered
-        # C: [plane, anchor, (block1, block2), coil]
-        pred = C[:n].reshape(n * len(used), -1) @ W[0]
-        for t in range(1, taps):
-            pred += C[t : t + n].reshape(n * len(used), -1) @ W[t]
-        pred = pred.reshape(n, len(used), -1, nc)[:, anchor, tk]  # [x, n, nc]
-        out[:, x0 : x0 + n, fill] = np.moveaxis(pred, 2, 0)
+        p = pred[x0 : min(x0 + FILL_KX_CHUNK, nx)]
+        p = p.reshape(len(p), len(used), -1, nc)[:, anchor, tk]  # [x, n, nc]
+        out[:, x0 : x0 + len(p), fill] = np.moveaxis(p, 2, 0)
     return out
 
 

@@ -1,11 +1,17 @@
 """GRAPPA calibration and application on lattice and ky-t patterns."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rakikit
 from rakikit import (
     CTensor,
     GeometryError,
@@ -98,17 +104,20 @@ def dense_calibrate(acs, mask, src, lam):
     """The normal equations formed with explicit conjugate copies, as reference.
 
     The windows are grappa_calibrate's: every anchor whose sources and
-    cell offsets lie in the ACS, strided down to MAX_WINDOWS. Returns the
-    weights, the window count and ||AX - T|| / ||T||.
+    cell offsets lie in the ACS, with the (p1, p2) anchors strided so that
+    at most MAX_WINDOWS remain. Returns the weights, the window count and
+    ||AX - T|| / ||T||.
     """
     nc, nx, n1, n2 = acs.shape
     tgt = np.array(cell_offsets(mask)[1:], dtype=int).reshape(-1, 2)
     d1 = np.concatenate([src[:, 1], tgt[:, 0], [0]])
     d2 = np.concatenate([src[:, 2], tgt[:, 1], [0]])
-    ranges = [np.arange(-d.min(), n - d.max())
-              for d, n in ((src[:, 0], nx), (d1, n1), (d2, n2))]
-    anchors = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
-    anchors = anchors[:: -(-len(anchors) // MAX_WINDOWS)]
+    ax, a1, a2 = [np.arange(-d.min(), n - d.max())
+                  for d, n in ((src[:, 0], nx), (d1, n1), (d2, n2))]
+    pq = np.stack(np.meshgrid(a1, a2, indexing="ij"), axis=-1).reshape(-1, 2)
+    if len(ax) * len(pq) > MAX_WINDOWS:
+        pq = pq[:: -(-len(pq) // (MAX_WINDOWS // len(ax)))]
+    anchors = np.column_stack([np.repeat(ax, len(pq)), np.tile(pq, (len(ax), 1))])
     A = acs[:, anchors[:, 0:1] + src[:, 0], anchors[:, 1:2] + src[:, 1],
             anchors[:, 2:3] + src[:, 2]]  # [nc, W, nsrc]
     A = np.transpose(A, (1, 0, 2)).reshape(len(anchors), -1)
@@ -123,13 +132,15 @@ def dense_calibrate(acs, mask, src, lam):
     except np.linalg.LinAlgError:
         evals, evecs = np.linalg.eigh(AhA_reg)
         floor = max(evals.max(), 1.0) * 1e-14
-        X = evecs @ ((evecs.conj().T @ AhT) / np.maximum(evals, floor)[:, None])
+        inv = np.zeros_like(evals)
+        inv[evals > floor] = 1 / evals[evals > floor]
+        X = evecs @ ((evecs.conj().T @ AhT) * inv[:, None])
     return X.T, len(anchors), np.linalg.norm(A @ X - T) / np.linalg.norm(T)
 
 
 def assert_matches_dense(acs, mask, kernel, lam):
     weights, windows, residual = dense_calibrate(acs, mask, kernel.src, lam)
-    assert kernel.windows == windows
+    assert kernel.windows == windows <= MAX_WINDOWS
     assert np.linalg.norm(kernel.weights - weights) <= 1e-12 * np.linalg.norm(weights)
     assert kernel.residual == pytest.approx(residual, rel=1e-8, abs=1e-12)
 
@@ -173,6 +184,9 @@ class TestCalibration:
         kernel = grappa_calibrate(acs, mask, blocks=(2, 2), taps=3, lam=0.0)
         assert calls, "the Cholesky path was taken"
         assert_matches_dense(acs, mask, kernel, 0.0)
+        # the dead coil's null directions are dropped, not amplified
+        w = kernel.weights.reshape(len(kernel.weights), 3, -1)
+        assert np.abs(w[:, 1]).max() <= 1e-12 * np.abs(w).max()
 
     def test_windows_and_residual_on_exact_scene(self):
         # the compact-coil scene is exactly solvable: the fit leaves ~0
@@ -342,3 +356,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             grappa_apply(masked.with_data(masked.data * factor), mask, scaled).data,
             grappa_apply(masked, mask, base).data * factor)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # numpy and scipy each load their own OpenBLAS, whose thread pools fight
+    # over the cores when calls alternate between them; the package keeps
+    # to numpy's (scipy.fft uses no BLAS)
+    code = "import sys, rakikit, rakikit.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(rakikit.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
