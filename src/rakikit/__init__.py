@@ -26,7 +26,6 @@ from .tensors import (
     ifftc_nd,
     load_bundle,
     nrmse,
-    pad_center,
     psnr,
     save_bundle,
 )
@@ -65,9 +64,7 @@ from .nn_engine import (
     backward,
     forward,
     init_model,
-    load_model,
     loss,
-    save_model,
     train,
 )
 from .recon_models import (

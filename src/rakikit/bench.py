@@ -16,13 +16,13 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .config import (DEFAULTS, checked, merge, phantom_spec, sampling_mask,
                      sensitivity_maps, train_config)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, GeometryError, NumericalError
 from .espirit import SensitivityMaps, coil_combine
 from .grappa import DEFAULT_LAMBDA, grappa_apply, grappa_kernel
 from .nn_engine import TrainConfig
@@ -35,7 +35,7 @@ from .recon_models import (
     train_raki,
     zerofill_recon,
 )
-from .sampling import SamplingMask, apply_mask, extract_acs
+from .sampling import SamplingMask, apply_mask, extract_acs, internal_view
 from .tensors import CTensor, ifftc, thread_count
 
 BENCH_METHODS = ("zerofill", "grappa", "raki", "eraki")
@@ -107,6 +107,15 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
         raise ConfigError(f"method {method} requires sensitivity maps")
     if not np.isfinite(data.data).all():
         raise NumericalError("k-space holds non-finite values")
+    ne = data.extent("echo") if data.has_axis("echo") else 1
+    masks = echo_shifted_masks(mask, ne) if ne > 1 else (mask,)
+    view = internal_view(data, mask)  # [coil, (echo,) kx, p1, p2]
+    if view.shape[-2:] == mask.extents:  # a mismatch is reported downstream
+        held = (view != 0).any(axis=(0, -3)).reshape(ne, *mask.extents)
+        for e, m in enumerate(masks):
+            if (held[e] & ~m.grid).any():
+                raise GeometryError(f"echo {e} of the k-space holds samples "
+                                    f"where its mask has none")
     # models learned, and as the paper counts them (real and imaginary apart)
     r, nc = mask.r1 * mask.r2 - 1, data.extent("coil")  # GRAPPA: r kernels
     counts = {"zerofill": (0, 0), "grappa": (r, r), "raki": (nc, 2 * nc),
@@ -132,8 +141,6 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
         row["inference_s"] = time.monotonic() - t0
         return kspace, image, row
 
-    ne = data.extent("echo") if data.has_axis("echo") else 1
-    masks = echo_shifted_masks(mask, ne) if ne > 1 else (mask,)
     mode = "raki_percoil" if method == "raki" else "eraki"
     problem = ReconProblem(data, masks, mode, cfg, maps=maps)
     t0 = time.monotonic()
@@ -172,11 +179,16 @@ def run_bench(config: dict) -> BenchReport:
     ref = np.abs(coil_combine(ksp, maps, ("kx", "ky", "kz")).data)
     metric = np.zeros(ref.shape, dtype=bool)
     metric[2:-2, 2:-2, 2:-2] = True
+    ref_norm = np.linalg.norm(ref[metric])
+    if not ref_norm > 0:
+        raise GeometryError(f"the scored interior [2:-2] of the {ref.shape} "
+                            f"grid is empty or the reference is zero on it")
 
     def nrmse_of(img: np.ndarray) -> float:
-        return float(
-            np.linalg.norm((img - ref)[metric]) / np.linalg.norm(ref[metric])
-        )
+        score = float(np.linalg.norm((img - ref)[metric]) / ref_norm)
+        if not np.isfinite(score):
+            raise NumericalError(f"non-finite nrmse {score}")
+        return score
 
     # warm-up outside any timed section (first-call allocator effects)
     warm = replace(tcfg, iterations=1)
@@ -217,15 +229,7 @@ def run_bench(config: dict) -> BenchReport:
 
 
 def report_to_json(report: BenchReport) -> str:
-    doc = {
-        "methods": report.methods,
-        "espirit_s": report.espirit_s,
-        "ratios": report.ratios,
-        "environment": report.environment,
-        "config_hash": report.config_hash,
-        "paper_reference": report.paper_reference,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
 def report_table(report: BenchReport) -> str:

@@ -26,15 +26,12 @@ float32 against 1.8 s in float64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from numbers import Integral
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleError, ConfigError, GeometryError, NumericalError
-from .tensors import CTensor, save_bundle, load_bundle
+from .errors import ConfigError, GeometryError, NumericalError
 
 DEFAULT_KERNELS = ((3, 3, 7), (1, 1, 5), (1, 1, 3), (1, 1, 1), (1, 1, 1))
 DEFAULT_WIDTHS = (64, 64, 64, 64)
@@ -482,51 +479,3 @@ def predict(model: ModelWeights, x: np.ndarray) -> np.ndarray:
         y = forward(flat, cols)  # [n, C, 1, 1, oz]
         out[:, idx[0], idx[1], idx[2]] = y[:, :, 0, 0].swapaxes(0, 1)
     return _outside(out, single)
-
-
-def save_model(model: ModelWeights, path: str | Path, extra_meta: dict | None = None):
-    """One bundle per layer plus a manifest JSON describing the stack."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = {"layers": [], "meta": extra_meta or {}}
-    for i, layer in enumerate(model.layers):
-        oc, ic = layer.kernel.shape[:2]
-        kb = np.zeros((oc, ic + 1, *layer.kernel.shape[2:]), dtype=np.complex128)
-        kb[:, :ic] = layer.kernel
-        kb[:, ic, 0, 0, 0] = layer.bias
-        save_bundle(
-            CTensor(kb, ("coil", "maps", "kx", "ky", "kz")),
-            path / f"layer{i}",
-            meta={"relu": layer.relu, "out_ch": oc, "in_ch": ic},
-        )
-        manifest["layers"].append(
-            {"file": f"layer{i}", "relu": layer.relu,
-             "kernel_size": list(layer.kernel.shape[2:])}
-        )
-    (path / "model.json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_model(path: str | Path) -> ModelWeights:
-    """Read a ``save_model`` directory; a malformed manifest is a BundleError."""
-    path = Path(path)
-    where = path / "model.json"
-    try:
-        manifest = json.loads(where.read_text())
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"model manifest {where} is not valid JSON: {exc}") from None
-    entries = manifest.get("layers") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list) or not entries:
-        raise BundleError(f"model manifest {where} lacks a list of layers")
-    layers = []
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
-                and isinstance(entry.get("relu"), bool)):
-            raise BundleError(f"model manifest {where}: layer {i} needs a "
-                              f"string 'file' and a boolean 'relu'")
-        t = load_bundle(path / entry["file"])
-        data = np.real(t.data)
-        ic = data.shape[1] - 1
-        kernel = data[:, :ic].copy()
-        bias = data[:, ic, 0, 0, 0].copy()
-        layers.append(ConvLayer(kernel, bias, entry["relu"]))
-    return ModelWeights(layers)

@@ -152,14 +152,16 @@ def make_smooth_coils(extents: tuple[int, int, int], n_coils: int,
     return maps / norm
 
 
+DC_BOOST = 3.0  # the compact DC tap gains DC_BOOST * support**1.5: no map zeros
+
+
 def make_compact_coils(extents: tuple[int, int, int], n_coils: int,
-                       support: int, seed: int = 0, dc_boost: float = 3.0,
+                       support: int, seed: int = 0,
                        normalized: bool = False) -> CTensor:
     """Coil maps whose k-space lives on a centered ``support``-wide window.
 
     Multiplication by such a map is exactly a ``support``-wide k-space
     convolution, which makes GRAPPA and ESPIRiT exactly solvable.
-    ``dc_boost`` weights the DC tap up so the maps have no spatial zeros.
     ``normalized`` divides by the voxelwise root-sum-of-squares (the maps
     then lose strict compactness but satisfy sum_c |C_c|^2 == 1).
     """
@@ -172,7 +174,7 @@ def make_compact_coils(extents: tuple[int, int, int], n_coils: int,
     win = tuple(center_slices(n, support) for n in extents)
     shape = (n_coils, support, support, support)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    vals[:, support // 2, support // 2, support // 2] += dc_boost * support**1.5
+    vals[:, support // 2, support // 2, support // 2] += DC_BOOST * support**1.5
     kern[(slice(None), *win)] = vals
     maps = ifftc_nd(kern, axes=(1, 2, 3))
     if normalized:

@@ -309,7 +309,11 @@ def linear_init(ts: OffsetTargetSet, cfg: TrainConfig) -> ModelWeights:
     The ridge solution W is factorized by SVD and embedded exactly in the
     ReLU stack with paired +/- channels (ReLU(v) - ReLU(-v) = v); later
     layers start as centered identities. Falls back to the random init if
-    the hidden widths cannot hold the paired factors.
+    the hidden widths cannot hold the paired factors. Hidden channels from
+    2r up, r = min(out channels, min(widths) // 2), start at exactly zero,
+    bias included, and ReLU'(0) = 0 keeps their gradient zero: training
+    never revives them. Per-coil RAKI at R = 2x2 (8 outputs) with widths
+    64 leaves 48 of each hidden layer's 64 channels dead.
     """
     model = init_model(ts.in_channels, ts.out_channels, cfg)
     if not cfg.widths:  # degenerate single-layer stack: the kernel is W itself

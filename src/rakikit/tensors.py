@@ -8,7 +8,7 @@ of the input is transformed in place, threaded over the available cores,
 then shifted into the output. Each line's transform is the same
 arithmetic whatever the thread count or the other axes, so a volume
 transformed one coil at a time equals the whole-array transform bit for
-bit. Center crops/pads put the extra sample on the low-index side when
+bit. Center crops put the extra sample on the low-index side when
 parities mismatch.
 """
 
@@ -161,23 +161,6 @@ def crop_center(x: CTensor, extents: dict[str, int]) -> CTensor:
             raise GeometryError(f"crop extent for '{label}' must be positive, got {n}")
         sl[x.axis(label)] = center_slices(cur, n)
     return x.with_data(x.data[tuple(sl)].copy())
-
-
-def pad_center(x: CTensor, extents: dict[str, int]) -> CTensor:
-    """Zero-pad the named axes to the given extents, center-embedded."""
-    shape = list(x.data.shape)
-    sl = [slice(None)] * x.data.ndim
-    for label, n in extents.items():
-        cur = x.extent(label)
-        if n < cur:
-            raise GeometryError(
-                f"cannot pad axis '{label}' from {cur} to smaller extent {n}"
-            )
-        shape[x.axis(label)] = n
-        sl[x.axis(label)] = center_slices(n, cur)
-    out = np.zeros(shape, dtype=np.complex128)
-    out[tuple(sl)] = x.data
-    return x.with_data(out)
 
 
 def _magnitudes(x: CTensor | np.ndarray, ref: CTensor | np.ndarray):

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from rakikit import (ConfigError, GeometryError, run_bench, report_table,
+from rakikit import (ConfigError, GeometryError, bench, run_bench, report_table,
                      report_to_json)
 from rakikit.bench import BENCH_METHODS, PAPER_REFERENCE
 from rakikit.config import DEFAULTS, merge
@@ -39,6 +40,29 @@ class TestScenario:
     def test_scenario_needs_an_acs(self):
         with pytest.raises(GeometryError, match="no ACS box"):
             run_bench({**FAST, "mask": {"acs": None}})
+
+    def test_nonfinite_score_is_an_error_row(self, monkeypatch):
+        """A method whose image scores NaN gets an error row, so the report
+        stays strict JSON."""
+        real = bench.reconstruct
+
+        def nan_image(method, *args, **kwargs):
+            kspace, image, row = real(method, *args, **kwargs)
+            if method == "zerofill":
+                image = image.with_data(np.full(image.shape, np.nan))
+            return kspace, image, row
+
+        monkeypatch.setattr(bench, "reconstruct", nan_image)
+        report = run_bench({**FAST, "train": {"iterations": 1,
+                                              "widths": [8, 8, 8, 8]}})
+        assert report.methods["zerofill"] == {
+            "error": "NumericalError: non-finite nrmse nan"}
+        assert all("nrmse" in report.methods[m] for m in BENCH_METHODS[1:])
+
+        def reject(name):
+            raise ValueError(f"the report holds {name}")
+
+        json.loads(report_to_json(report), parse_constant=reject)
 
     def test_merge_preserves_defaults(self):
         merged = merge(DEFAULTS, FAST)

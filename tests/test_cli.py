@@ -415,19 +415,89 @@ class TestExitCodes:
                                    "mask": {**CONFIG["mask"], "r1": 5}}))
         assert main(["mask", "--config", str(cfg),
                      "--out", str(tmp_path / "mask")]) == 0
+        ksp = load_bundle(r / "ph" / "kspace")
+        single = CTensor(ksp.data[:, 0], ("coil", "kx", "ky", "kz"))
+        save_bundle(apply_mask(single, load_mask(tmp_path / "mask" / "mask")),
+                    tmp_path / "data")
         called = []
         for name in ("linear_init", "train"):
             monkeypatch.setattr(recon_models, name,
                                 lambda *a, name=name, **k: called.append(name))
         capsys.readouterr()
         assert main(["recon", "--config", str(pipeline["cfg"]),
-                     "--method", method, "--data", str(r / "masked_kspace"),
+                     "--method", method, "--data", str(tmp_path / "data"),
                      "--mask", str(tmp_path / "mask"), "--maps", str(r / "maps"),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "(5, 2)" in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert called == []
+
+    @staticmethod
+    def _recon_is_data_error(pipeline, tmp_path, capsys, method, data):
+        save_bundle(data, tmp_path / "data")
+        r = pipeline["root"]
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", method, "--data", str(tmp_path / "data"),
+                     "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "mask has none" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method", BENCH_METHODS)
+    def test_unmasked_kspace_is_data_error(self, pipeline, tmp_path, capsys,
+                                           method):
+        ksp = load_bundle(pipeline["root"] / "ph" / "kspace")
+        full = CTensor(ksp.data[:, 0], ("coil", "kx", "ky", "kz"))
+        self._recon_is_data_error(pipeline, tmp_path, capsys, method, full)
+
+    @pytest.mark.parametrize("method", ["zerofill", "eraki"])
+    def test_echoes_on_one_mask_are_data_error(self, pipeline, tmp_path, capsys,
+                                               method):
+        """Echo e >= 1 is read through the echo-shifted mask, so k-space
+        masked with echo 0's mask throughout holds samples off it."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {**CONFIG, "phantom": {**CONFIG["phantom"], "te_ms": [8, 40, 80]}}))
+        assert main(["phantom", "--config", str(cfg),
+                     "--out", str(tmp_path / "ph")]) == 0
+        ksp = load_bundle(tmp_path / "ph" / "kspace")
+        mask = load_mask(pipeline["root"] / "mask" / "mask")
+        self._recon_is_data_error(pipeline, tmp_path, capsys, method,
+                                  apply_mask(ksp, mask))
+        # each echo on its own shifted mask is what recon reads
+        shifted = ksp.data.copy()
+        for e, m in enumerate(recon_models.echo_shifted_masks(mask, 3)):
+            shifted[:, e] = apply_mask(CTensor(ksp.data[:, e], (
+                "coil", "kx", "ky", "kz")), m).data
+        save_bundle(ksp.with_data(shifted), tmp_path / "data")
+        r = pipeline["root"]
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", method, "--data", str(tmp_path / "data"),
+                     "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_bench_with_empty_scored_interior_is_data_error(self, tmp_path,
+                                                            capsys):
+        """Extent 4 leaves no [2:-2] interior to score: exit 3 before any
+        method runs, and no NaN row written."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "seed": 0, "phantom": {"extents": [4, 24, 24]},
+            "mask": {"extents": [24, 24], "acs": [12, 12]},
+            "train": {"iterations": 2, "kernel_sizes": [[3, 3, 1], [1, 1, 1],
+                                                        [1, 1, 1], [1, 1, 1],
+                                                        [1, 1, 1]]}}))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "interior" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
     def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
@@ -883,7 +953,32 @@ class TestPipeline:
 
     @staticmethod
     def _reject_constant(name):
-        raise ValueError(f"metrics.json holds {name}, which is not JSON")
+        raise ValueError(f"the JSON file holds {name}, which is not JSON")
+
+    def test_every_json_written_is_strict(self, pipeline, echoes, tmp_path):
+        """Manifests, reports, bundle headers and metrics.json hold no NaN
+        or Infinity, through the whole pipeline: phantom, mask, maps,
+        recon by every method, metrics, fit and bench."""
+        r = pipeline["root"]
+        for method in BENCH_METHODS:
+            assert main(["recon", "--config", str(pipeline["cfg"]),
+                         "--method", method, "--data", str(r / "masked_kspace"),
+                         "--mask", str(r / "mask"), "--maps", str(r / "maps"),
+                         "--out", str(tmp_path / method)]) == 0
+        image = str(tmp_path / "eraki" / "image")
+        assert main(["metrics", "--recon", image, "--ref", image,
+                     "--out", str(tmp_path / "metrics")]) == 0
+        assert main(["fit", "--seed", "1", "--echoes", str(echoes),
+                     "--te", "8,40,80", "--out", str(tmp_path / "fit")]) == 0
+        assert main(["bench", "--config", str(pipeline["cfg"]),
+                     "--out", str(tmp_path / "bench")]) == 0
+        written = [p for d in (r / "ph", r / "mask", r / "maps", tmp_path)
+                   for p in d.rglob("*.json")]
+        for name in ("manifest", "report", "kspace", "image", "maps", "mask",
+                     "metrics", "t2_map"):
+            assert any(p.stem == name for p in written), name
+        for path in written:
+            json.loads(path.read_text(), parse_constant=self._reject_constant)
 
     def test_fit(self, pipeline, tmp_path):
         te = np.array([0.0, 20.0, 50.0])

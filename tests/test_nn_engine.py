@@ -1,6 +1,4 @@
-"""Training engine: forward pass, analytic gradients, Adam, model I/O."""
-
-import json
+"""Training engine: forward pass, analytic gradients, Adam."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rakikit import (
-    BundleError,
     ConfigError,
     GeometryError,
     ModelWeights,
@@ -23,11 +20,9 @@ from rakikit import (
     forward,
     init_model,
     linear_init,
-    load_model,
     loss,
     make_phantom,
     make_uniform_mask,
-    save_model,
     train,
 )
 from rakikit import CTensor, nn_engine, recon_models
@@ -301,48 +296,6 @@ class TestTraining:
             not np.array_equal(la.kernel, lb.kernel)
             for la, lb in zip(a.layers, b.layers)
         )
-
-
-class TestModelIO:
-    def test_roundtrip_exact(self, tmp_path):
-        model = init_model(3, 2, TINY)
-        rng = np.random.default_rng(0)
-        for layer in model.layers:
-            layer.bias = rng.standard_normal(layer.bias.shape)
-        save_model(model, tmp_path / "m", extra_meta={"tag": 1})
-        back = load_model(tmp_path / "m")
-        assert len(back.layers) == len(model.layers)
-        for la, lb in zip(model.layers, back.layers):
-            np.testing.assert_array_equal(la.kernel, lb.kernel)
-            np.testing.assert_array_equal(la.bias, lb.bias)
-            assert la.relu == lb.relu
-
-    def test_not_json_is_bundle_error(self, tmp_path):
-        save_model(init_model(2, 2, TINY), tmp_path / "m")
-        (tmp_path / "m" / "model.json").write_text("{layers: ")
-        with pytest.raises(BundleError, match="not valid JSON") as info:
-            load_model(tmp_path / "m")
-        assert "\n" not in str(info.value)
-
-    @pytest.mark.parametrize("manifest", [
-        {"meta": {}}, {"layers": "layer0"}, {"layers": []}, ["layer0"],
-    ], ids=["no-layers", "str-layers", "empty-layers", "not-object"])
-    def test_manifest_without_layers_is_bundle_error(self, tmp_path, manifest):
-        save_model(init_model(2, 2, TINY), tmp_path / "m")
-        (tmp_path / "m" / "model.json").write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="lacks a list of layers"):
-            load_model(tmp_path / "m")
-
-    @pytest.mark.parametrize("drop", ["file", "relu"])
-    def test_layer_entry_without_key_is_bundle_error(self, tmp_path, drop):
-        save_model(init_model(2, 2, TINY), tmp_path / "m")
-        path = tmp_path / "m" / "model.json"
-        manifest = json.loads(path.read_text())
-        del manifest["layers"][1][drop]
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match="layer 1 needs") as info:
-            load_model(tmp_path / "m")
-        assert "\n" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------

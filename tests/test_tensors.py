@@ -19,7 +19,6 @@ from rakikit import (
     ifftc,
     load_bundle,
     nrmse,
-    pad_center,
     psnr,
     save_bundle,
 )
@@ -121,18 +120,24 @@ class TestCropPad:
             sl = center_slices(full, target)
             assert np.arange(full)[sl][target // 2] == full // 2
 
-    def test_pad_then_crop_roundtrip(self):
-        t = CTensor(rand_c((3, 5)), ("kx", "ky"))
-        padded = pad_center(t, {"kx": 8, "ky": 9})
-        back = crop_center(padded, {"kx": 3, "ky": 5})
-        np.testing.assert_array_equal(back.data, t.data)
+    @pytest.mark.parametrize("extents", [
+        {"kx": 3, "ky": 5}, {"kx": 8, "ky": 4}, {"ky": 6}, {"kx": 1},
+    ], ids=["both-axes", "kx-whole", "ky-only", "kx-to-one"])
+    def test_crop_matches_center_slices(self, extents):
+        data = rand_c((8, 9))
+        back = crop_center(CTensor(data, ("kx", "ky")), extents)
+        sl = tuple(center_slices(n, extents.get(label, n))
+                   for label, n in zip(("kx", "ky"), data.shape))
+        np.testing.assert_array_equal(back.data, data[sl])
+        assert back.axes == ("kx", "ky")
+        assert not np.shares_memory(back.data, data)
 
     def test_crop_too_large_raises(self):
         t = CTensor(np.zeros((4,)), ("kx",))
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="larger extent"):
             crop_center(t, {"kx": 5})
-        with pytest.raises(GeometryError):
-            pad_center(t, {"kx": 3})
+        with pytest.raises(GeometryError, match="must be positive"):
+            crop_center(t, {"kx": 0})
 
 
 class TestMetrics:
