@@ -160,11 +160,16 @@ def run_bench(config: dict) -> BenchReport:
     """Run every method on the scene ``config`` describes and time it.
 
     ``config`` is merged over ``DEFAULTS`` like a ``--config`` file, seed
-    mandatory. The scene is the first echo of the phantom, masked, and the
-    maps of its ACS: what ``rakikit phantom``, ``mask`` and ``maps`` build
-    from the same config.
+    mandatory. The scene is the phantom's one echo, masked, and the maps
+    of its ACS: what ``rakikit phantom``, ``mask`` and ``maps`` build from
+    the same config. A config with more than one echo time is a
+    ConfigError: the methods are scored on a single echo.
     """
     cfg = checked(merge(DEFAULTS, config))
+    n_te = len(cfg["phantom"]["te_ms"])
+    if n_te > 1:
+        raise ConfigError(f"rakikit bench runs a single echo; phantom.te_ms "
+                          f"lists {n_te}")
     tcfg = train_config(cfg)
     ph = make_phantom(phantom_spec(cfg))
     ksp = CTensor(ph["kspace"].data[:, 0], ("coil", "kx", "ky", "kz"))

@@ -13,7 +13,8 @@ scatter. ``train`` fits only the (p1, p2) output columns that hold a
 target: once per call it gathers their receptive-field patches into a
 batch, unfolds layer 0's window over them into one column matrix, and
 steps a model whose layer 0 is the same weights as a 1x1x1 conv over that
-matrix. ``predict`` runs inference over blocks of columns the same way.
+matrix. ``predict_columns`` runs inference over blocks of columns the same
+way, every model of a list on each block's one column matrix.
 
 The engine computes in the dtype of its input: float32 input stays
 float32 (the weights are cast to it), any other input becomes float64.
@@ -306,11 +307,14 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     e, n, rms, data = _data_term(pred, np.asarray(target, dtype=h.dtype), alpha,
                                  valid, squared_l2)
 
-    g = alpha * np.sign(e) / n
     if squared_l2:
-        g = g + (1 - alpha) * 2.0 * e / n
+        g = (1 - alpha) * 2.0 * e / n
     elif rms > 0:
-        g = g + (1 - alpha) * e / (n * rms)
+        g = (1 - alpha) * e / (n * rms)
+    else:
+        g = np.zeros_like(e)
+    if alpha:  # the L1 subgradient
+        g += alpha * np.sign(e) / n
 
     grads = [None] * len(model.layers)
     gout = _inside(g, single)
@@ -370,8 +374,25 @@ def _columns_of(a: np.ndarray, idx) -> np.ndarray:
     return cols[:, :, None, None].swapaxes(0, 1)
 
 
-def _all_finite(arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
+def _views(flat: np.ndarray, model: ModelWeights) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` shaped as each layer's kernel, then bias."""
+    views, at = [], 0
+    for layer in model.layers:
+        for p in (layer.kernel, layer.bias):
+            views.append(flat[at : at + p.size].reshape(p.shape))
+            at += p.size
+    return views
+
+
+def _flat_params(model: ModelWeights) -> np.ndarray:
+    """Make every kernel and bias of ``model`` a view into one flat vector,
+    which is returned: an update of the vector is an update of the model."""
+    theta = np.concatenate([p.ravel() for layer in model.layers
+                            for p in (layer.kernel, layer.bias)])
+    views = iter(_views(theta, model))
+    for layer in model.layers:
+        layer.kernel, layer.bias = next(views), next(views)
+    return theta
 
 
 def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
@@ -384,10 +405,13 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     step their layer-0 windows are unfolded once into a column matrix, and
     every step calls ``backward`` on it with layer 0 viewed as a 1x1x1
     conv. Float32 ``x`` trains in float32 throughout: the warm start and
-    the targets are cast once. Returns (trained float64 model, loss
-    history). Aborts with the step index on a non-finite loss, before the
-    first step if the warm start is not finite in the input's dtype, and
-    after the last if the weights it leaves are not finite.
+    the targets are cast once. The kernels and biases are views into one
+    flat vector, and each Adam step updates it and its moments in place
+    over preallocated buffers, allocating nothing beyond ``backward``.
+    Returns (trained float64 model, loss history). Aborts with the step
+    index on a non-finite loss, before the first step if the warm start is
+    not finite in the input's dtype, and after the last if the weights it
+    leaves are not finite.
     """
     h, single = _as_batch(model, x)
     rf = model.receptive_field
@@ -417,13 +441,12 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     if valid is not None:
         valid = _columns_of(valid, idx)
 
-    params = []
-    for layer in model.layers:
-        params.extend([layer.kernel, layer.bias])
-    if not _all_finite(params):
+    theta = _flat_params(model)
+    if not np.isfinite(theta).all():
         raise NumericalError(f"warm-start weights are not finite in {h.dtype}")
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    grad, tmp = np.empty_like(theta), np.empty_like(theta)
+    grad_views = _views(grad, model)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     history = []
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     lr = cfg.learning_rate
@@ -437,45 +460,72 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss at step {step}")
             history.append(value)
-            flat = [g for pair in grads for g in pair]
-            for i, (p, g) in enumerate(zip(params, flat)):
-                m[i] = b1 * m[i] + (1 - b1) * g
-                v[i] = b2 * v[i] + (1 - b2) * g * g
-                mhat = m[i] / (1 - b1**step)
-                vhat = v[i] / (1 - b2**step)
-                p -= lr * mhat / (np.sqrt(vhat) + eps)
+            for view, g in zip(grad_views, (g for pair in grads for g in pair)):
+                view[...] = g
+            # Adam, each element in the order of
+            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            #   theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            m *= b1
+            m += np.multiply(grad, 1 - b1, out=tmp)
+            v *= b2
+            np.multiply(grad, 1 - b2, out=tmp)
+            v += np.multiply(tmp, grad, out=tmp)
+            # the gradient is spent: grad takes the denominator, tmp the step
+            np.divide(v, 1 - b2**step, out=grad)
+            np.sqrt(grad, out=grad)
+            grad += eps
+            np.divide(m, 1 - b1**step, out=tmp)
+            tmp *= lr
+            tmp /= grad
+            theta -= tmp
         lr *= cfg.lr_decay
-    if not _all_finite(params):
+    if not np.isfinite(theta).all():
         raise NumericalError(f"non-finite weights after step {cfg.iterations}")
     model.layers[0].kernel = model.layers[0].kernel.reshape(kshape)
     return _in_dtype(model, np.float64), history
 
 
-# elements of the layer-0 column matrix in one block of ``predict`` (4 MB):
-# no more than any benchmark scene's training matrix (4.1 to 24.5 MB)
+# elements of the layer-0 column matrix in one block of ``predict_columns``:
+# 4 MiB in float64, the dtype inference runs in. The benchmark scenes' float32
+# training matrices are 2.0 MiB (desk eRAKI), 2.2 MiB (each desk RAKI coil),
+# 4.9 MiB (c04) and 11.7 MiB (me_joint).
 COLUMN_BLOCK = 1 << 19
 
 
-def predict(model: ModelWeights, x: np.ndarray) -> np.ndarray:
-    """``forward(model, x)`` evaluated over blocks of (p1, p2) output columns.
+def predict_columns(models: list[ModelWeights], x: np.ndarray):
+    """Every model over blocks of (p1, p2) output columns of ``x``.
 
-    Each block unfolds layer 0 under at most ``COLUMN_BLOCK`` elements (at
-    least one column), as ``train`` does once, so a whole grid never holds
-    its full column matrix.
+    ``x`` is a batch or one sample, as in ``forward``; the models must share
+    layer 0's kernel shape and the receptive field, as RAKI's per-coil
+    models do. Each block unfolds layer 0 under at most ``COLUMN_BLOCK`` elements
+    (at least one column) once, as ``train`` does, and every model runs on
+    that one column matrix. Yields, per block, its slice of the flattened
+    (batch, ou, ov) column grid and each model's output on it, [out_ch,
+    column, oz], so a whole grid never holds its column matrix.
     """
-    h, single = _as_batch(model, x)
-    ks, rf = model.layers[0].kernel.shape[2:], model.receptive_field
-    ou, ov, oz = _out_extents(h, rf)
-    flat = _in_dtype(_flat_first(model), h.dtype)
-    per_column = (flat.in_channels * (rf[0] - ks[0] + 1) * (rf[1] - ks[1] + 1)
-                  * (h.shape[4] - ks[2] + 1))
+    h, _ = _as_batch(models[0], x)
+    ks, rf = models[0].layers[0].kernel.shape[2:], models[0].receptive_field
+    ou, ov, _ = _out_extents(h, rf)
+    flats = [_in_dtype(_flat_first(m), h.dtype) for m in models]
+    per_column = (flats[0].in_channels * (rf[0] - ks[0] + 1)
+                  * (rf[1] - ks[1] + 1) * (h.shape[4] - ks[2] + 1))
     block = max(1, COLUMN_BLOCK // per_column)
     columns = (h.shape[1], ou, ov)
     total = int(np.prod(columns))
-    out = np.empty((model.out_channels, *columns, oz), dtype=h.dtype)
     for start in range(0, total, block):
-        idx = np.unravel_index(np.arange(start, min(start + block, total)), columns)
+        sl = slice(start, min(start + block, total))
+        idx = np.unravel_index(np.arange(sl.start, sl.stop), columns)
         cols = _layer0_columns(h, idx, ks, rf).swapaxes(0, 1)
-        y = forward(flat, cols)  # [n, C, 1, 1, oz]
-        out[:, idx[0], idx[1], idx[2]] = y[:, :, 0, 0].swapaxes(0, 1)
+        # forward gives [n, C, 1, 1, oz]
+        yield sl, [forward(f, cols)[:, :, 0, 0].swapaxes(0, 1) for f in flats]
+
+
+def predict(model: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """``forward(model, x)`` evaluated over ``predict_columns``' blocks."""
+    h, single = _as_batch(model, x)
+    ou, ov, oz = _out_extents(h, model.receptive_field)
+    out = np.empty((model.out_channels, h.shape[1], ou, ov, oz), dtype=h.dtype)
+    flat = out.reshape(model.out_channels, -1, oz)
+    for sl, (y,) in predict_columns([model], x):
+        flat[:, sl] = y
     return _outside(out, single)

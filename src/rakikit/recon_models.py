@@ -9,8 +9,8 @@ cell offset (2R per echo). The model trains and runs on the whole decimated
 grid; only targets from the ACS region are valid in training, and each grid
 position takes the prediction at its (offset, anchor). K-space keeps the
 working order of ``sampling.internal_view``; the network's [channel, nu, nv,
-nx] grid is entered only in ``_decimated_input`` and left only in
-``_scatter_echo``.
+nx] grid is entered only in ``_decimated_input`` and left only through
+``_column_sources``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .espirit import SensitivityMaps, coil_combine, make_combo_target
-from .nn_engine import (ModelWeights, TrainConfig, init_model, predict,
-                        receptive_field, train)
+from .nn_engine import (ModelWeights, TrainConfig, init_model,
+                        predict_columns, receptive_field, train)
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
                        internal_view, lattice_cells, make_elliptical_mask,
                        make_uniform_mask, steps)
@@ -86,10 +86,6 @@ def _complex_to_channels(arr: np.ndarray) -> np.ndarray:
     out[0::2] = arr.real
     out[1::2] = arr.imag
     return out
-
-
-def _channels_to_complex(arr: np.ndarray) -> np.ndarray:
-    return arr[0::2] + 1j * arr[1::2]
 
 
 @dataclass
@@ -256,7 +252,14 @@ RIDGE_INIT = 1e-3  # trace-relative ridge for the linear warm start
 
 
 def _ridge_solution(ts: OffsetTargetSet, cfg: TrainConfig) -> np.ndarray:
-    """Ridge fit of a single first-layer-sized linear kernel per channel.
+    """``_ridge_solutions`` of the one set ``ts``: [out channel, feature]."""
+    return _ridge_solutions([ts], cfg)[0]
+
+
+def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
+                     ) -> np.ndarray:
+    """Ridge fit of a single first-layer-sized linear kernel per channel of
+    every set: [set, out channel, feature].
 
     The remaining layers are treated as centered identities, so output
     position p reads the ``kernel_sizes[0]`` window at p plus their
@@ -265,15 +268,20 @@ def _ridge_solution(ts: OffsetTargetSet, cfg: TrainConfig) -> np.ndarray:
     where some channel is valid. An even kernel extent after layer 0 has
     no center, and is a ConfigError.
 
+    The sets must hold equal ``inputs`` and ``valid``, as the per-coil sets
+    of ``_target_sets`` do, so they share the gathered rows and Gram
+    matrices: each (re, im) channel pair is one solve whose right-hand
+    sides are every set's two target columns.
+
     The real and imaginary channels of a cell offset share their valid
-    rows A, so each pair is one solve with a two-column right-hand side.
-    With fewer rows than features the solve takes the dual form
+    rows A. With fewer rows than features the solve takes the dual form
     W = Aᵀ(AAᵀ + λI)⁻¹Y, otherwise the primal (AᵀA + λI)W = AᵀY; both give
     the same W, and λ = RIDGE_INIT·trace(AᵀA)/nfeat in both, since
     trace(AAᵀ) = trace(AᵀA). On the 3-echo joint scene (16x72x72, 54
     outputs, 2160 features against at most 512 rows) this took
     ``linear_init`` from 12.1 s to 0.28 s on a 2-core Xeon.
     """
+    ts = sets[0]
     later = np.array(cfg.kernel_sizes[1:], dtype=int).reshape(-1, 3)
     if (later % 2 == 0).any():
         raise ConfigError(
@@ -286,47 +294,56 @@ def _ridge_solution(ts: OffsetTargetSet, cfg: TrainConfig) -> np.ndarray:
     pos = np.nonzero(ts.valid.any(0))
     F = win[:, pos[0] + lo[0], pos[1] + lo[1], pos[2] + lo[2]]
     F = F.swapaxes(0, 1).reshape(len(pos[0]), -1)  # [position, feature]
-    T = ts.targets[:, pos[0], pos[1], pos[2]]
+    T = np.stack([s.targets[:, pos[0], pos[1], pos[2]] for s in sets])
     V = ts.valid[:, pos[0], pos[1], pos[2]]
     nfeat = F.shape[1]
-    W = np.zeros((ts.out_channels, nfeat))
+    W = np.zeros((len(sets), ts.out_channels, nfeat))
     for c in range(0, ts.out_channels, 2):  # (re, im) pairs
         A = F[V[c]]
-        Y = T[c : c + 2, V[c]].T
+        Y = T[:, c : c + 2, V[c]].reshape(-1, A.shape[0]).T  # [row, 2 * set]
         dual = A.shape[0] < nfeat
         gram = A @ A.T if dual else A.T @ A
         gram[np.diag_indices_from(gram)] += RIDGE_INIT * np.trace(gram) / nfeat
         if dual:
-            W[c : c + 2] = (A.T @ np.linalg.solve(gram, Y)).T
+            X = A.T @ np.linalg.solve(gram, Y)
         else:
-            W[c : c + 2] = np.linalg.solve(gram, A.T @ Y).T
+            X = np.linalg.solve(gram, A.T @ Y)
+        W[:, c : c + 2] = X.T.reshape(len(sets), 2, nfeat)
     return W
 
 
-def linear_init(ts: OffsetTargetSet, cfg: TrainConfig) -> ModelWeights:
+def _uses_ridge(cfg: TrainConfig) -> bool:
+    """Whether ``linear_init`` seeds from the ridge solution: always without
+    hidden layers, else when the narrowest holds one +/- channel pair."""
+    return not cfg.widths or min(cfg.widths) >= 2
+
+
+def linear_init(ts: OffsetTargetSet, cfg: TrainConfig,
+                W: np.ndarray | None = None) -> ModelWeights:
     """Seed the CNN with a calibrated linear kernel (GRAPPA-style warm start).
 
-    The ridge solution W is factorized by SVD and embedded exactly in the
-    ReLU stack with paired +/- channels (ReLU(v) - ReLU(-v) = v); later
-    layers start as centered identities. Falls back to the random init if
-    the hidden widths cannot hold the paired factors. Hidden channels from
+    The ridge solution W of ``ts`` (solved here unless given) is factorized
+    by SVD and embedded exactly in the ReLU stack with paired +/- channels
+    (ReLU(v) - ReLU(-v) = v); later layers start as centered identities.
+    Falls back to the random init if the hidden widths cannot hold the
+    paired factors (``_uses_ridge``). Hidden channels from
     2r up, r = min(out channels, min(widths) // 2), start at exactly zero,
     bias included, and ReLU'(0) = 0 keeps their gradient zero: training
     never revives them. Per-coil RAKI at R = 2x2 (8 outputs) with widths
     64 leaves 48 of each hidden layer's 64 channels dead.
     """
     model = init_model(ts.in_channels, ts.out_channels, cfg)
-    if not cfg.widths:  # degenerate single-layer stack: the kernel is W itself
+    if not _uses_ridge(cfg):
+        return model
+    if W is None:
         W = _ridge_solution(ts, cfg)
+    if not cfg.widths:  # degenerate single-layer stack: the kernel is W itself
         model.layers[0].kernel = W.reshape(
             ts.out_channels, ts.in_channels, *cfg.kernel_sizes[0]
         )
         model.layers[0].bias = np.zeros_like(model.layers[0].bias)
         return model
     r = min(ts.out_channels, min(cfg.widths) // 2)
-    if r < 1:
-        return model
-    W = _ridge_solution(ts, cfg)
     u, s, vt = np.linalg.svd(W, full_matrices=False)
     rs = np.sqrt(s[:r])
     A = u[:, :r] * rs  # [out_ch, r]
@@ -373,13 +390,22 @@ def train_eraki(problem: ReconProblem) -> tuple[ModelWeights, list[float]]:
 
 def train_raki(problem: ReconProblem
                ) -> tuple[list[ModelWeights], list[list[float]]]:
-    """One model per coil, each predicting that coil's own offset targets."""
+    """One model per coil, each predicting that coil's own offset targets.
+
+    The coils' target sets share their input and validity mask, so the
+    ridge warm start is solved once for all of them (``_ridge_solutions``:
+    one Gram matrix and one solve per (re, im) pair, whatever the coil
+    count), and each coil's ``linear_init`` takes its slice of W.
+    """
     if problem.mode != "raki_percoil":
         raise ConfigError("train_raki requires mode 'raki_percoil'")
+    cfg = problem.cfg
+    sets = list(_target_sets(problem, list(range(problem.n_coils))))
+    ridge = (_ridge_solutions(sets, cfg) if _uses_ridge(cfg)
+             else [None] * len(sets))
     models, histories = [], []
-    for ts in _target_sets(problem, list(range(problem.n_coils))):
-        trained, hist = _train_float32(linear_init(ts, problem.cfg), ts,
-                                       problem.cfg)
+    for ts, W in zip(sets, ridge):
+        trained, hist = _train_float32(linear_init(ts, cfg, W), ts, cfg)
         models.append(trained)
         histories.append(hist)
     return models, histories
@@ -409,25 +435,34 @@ def _model_input(problem: ReconProblem, rf: tuple[int, int, int]
     return x, scale
 
 
-def _scatter_echo(pred: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Offset predictions [n_off, nu, nv, nx] -> full grid [nx, n1, n2], by
-    (offset, anchor)."""
-    nu, nv = pred.shape[1:3]
+def _column_sources(mask: SamplingMask, nu: int, nv: int):
+    """The grid positions that take a prediction through ``mask``, sorted by
+    the decimated column that holds it: (column, cell offset, p1, p2).
+
+    Position (p1, p2) takes offset k's prediction at anchor (u, v) of
+    ``lattice_cells``, which is column u·nv + v of the [nu, nv] grid;
+    never-acquired positions take none.
+    """
     u, v, k = lattice_cells(mask)
-    out = np.moveaxis(pred, -1, 0)[:, k, u % nu, v % nv]
-    out[:, mask.never_acquired] = 0.0
-    return out
+    p1, p2 = np.nonzero(~mask.never_acquired)
+    col = (u[p1, p2] % nu) * nv + v[p1, p2] % nv
+    order = np.argsort(col, kind="stable")
+    return col[order], k[p1, p2][order], p1[order], p2[order]
 
 
 def infer(models: ModelWeights | list[ModelWeights],
           problem: ReconProblem) -> ReconResult:
     """Apply trained weights across the full undersampled grid.
 
-    Every model runs once over the whole decimated grid; its complex
-    prediction splits into groups of one channel per cell offset, and group
-    e is scattered to the grid through echo e's mask. Per-coil RAKI has one
-    model per coil and one echo, so the groups stack as [coil, ...]; the
-    combined modes have one model and stack its echoes as [echo, ...].
+    Every model runs over the whole decimated grid, block by block of
+    (nu, nv) columns; each block's layer-0 columns are unfolded once for
+    all models (``predict_columns``). A model's complex prediction splits
+    into groups of one channel per cell offset, and each block of group e
+    is scattered straight to the grid positions whose anchor it holds,
+    through echo e's mask, so no whole-grid prediction is held beside the
+    output. Per-coil RAKI has one model per coil and one echo, so the
+    groups stack as [coil, ...]; the combined modes have one model and
+    stack its echoes as [echo, ...].
 
     Only per-coil RAKI has hard data consistency: it restores the acquired
     coil samples exactly, then combines with the full-grid maps. The
@@ -451,13 +486,19 @@ def infer(models: ModelWeights | list[ModelWeights],
         raise ConfigError("raki_percoil image needs full-grid maps")
 
     acq = internal_view(problem.kspace_masked, mask0)  # [coil, (echo,) kx, p1, p2]
-    out = np.empty((n_models * ne, *acq.shape[-3:]), dtype=np.complex128)
-    x, scale = _model_input(problem, model_list[0].receptive_field)
-    for m, model in enumerate(model_list):
-        pred = _channels_to_complex(predict(model, x)) / scale
-        for e, mask in enumerate(problem.masks):
-            out[m * ne + e] = _scatter_echo(pred[e * n_off : (e + 1) * n_off],
-                                            mask)
+    # never-acquired positions stay zero
+    out = np.zeros((n_models * ne, *acq.shape[-3:]), dtype=np.complex128)
+    rf = model_list[0].receptive_field
+    x, scale = _model_input(problem, rf)
+    nu, nv = (n - r + 1 for n, r in zip(x.shape[1:3], rf))
+    sources = [_column_sources(mask, nu, nv) for mask in problem.masks]
+    for block, preds in predict_columns(model_list, x):  # [2 n_off ne, column, nx]
+        for e, (col, k, p1, p2) in enumerate(sources):
+            a, b = np.searchsorted(col, (block.start, block.stop))
+            j, ch = col[a:b] - block.start, 2 * (e * n_off + k[a:b])
+            for m, y in enumerate(preds):
+                out[m * ne + e][:, p1[a:b], p2[a:b]] = (
+                    (y[ch, j] + 1j * y[ch + 1, j]) / scale).T
 
     if percoil:
         out[:, :, mask0.grid] = acq[:, :, mask0.grid]

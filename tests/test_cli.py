@@ -499,6 +499,20 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_bench_with_several_echoes_is_config_error(self, tmp_path, capsys):
+        """The bench scores one echo: three echo times exit 2 before any
+        method runs, where they once benched echo 0 alone and exited 0."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {**CONFIG, "phantom": {**CONFIG["phantom"], "te_ms": [8, 40, 80]}}))
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "lists 3" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
     def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
                                                        seed):

@@ -1,0 +1,204 @@
+"""Per-coil RAKI does its coil-independent work once.
+
+The coils' target sets share their input and validity mask, so the ridge
+warm start is one solve per (re, im) pair for all coils, and inference
+unfolds each block of layer-0 columns once for all models. Training keeps
+its weights in one flat vector and steps Adam in place. Each is compared
+with the formula it replaced, kept here as the reference: the per-coil
+ridge and training to rounding, the per-array Adam loop and the whole-grid
+scatter bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rakikit import (CTensor, TrainConfig, build_targets, infer,
+                     init_model, linear_init, train, train_raki)
+from rakikit import nn_engine, recon_models
+from rakikit.nn_engine import (_as_batch, _columns_of, _flat_first, _in_dtype,
+                               _inside, _layer0_columns, _out_extents,
+                               backward, predict)
+from rakikit.recon_models import (_model_input, _ridge_solution,
+                                  _ridge_solutions, _target_sets,
+                                  _train_float32)
+from rakikit.sampling import cell_offsets, internal_view
+
+from test_lattice_map import NAMED, named_masks, problem_of, scatter_reference
+
+CFG = TrainConfig(iterations=20, widths=(8, 8), seed=3,
+                  kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)))
+SINGLE_ECHO = [k for k in NAMED if k != "joint"]  # per-coil RAKI's patterns
+
+
+def named_problem(kind, mode, cfg=CFG):
+    return replace(problem_of(named_masks(kind), mode, 1), cfg=cfg)
+
+
+def with_coils(problem, n):
+    """The problem on its first ``n`` coils."""
+    k = problem.kspace_masked
+    return replace(problem, kspace_masked=CTensor(k.data[:n], k.axes))
+
+
+def rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# ---------------------------------------------------------------------------
+# one ridge solve per channel pair
+
+
+@pytest.mark.parametrize("kind", SINGLE_ECHO)
+class TestSharedRidge:
+    def test_shared_solve_matches_per_coil(self, kind):
+        p = named_problem(kind, "raki_percoil")
+        sets = list(_target_sets(p, list(range(p.n_coils))))
+        shared = _ridge_solutions(sets, CFG)
+        assert shared.shape[0] == p.n_coils
+        for c, W in enumerate(shared):
+            assert rel(W, _ridge_solution(build_targets(p, c), CFG)) <= 1e-12
+
+    def test_training_matches_per_coil(self, kind):
+        p = named_problem(kind, "raki_percoil")
+        models, histories = train_raki(p)
+        assert len(models) == p.n_coils
+        for c, hist in enumerate(histories):
+            ts = build_targets(p, c)
+            _, want = _train_float32(linear_init(ts, CFG), ts, CFG)
+            assert len(hist) == CFG.iterations
+            assert rel(np.array(hist), np.array(want)) <= 1e-5
+
+    def test_one_solve_per_pair_for_any_coil_count(self, kind, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: calls.append(1) or solve(*a))
+        cfg = replace(CFG, iterations=1)
+        full = named_problem(kind, "raki_percoil", cfg)
+        pairs = len(cell_offsets(full.masks[0]))
+        for n in range(1, full.n_coils + 1):
+            calls.clear()
+            train_raki(with_coils(full, n))
+            assert len(calls) == pairs
+
+    def test_no_solve_when_the_warm_start_is_random(self, kind, monkeypatch):
+        """Widths of 1 hold no +/- pair: linear_init keeps the random init."""
+        monkeypatch.setattr(recon_models, "_ridge_solutions",
+                            lambda *a: pytest.fail("ridge solved"))
+        monkeypatch.setattr(recon_models, "_ridge_solution",
+                            lambda *a: pytest.fail("ridge solved"))
+        cfg = replace(CFG, iterations=1, widths=(1, 8))
+        models, _ = train_raki(named_problem(kind, "raki_percoil", cfg))
+        assert len(models) == 3
+
+
+# ---------------------------------------------------------------------------
+# the flat, in-place Adam step
+
+
+def train_per_array(model, x, target, cfg, valid):
+    """``train`` as it was with one Adam update per kernel and bias array."""
+    h, single = _as_batch(model, x)
+    rf = model.receptive_field
+    out = _out_extents(h, rf)
+    shape = (h.shape[1], model.out_channels, *out)
+    kshape = model.layers[0].kernel.shape
+    target = _inside(np.asarray(target).astype(h.dtype), single)
+    model = _in_dtype(_flat_first(model), h.dtype)
+    valid = _inside(np.broadcast_to(valid, shape), single)
+    idx = np.nonzero(valid.any(axis=(0, 4)))
+    cols = _layer0_columns(h, idx, kshape[2:], rf).swapaxes(0, 1)
+    target, valid = _columns_of(target, idx), _columns_of(valid, idx)
+    params = [p for layer in model.layers for p in (layer.kernel, layer.bias)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    history = []
+    b1, b2, eps = nn_engine.ADAM_BETA1, nn_engine.ADAM_BETA2, nn_engine.ADAM_EPS
+    lr = cfg.learning_rate
+    for step in range(1, cfg.iterations + 1):
+        value, grads = backward(model, cols, target, cfg.alpha, cfg.beta,
+                                valid=valid, squared_l2=cfg.squared_l2)
+        history.append(value)
+        flat = [g for pair in grads for g in pair]
+        for i, (p, g) in enumerate(zip(params, flat)):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mhat = m[i] / (1 - b1**step)
+            vhat = v[i] / (1 - b2**step)
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        lr *= cfg.lr_decay
+    model.layers[0].kernel = model.layers[0].kernel.reshape(kshape)
+    return _in_dtype(model, np.float64), history
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("objective", [
+    dict(alpha=0.5, beta=0.15),
+    dict(alpha=0.0, beta=1e-4, squared_l2=True, lr_decay=0.998),
+    dict(alpha=1.0, beta=0.0),
+], ids=["mixed", "squared-l2", "l1"])
+def test_flat_adam_equals_per_array_loop(dtype, objective):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 3, 7, 8, 9)).astype(dtype)
+    target = rng.standard_normal((2, 2, 5, 6, 5))
+    valid = rng.random(target.shape) > 0.4
+    cfg = TrainConfig(iterations=5, widths=(6, 4), learning_rate=1e-2,
+                      kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)),
+                      **objective)
+    model = init_model(3, 2, cfg)
+    got, hist = train(model, x, target, cfg, valid=valid)
+    want, want_hist = train_per_array(model, x, target, cfg, valid)
+    assert hist == want_hist
+    for a, b in zip(got.layers, want.layers, strict=True):
+        assert a.kernel.dtype == np.float64
+        assert np.array_equal(a.kernel, b.kernel)
+        assert np.array_equal(a.bias, b.bias)
+
+
+# ---------------------------------------------------------------------------
+# inference: one unfold per block, scattered block by block
+
+
+def infer_reference(models, problem):
+    """Each model's whole-grid prediction, scattered per echo through its
+    mask, and per-coil RAKI's acquired samples restored: [model * echo,
+    kx, p1, p2]."""
+    x, scale = _model_input(problem, models[0].receptive_field)
+    n_off = len(cell_offsets(problem.masks[0]))
+    out = []
+    for model in models:
+        pred = predict(model, x)
+        pred = (pred[0::2] + 1j * pred[1::2]) / scale
+        for e, mask in enumerate(problem.masks):
+            grid = scatter_reference(pred[e * n_off : (e + 1) * n_off], mask)
+            out.append(np.moveaxis(grid, -1, 0))
+    out = np.stack(out)
+    if problem.mode == "raki_percoil":
+        mask0 = problem.masks[0]
+        acq = internal_view(problem.kspace_masked, mask0)
+        out[:, :, mask0.grid] = acq[:, :, mask0.grid]
+    return out
+
+
+@pytest.mark.parametrize("mode,kind", [("eraki", k) for k in NAMED]
+                         + [("raki_percoil", k) for k in SINGLE_ECHO])
+def test_blocked_scatter_equals_whole_grid(mode, kind, monkeypatch):
+    p = named_problem(kind, mode)
+    if mode == "raki_percoil":
+        models = [linear_init(build_targets(p, c), CFG) for c in range(p.n_coils)]
+    else:
+        models = [linear_init(build_targets(p), CFG)]
+    monkeypatch.setattr(nn_engine, "COLUMN_BLOCK", 1 << 9)
+    want = infer_reference(models, p)
+    blocks = []
+    unfold = nn_engine._layer0_columns
+    monkeypatch.setattr(nn_engine, "_layer0_columns",
+                        lambda *a: blocks.append(1) or unfold(*a))
+    res = infer(models if mode == "raki_percoil" else models[0], p)
+    assert len(blocks) > 1
+    k = res.kspace
+    order = [a for a in ("coil", "echo", "kx", *p.masks[0].axes) if k.has_axis(a)]
+    got = k.transpose(tuple(order)).data.reshape(want.shape)
+    assert np.array_equal(got, want)

@@ -4,8 +4,8 @@ The learned models once converted between the acquired frame and a
 rectangular ("desheared") frame in two more ways: predictions by a
 strided fill of the rectangular grid plus an inverse gather, targets by
 a walk over every (echo, cell offset) pair of anchors. Both are kept
-here as references, and ``_scatter_echo`` and ``build_targets`` are
-compared with them bit for bit (``np.array_equal``) over uniform CAIPI,
+here as references, and the scatter through ``_column_sources`` (what
+``infer`` runs) and ``build_targets`` are compared with them bit for bit (``np.array_equal``) over uniform CAIPI,
 elliptical, multi-echo and ky-t patterns.
 """
 
@@ -30,8 +30,8 @@ from rakikit import (
 from rakikit.espirit import SensitivityMaps
 from rakikit.nn_engine import receptive_field
 from rakikit.recon_models import (_acs_scale, _combo_targets_per_echo,
-                                  _complex_to_channels, _decimated_input,
-                                  _scatter_echo)
+                                  _column_sources, _complex_to_channels,
+                                  _decimated_input)
 from rakikit.sampling import acquired_coords, cell_offsets, internal_view, steps
 
 CFG = TrainConfig(iterations=1, widths=(4,),
@@ -189,11 +189,14 @@ class TestOneMap:
         rng = np.random.default_rng(seed)
         s1, s2 = steps(masks[0])
         n1, n2 = masks[0].extents
-        shape = (s1 * s2, n1 // s1, n2 // s2, NX)
+        nu, nv = n1 // s1, n2 // s2
+        shape = (s1 * s2, nu, nv, NX)
         for mask in masks:
             pred = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = np.moveaxis(_scatter_echo(pred, mask), 0, -1)
-            assert got.dtype == np.complex128
+            col, k, p1, p2 = _column_sources(mask, nu, nv)
+            assert (np.diff(col) >= 0).all()  # the order infer's blocks slice
+            got = np.zeros((n1, n2, NX), dtype=np.complex128)
+            got[p1, p2] = pred[k, col // nv, col % nv]
             assert np.array_equal(got, scatter_reference(pred, mask))
 
     @given(patterns(), st.integers(min_value=0, max_value=2**16))

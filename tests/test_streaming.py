@@ -33,9 +33,10 @@ from rakikit import (
     train_raki,
     zerofill_recon,
 )
-from rakikit import recon_models
+from rakikit import nn_engine, recon_models
 from rakikit.espirit import SensitivityMaps
-from rakikit.recon_models import _decimated_input, _train_float32, linear_init
+from rakikit.recon_models import (_decimated_input, _ridge_solutions,
+                                  _train_float32, linear_init)
 from rakikit.sampling import acquired_coords, steps
 
 CFG = TrainConfig(iterations=2, widths=(8, 8, 8, 8),
@@ -252,12 +253,13 @@ class TestBitIdentical:
     def test_raki_shares_input_scale_and_padding(self, small_scene, monkeypatch):
         problem = ReconProblem(small_scene["masked"], (small_scene["mask"],),
                                "raki_percoil", CFG, maps=small_scene["maps"])
-        # the per-coil formula: one build_targets call per coil
-        expected = [_train_float32(linear_init(ts, CFG), ts, CFG)
-                    for ts in (build_targets(problem, coil=c)
-                               for c in range(problem.n_coils))]
+        # the per-coil formula: one build_targets call per coil, each coil
+        # warm-started from its slice of the shared ridge solution
+        sets = [build_targets(problem, coil=c) for c in range(problem.n_coils)]
+        ridge = _ridge_solutions(sets, CFG)
+        expected = [_train_float32(linear_init(ts, CFG, W), ts, CFG)
+                    for ts, W in zip(sets, ridge)]
         calls = {"dec": 0, "scale": 0}
-        seen = []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -277,14 +279,22 @@ class TestBitIdentical:
                 assert np.array_equal(a.kernel, b.kernel)
                 assert np.array_equal(a.bias, b.bias)
 
-        predict = recon_models.predict
-        monkeypatch.setattr(recon_models, "predict",
-                            lambda model, x: seen.append(x) or predict(model, x))
+        # inference unfolds each block of columns once for all the models:
+        # as often as one model's predict on the same input does
+        monkeypatch.setattr(nn_engine, "COLUMN_BLOCK", 1 << 12)
+        blocks = []
+        unfold = nn_engine._layer0_columns
+        monkeypatch.setattr(nn_engine, "_layer0_columns",
+                            lambda *a: blocks.append(a[0]) or unfold(*a))
         calls.update(dec=0, scale=0)
         infer(models, problem)
         assert calls == {"dec": 1, "scale": 1}
-        assert len(seen) == problem.n_coils
-        assert all(x is seen[0] for x in seen)
+        x, _ = recon_models._model_input(problem, models[0].receptive_field)
+        n_blocks = len(blocks)
+        assert n_blocks > 1
+        nn_engine.predict(models[0], x)
+        assert len(blocks) == 2 * n_blocks
+        assert all(h is blocks[0] for h in blocks[:n_blocks])
 
 
 # ---------------------------------------------------------------------------
