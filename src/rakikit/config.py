@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -49,16 +50,9 @@ DEFAULTS = {
         "crop_threshold": 0.9,
         "out_extents": None,  # None = mask.extents
     },
-    "train": {
-        "alpha": 0.0,
-        "beta": 1e-4,
-        "squared_l2": True,
-        "learning_rate": 1e-4,
-        "lr_decay": 0.998,
-        "iterations": 100,
-        "widths": [16, 16, 16, 16],
-        "kernel_sizes": [[3, 3, 5], [1, 1, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1]],
-    },
+    # TrainConfig's field defaults but the seed, tuples as JSON lists
+    "train": json.loads(json.dumps({f.name: f.default for f in fields(TrainConfig)
+                                    if f.name != "seed"})),
     "recon": {
         "acs_kx": None,  # GRAPPA calibration readout window; None = all
         "lam": DEFAULT_LAMBDA,  # GRAPPA ridge
@@ -180,24 +174,14 @@ def checked(cfg: dict) -> dict:
 
 def train_config(cfg: dict) -> TrainConfig:
     """TrainConfig from a merged config's ``train`` section and seed."""
-    t = cfg["train"]
+    t = cfg["train"]  # its leaves are TrainConfig fields
     try:
-        widths = tuple(t["widths"])
-        kernel_sizes = tuple(tuple(k) for k in t["kernel_sizes"])
+        lists = {"widths": tuple(t["widths"]),
+                 "kernel_sizes": tuple(tuple(k) for k in t["kernel_sizes"])}
     except TypeError:
         raise ConfigError("train.widths must be a list and train.kernel_sizes "
                           "a list of lists") from None
-    return TrainConfig(
-        alpha=t["alpha"],
-        beta=t["beta"],
-        squared_l2=t["squared_l2"],
-        learning_rate=t["learning_rate"],
-        lr_decay=t["lr_decay"],
-        iterations=t["iterations"],
-        widths=widths,
-        kernel_sizes=kernel_sizes,
-        seed=cfg["seed"],
-    )
+    return TrainConfig(**{**t, **lists}, seed=cfg["seed"])
 
 
 def phantom_spec(cfg: dict) -> PhantomSpec:

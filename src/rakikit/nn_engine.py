@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, NumericalError
 
-DEFAULT_KERNELS = ((3, 3, 7), (1, 1, 5), (1, 1, 3), (1, 1, 1), (1, 1, 1))
-DEFAULT_WIDTHS = (64, 64, 64, 64)
+DEFAULT_KERNELS = ((3, 3, 5), (1, 1, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1))
 # Adam's moment decays and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -85,17 +84,18 @@ class ModelWeights:
         )
 
 
+# the one set of training defaults: config.DEFAULTS["train"] is these fields
 @dataclass(frozen=True)
 class TrainConfig:
-    alpha: float = 0.5  # L1/L2 mix
-    beta: float = 0.15  # weight-penalty strength
-    learning_rate: float = 3e-4
-    lr_decay: float = 1.0  # per-step multiplicative decay
-    iterations: int = 1000
+    alpha: float = 0.0  # L1/L2 mix
+    beta: float = 1e-4  # weight-penalty strength
+    learning_rate: float = 1e-4
+    lr_decay: float = 0.998  # per-step multiplicative decay
+    iterations: int = 100
     seed: int = 0
-    widths: tuple[int, ...] = DEFAULT_WIDTHS
+    widths: tuple[int, ...] = (16, 16, 16, 16)
     kernel_sizes: tuple[tuple[int, int, int], ...] = DEFAULT_KERNELS
-    squared_l2: bool = False
+    squared_l2: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -519,13 +519,3 @@ def predict_columns(models: list[ModelWeights], x: np.ndarray):
         # forward gives [n, C, 1, 1, oz]
         yield sl, [forward(f, cols)[:, :, 0, 0].swapaxes(0, 1) for f in flats]
 
-
-def predict(model: ModelWeights, x: np.ndarray) -> np.ndarray:
-    """``forward(model, x)`` evaluated over ``predict_columns``' blocks."""
-    h, single = _as_batch(model, x)
-    ou, ov, oz = _out_extents(h, model.receptive_field)
-    out = np.empty((model.out_channels, h.shape[1], ou, ov, oz), dtype=h.dtype)
-    flat = out.reshape(model.out_channels, -1, oz)
-    for sl, (y,) in predict_columns([model], x):
-        flat[:, sl] = y
-    return _outside(out, single)

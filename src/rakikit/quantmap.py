@@ -40,6 +40,8 @@ def fit_decay(echo_images: np.ndarray, te_ms, threshold: float = 0.0
     te = np.asarray(te_ms, dtype=np.float64)
     if te.ndim != 1 or te.size < 2:
         raise ConfigError(f"need >= 2 echo times, got {te_ms}")
+    if not np.isfinite(te).all():
+        raise ConfigError(f"echo times must be finite, got {te_ms}")
     if len(np.unique(te)) != te.size:
         raise ConfigError(f"echo times must be distinct, got {te_ms}")
     if s.ndim < 2 or s.shape[0] != te.size:

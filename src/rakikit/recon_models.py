@@ -251,11 +251,6 @@ def _acs_scale(problem: ReconProblem) -> float:
 RIDGE_INIT = 1e-3  # trace-relative ridge for the linear warm start
 
 
-def _ridge_solution(ts: OffsetTargetSet, cfg: TrainConfig) -> np.ndarray:
-    """``_ridge_solutions`` of the one set ``ts``: [out channel, feature]."""
-    return _ridge_solutions([ts], cfg)[0]
-
-
 def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
                      ) -> np.ndarray:
     """Ridge fit of a single first-layer-sized linear kernel per channel of
@@ -336,7 +331,7 @@ def linear_init(ts: OffsetTargetSet, cfg: TrainConfig,
     if not _uses_ridge(cfg):
         return model
     if W is None:
-        W = _ridge_solution(ts, cfg)
+        (W,) = _ridge_solutions([ts], cfg)
     if not cfg.widths:  # degenerate single-layer stack: the kernel is W itself
         model.layers[0].kernel = W.reshape(
             ts.out_channels, ts.in_channels, *cfg.kernel_sizes[0]
@@ -369,46 +364,43 @@ def linear_init(ts: OffsetTargetSet, cfg: TrainConfig,
     return model
 
 
-def _train_float32(model: ModelWeights, ts: OffsetTargetSet, cfg: TrainConfig):
-    """``train`` from the warm start on float32 copies of the inputs and targets.
+def _train(problem: ReconProblem, coils: list[int] | None
+           ) -> tuple[list[ModelWeights], list[list[float]]]:
+    """One model per target set: the combined set (``coils`` None), or one
+    set per coil.
 
-    Both are O(1) after the ACS scaling; a value beyond float32's range
-    becomes inf and ends in ``train``'s NumericalError.
+    The sets share their input and validity mask, so the ridge warm start
+    is solved once for all of them (``_ridge_solutions``: one solve per
+    (re, im) pair, whatever the set count) and each set's ``linear_init``
+    takes its slice of W. ``train`` gets float32 copies of the inputs and
+    targets: both are O(1) after the ACS scaling, and a value beyond
+    float32's range becomes inf and ends in its NumericalError.
     """
-    with np.errstate(over="ignore"):
-        x, y = ts.inputs.astype(np.float32), ts.targets.astype(np.float32)
-    return train(model, x, y, cfg, valid=ts.valid)
+    cfg = problem.cfg
+    sets = list(_target_sets(problem, coils))
+    ridge = _ridge_solutions(sets, cfg) if _uses_ridge(cfg) else [None] * len(sets)
+    trained = []
+    for ts, W in zip(sets, ridge):
+        with np.errstate(over="ignore"):
+            x, y = ts.inputs.astype(np.float32), ts.targets.astype(np.float32)
+        trained.append(train(linear_init(ts, cfg, W), x, y, cfg, valid=ts.valid))
+    return [m for m, _ in trained], [h for _, h in trained]
 
 
 def train_eraki(problem: ReconProblem) -> tuple[ModelWeights, list[float]]:
     """Train the single coil-combined model (eraki / eraki_joint)."""
     if problem.mode == "raki_percoil":
         raise ConfigError("use train_raki for per-coil mode")
-    ts = build_targets(problem)
-    return _train_float32(linear_init(ts, problem.cfg), ts, problem.cfg)
+    (model,), (history,) = _train(problem, None)
+    return model, history
 
 
 def train_raki(problem: ReconProblem
                ) -> tuple[list[ModelWeights], list[list[float]]]:
-    """One model per coil, each predicting that coil's own offset targets.
-
-    The coils' target sets share their input and validity mask, so the
-    ridge warm start is solved once for all of them (``_ridge_solutions``:
-    one Gram matrix and one solve per (re, im) pair, whatever the coil
-    count), and each coil's ``linear_init`` takes its slice of W.
-    """
+    """One model per coil, each predicting that coil's own offset targets."""
     if problem.mode != "raki_percoil":
         raise ConfigError("train_raki requires mode 'raki_percoil'")
-    cfg = problem.cfg
-    sets = list(_target_sets(problem, list(range(problem.n_coils))))
-    ridge = (_ridge_solutions(sets, cfg) if _uses_ridge(cfg)
-             else [None] * len(sets))
-    models, histories = [], []
-    for ts, W in zip(sets, ridge):
-        trained, hist = _train_float32(linear_init(ts, cfg, W), ts, cfg)
-        models.append(trained)
-        histories.append(hist)
-    return models, histories
+    return _train(problem, list(range(problem.n_coils)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Benchmark harness: rows, ratios, serialization."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rakikit import (ConfigError, GeometryError, bench, run_bench, report_table,
-                     report_to_json)
+from rakikit import (ConfigError, GeometryError, TrainConfig, bench, run_bench,
+                     report_table, report_to_json)
 from rakikit.bench import BENCH_METHODS, PAPER_REFERENCE
-from rakikit.config import DEFAULTS, merge
+from rakikit.config import DEFAULTS, checked, merge, train_config
 
 FAST = {  # an override of DEFAULTS, as a --config file holds
     "seed": 3,
@@ -69,6 +70,15 @@ class TestScenario:
         assert merged["mask"] == DEFAULTS["mask"]
         assert merged["train"]["iterations"] == 3
         assert merged["train"]["alpha"] == DEFAULTS["train"]["alpha"]
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_one_set_of_training_defaults(self, seed):
+        """The library's TrainConfig and the config's train section train
+        alike: the section is TrainConfig's fields but the seed."""
+        names = {f.name for f in fields(TrainConfig)}
+        assert set(DEFAULTS["train"]) == names - {"seed"}
+        cfg = checked(merge(DEFAULTS, {"seed": seed}))
+        assert TrainConfig(seed=seed) == train_config(cfg)
 
 
 class TestReport:

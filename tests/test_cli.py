@@ -564,6 +564,17 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("te", ["nan,40,80", "8,inf,80"], ids=["nan", "inf"])
+    def test_nonfinite_echo_times_fit_is_config_error(self, echoes, tmp_path,
+                                                      capsys, te):
+        capsys.readouterr()
+        assert main(["fit", "--seed", "1", "--echoes", str(echoes),
+                     "--te", te, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: echo times must be finite")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_recon_without_maps_is_config_error(self, pipeline, tmp_path):
         r = pipeline["root"]
         assert main(["recon", "--config", str(pipeline["cfg"]),

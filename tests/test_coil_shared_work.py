@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 
 from rakikit import (CTensor, TrainConfig, build_targets, infer,
-                     init_model, linear_init, train, train_raki)
+                     init_model, linear_init, train, train_eraki, train_raki)
 from rakikit import nn_engine, recon_models
 from rakikit.nn_engine import (_as_batch, _columns_of, _flat_first, _in_dtype,
                                _inside, _layer0_columns, _out_extents,
-                               backward, predict)
-from rakikit.recon_models import (_model_input, _ridge_solution,
-                                  _ridge_solutions, _target_sets,
-                                  _train_float32)
+                               backward)
+from rakikit.recon_models import _model_input, _ridge_solutions, _target_sets
 from rakikit.sampling import cell_offsets, internal_view
 
 from test_lattice_map import NAMED, named_masks, problem_of, scatter_reference
@@ -58,7 +56,7 @@ class TestSharedRidge:
         shared = _ridge_solutions(sets, CFG)
         assert shared.shape[0] == p.n_coils
         for c, W in enumerate(shared):
-            assert rel(W, _ridge_solution(build_targets(p, c), CFG)) <= 1e-12
+            assert rel(W, _ridge_solutions([build_targets(p, c)], CFG)[0]) <= 1e-12
 
     def test_training_matches_per_coil(self, kind):
         p = named_problem(kind, "raki_percoil")
@@ -66,7 +64,8 @@ class TestSharedRidge:
         assert len(models) == p.n_coils
         for c, hist in enumerate(histories):
             ts = build_targets(p, c)
-            _, want = _train_float32(linear_init(ts, CFG), ts, CFG)
+            _, want = train(linear_init(ts, CFG), ts.inputs.astype(np.float32),
+                            ts.targets.astype(np.float32), CFG, valid=ts.valid)
             assert len(hist) == CFG.iterations
             assert rel(np.array(hist), np.array(want)) <= 1e-5
 
@@ -87,11 +86,21 @@ class TestSharedRidge:
         """Widths of 1 hold no +/- pair: linear_init keeps the random init."""
         monkeypatch.setattr(recon_models, "_ridge_solutions",
                             lambda *a: pytest.fail("ridge solved"))
-        monkeypatch.setattr(recon_models, "_ridge_solution",
-                            lambda *a: pytest.fail("ridge solved"))
         cfg = replace(CFG, iterations=1, widths=(1, 8))
         models, _ = train_raki(named_problem(kind, "raki_percoil", cfg))
         assert len(models) == 3
+
+
+@pytest.mark.parametrize("kind", NAMED)
+def test_eraki_one_solve_per_pair(kind, monkeypatch):
+    """The combined model takes the same path: one solve per (re, im) pair
+    of its one target set, every echo's offsets included."""
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    p = named_problem(kind, "eraki", replace(CFG, iterations=1))
+    train_eraki(p)
+    assert len(calls) == len(cell_offsets(p.masks[0])) * p.n_echoes
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +170,18 @@ def test_flat_adam_equals_per_array_loop(dtype, objective):
 # inference: one unfold per block, scattered block by block
 
 
+def whole_grid_prediction(model, x):
+    """One model's ``predict_columns`` blocks on the sample ``x``, gathered
+    into its whole output grid [out_ch, ou, ov, oz]: the values ``infer``
+    scatters, so the scatters compare bit for bit."""
+    out = np.empty((model.out_channels,
+                    *(n - r + 1 for n, r in zip(x.shape[1:], model.receptive_field))))
+    columns = out.reshape(out.shape[0], -1, out.shape[-1])
+    for sl, (y,) in nn_engine.predict_columns([model], x):
+        columns[:, sl] = y
+    return out
+
+
 def infer_reference(models, problem):
     """Each model's whole-grid prediction, scattered per echo through its
     mask, and per-coil RAKI's acquired samples restored: [model * echo,
@@ -169,7 +190,7 @@ def infer_reference(models, problem):
     n_off = len(cell_offsets(problem.masks[0]))
     out = []
     for model in models:
-        pred = predict(model, x)
+        pred = whole_grid_prediction(model, x)
         pred = (pred[0::2] + 1j * pred[1::2]) / scale
         for e, mask in enumerate(problem.masks):
             grid = scatter_reference(pred[e * n_off : (e + 1) * n_off], mask)

@@ -27,6 +27,8 @@ from rakikit import (
 )
 from rakikit import CTensor, nn_engine, recon_models
 
+from test_coil_shared_work import whole_grid_prediction
+
 TINY = TrainConfig(
     widths=(3, 2),
     kernel_sizes=((2, 1, 3), (1, 2, 1), (1, 1, 2)),
@@ -562,7 +564,8 @@ class TestColumnCache:
                     cols[:, i, 0, 0, w], x[:, ui : ui + 2, vi : vi + 2, w : w + 3].ravel())
 
     def test_blocked_inference_equals_one_forward(self, monkeypatch):
-        """Criterion-04 scene (8 coils, 32x96x96, R=3x3): predict == forward."""
+        """Criterion-04 scene (8 coils, 32x96x96, R=3x3): predict_columns'
+        blocks == forward."""
         mask = make_uniform_mask((96, 96), 3, 3, shift=1,
                                  acs_box=centered_acs_box((96, 96), (24, 24)))
         ph = make_phantom(default_spec(extents=(32, 96, 96), n_coils=8,
@@ -578,7 +581,7 @@ class TestColumnCache:
         monkeypatch.setattr(nn_engine, "_layer0_columns",
                             lambda *a: blocks.append(1) or original(*a))
         x, _ = recon_models._model_input(problem, model.receptive_field)
-        blocked = nn_engine.predict(model, x)
+        blocked = whole_grid_prediction(model, x)
         whole = forward(model, x)
         assert len(blocks) > 1
         assert blocked.shape == whole.shape == (18, 32, 32, 32)  # 3x3 offsets, re/im

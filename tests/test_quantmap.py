@@ -24,6 +24,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             fit_decay(np.ones((2, 4)), [10.0, 10.0])
 
+    @pytest.mark.parametrize("te", [[np.nan, 10.0], [np.inf, 10.0],
+                                    [0.0, -np.inf]])
+    def test_nonfinite_echo_times_rejected(self, te):
+        """Checked before the fit: no NaN maps, no clamped T of inf."""
+        with pytest.raises(ConfigError, match="echo times must be finite"):
+            fit_decay(np.ones((2, 4)), te)
+
     def test_shape_checked(self):
         with pytest.raises(GeometryError):
             fit_decay(np.ones((3, 4)), [0.0, 10.0])

@@ -33,7 +33,7 @@ from rakikit import (
     zerofill_recon,
 )
 from rakikit import nn_engine
-from rakikit.recon_models import RIDGE_INIT, _acs_scale, _ridge_solution
+from rakikit.recon_models import RIDGE_INIT, _acs_scale, _ridge_solutions
 
 CFG = TrainConfig(
     alpha=0.0,
@@ -197,7 +197,7 @@ class TestLinearInit:
         model = linear_init(ts, CFG)
         pred = forward(model, ts.inputs)
 
-        W = _ridge_solution(ts, CFG)
+        (W,) = _ridge_solutions([ts], CFG)
         expected = (ridge_features(ts, CFG) @ W.T).T.reshape(pred.shape)
         np.testing.assert_allclose(pred, expected, atol=1e-10)
 
@@ -239,7 +239,7 @@ class TestRidgeSolution:
     def assert_matches_reference(ts, cfg, dual):
         nfeat = ts.in_channels * np.prod(cfg.kernel_sizes[0])
         assert ((pair_rows(ts) < nfeat) == dual).all()
-        W = _ridge_solution(ts, cfg)
+        (W,) = _ridge_solutions([ts], cfg)
         ref = per_channel_ridge(ts, cfg)
         assert np.linalg.norm(W - ref) <= 1e-9 * np.linalg.norm(ref)
 

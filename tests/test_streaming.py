@@ -30,13 +30,13 @@ from rakikit import (
     make_elliptical_mask,
     make_kyt_mask,
     make_uniform_mask,
+    train,
     train_raki,
     zerofill_recon,
 )
 from rakikit import nn_engine, recon_models
 from rakikit.espirit import SensitivityMaps
-from rakikit.recon_models import (_decimated_input, _ridge_solutions,
-                                  _train_float32, linear_init)
+from rakikit.recon_models import _decimated_input, _ridge_solutions, linear_init
 from rakikit.sampling import acquired_coords, steps
 
 CFG = TrainConfig(iterations=2, widths=(8, 8, 8, 8),
@@ -257,7 +257,8 @@ class TestBitIdentical:
         # warm-started from its slice of the shared ridge solution
         sets = [build_targets(problem, coil=c) for c in range(problem.n_coils)]
         ridge = _ridge_solutions(sets, CFG)
-        expected = [_train_float32(linear_init(ts, CFG, W), ts, CFG)
+        expected = [train(linear_init(ts, CFG, W), ts.inputs.astype(np.float32),
+                          ts.targets.astype(np.float32), CFG, valid=ts.valid)
                     for ts, W in zip(sets, ridge)]
         calls = {"dec": 0, "scale": 0}
 
@@ -280,7 +281,7 @@ class TestBitIdentical:
                 assert np.array_equal(a.bias, b.bias)
 
         # inference unfolds each block of columns once for all the models:
-        # as often as one model's predict on the same input does
+        # as often as one model's predict_columns on the same input does
         monkeypatch.setattr(nn_engine, "COLUMN_BLOCK", 1 << 12)
         blocks = []
         unfold = nn_engine._layer0_columns
@@ -292,7 +293,7 @@ class TestBitIdentical:
         x, _ = recon_models._model_input(problem, models[0].receptive_field)
         n_blocks = len(blocks)
         assert n_blocks > 1
-        nn_engine.predict(models[0], x)
+        list(nn_engine.predict_columns(models[:1], x))
         assert len(blocks) == 2 * n_blocks
         assert all(h is blocks[0] for h in blocks[:n_blocks])
 

@@ -14,13 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rakikit import GeometryError, build_targets, train_eraki, train_raki
+from rakikit import GeometryError, build_targets, train, train_eraki, train_raki
 from rakikit import recon_models
 from rakikit.nn_engine import receptive_field
 from rakikit.recon_models import (OffsetTargetSet, _acs_scale,
                                   _combo_targets_per_echo, _complex_to_channels,
-                                  _decimated_input, _ridge_solution,
-                                  _train_float32, linear_init)
+                                  _decimated_input, _ridge_solutions,
+                                  linear_init)
 from rakikit.sampling import cell_offsets, internal_view, lattice_cells
 
 from test_lattice_map import CFG, N_COILS, NAMED, named_masks, problem_of
@@ -136,9 +136,12 @@ def windowed_ridge(ts, cfg):
 def reference_training(problem, coils, monkeypatch):
     """(model, history) per target set, trained on the cropped sets with the
     windowed ridge as the warm start."""
+    cfg = problem.cfg
     with monkeypatch.context() as m:
-        m.setattr(recon_models, "_ridge_solution", windowed_ridge)
-        return [_train_float32(linear_init(ts, problem.cfg), ts, problem.cfg)
+        m.setattr(recon_models, "_ridge_solutions",
+                  lambda sets, c: np.stack([windowed_ridge(ts, c) for ts in sets]))
+        return [train(linear_init(ts, cfg), ts.inputs.astype(np.float32),
+                      ts.targets.astype(np.float32), cfg, valid=ts.valid)
                 for ts in cropped_target_sets(problem, coils)]
 
 
@@ -168,7 +171,8 @@ class TestUncroppedTraining:
         assert ts.inputs.shape[1:] == grid
         assert ts.valid.shape[1:] == tuple(n - r + 1 for n, r in zip(grid, rf))
         (ref,) = cropped_target_sets(p, None)
-        assert np.array_equal(_ridge_solution(ts, cfg), windowed_ridge(ref, cfg))
+        assert np.array_equal(_ridge_solutions([ts], cfg)[0],
+                              windowed_ridge(ref, cfg))
         (want,) = reference_training(p, None, monkeypatch)
         assert_same_training(train_eraki(p), want)
 
@@ -178,7 +182,7 @@ class TestUncroppedTraining:
         coils = list(range(N_COILS))
         refs = cropped_target_sets(p, coils)
         for c, ref in zip(coils, refs, strict=True):
-            assert np.array_equal(_ridge_solution(build_targets(p, c), cfg),
+            assert np.array_equal(_ridge_solutions([build_targets(p, c)], cfg)[0],
                                   windowed_ridge(ref, cfg))
         want = reference_training(p, coils, monkeypatch)
         models, histories = train_raki(p)
