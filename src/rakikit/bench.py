@@ -36,7 +36,7 @@ from .recon_models import (
     zerofill_recon,
 )
 from .sampling import SamplingMask, apply_mask, extract_acs, internal_view
-from .tensors import CTensor, ifftc, thread_count
+from .tensors import CTensor, blas_thread_env, ifftc, thread_count
 
 BENCH_METHODS = ("zerofill", "grappa", "raki", "eraki")
 
@@ -63,18 +63,25 @@ class BenchReport:
 
 def _cpu_model() -> str:
     try:
-        for line in open("/proc/cpuinfo"):
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
     except OSError:
         pass
     return platform.processor() or platform.machine()
 
 
 def _environment() -> dict:
+    try:  # numpy reports its build as dicts from 1.26 on
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     return {
         "cpu_model": _cpu_model(),
         "thread_count": thread_count(),
+        "blas_threads": blas_thread_env(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "platform": platform.platform(),
         "python": platform.python_version(),
     }

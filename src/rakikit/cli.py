@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (BENCH_METHODS, reconstruct, report_table, report_to_json,
-                    run_bench, thread_count)
+from .bench import (BENCH_METHODS, blas_thread_env, reconstruct, report_table,
+                    report_to_json, run_bench, thread_count)
 from .config import (load_config, phantom_spec, sampling_mask,
                      sensitivity_maps, train_config)
 from .errors import (
@@ -54,6 +54,7 @@ def write_manifest(out: Path, command: str, cfg: dict,
         "effective_config": cfg,
         "seed": cfg.get("seed"),
         "threads": thread_count(),
+        "blas_threads": blas_thread_env(),
         "inputs": {name: _hash_bundle(Path(p)) for name, p in inputs.items()},
         "created_unix": time.time(),
     }

@@ -27,6 +27,7 @@ float32 against 1.8 s in float64.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -57,6 +58,7 @@ class ConvLayer:
 @dataclass
 class ModelWeights:
     layers: list[ConvLayer]
+    linear: ConvLayer | None = None  # added to the stack's output (``_branch``)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -65,6 +67,9 @@ class ModelWeights:
                     f"channel mismatch: {prev.kernel.shape[0]} -> "
                     f"{nxt.kernel.shape[1]}"
                 )
+        want = (self.out_channels, *self.layers[0].kernel.shape[1:])
+        if self.linear is not None and self.linear.kernel.shape != want:
+            raise ConfigError(f"linear branch {self.linear.kernel.shape} != {want}")
 
     @property
     def in_channels(self) -> int:
@@ -79,9 +84,7 @@ class ModelWeights:
         return receptive_field([layer.kernel.shape[2:] for layer in self.layers])
 
     def copy(self) -> "ModelWeights":
-        return ModelWeights(
-            [ConvLayer(l.kernel.copy(), l.bias.copy(), l.relu) for l in self.layers]
-        )
+        return deepcopy(self)
 
 
 # the one set of training defaults: config.DEFAULTS["train"] is these fields
@@ -168,11 +171,12 @@ def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
 
 
 def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
-    """``model`` with its weights in ``dtype``: itself if they already are."""
-    if all(l.kernel.dtype == dtype and l.bias.dtype == dtype for l in model.layers):
-        return model
-    return ModelWeights([ConvLayer(l.kernel.astype(dtype), l.bias.astype(dtype),
-                                   l.relu) for l in model.layers])
+    """``model`` with its weights in ``dtype``, sharing those already in it."""
+    def cast(l):
+        return ConvLayer(l.kernel.astype(dtype, copy=False),
+                         l.bias.astype(dtype, copy=False), l.relu)
+    return ModelWeights([cast(l) for l in model.layers],
+                        None if model.linear is None else cast(model.linear))
 
 
 def _inside(a: np.ndarray, single: bool) -> np.ndarray:
@@ -217,28 +221,40 @@ def _conv(h: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out.reshape(oc, *cols.shape[1:])
 
 
-def _activations(model: ModelWeights, h: np.ndarray) -> list:
-    """Input and every layer's output, all [C, B, X, Y, Z]."""
+def _activations(model: ModelWeights, h: np.ndarray):
+    """Input and every layer's output, all [C, B, X, Y, Z], and the model's
+    output: the last of them plus the linear branch."""
     acts = [h]
     for layer in model.layers:
         h = _conv(h, layer)
         if layer.relu:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return acts
+    return acts, h if model.linear is None else h + _branch(model, acts[0], h.shape[2:])
+
+
+def _branch(model: ModelWeights, h: np.ndarray, out) -> np.ndarray:
+    """The linear branch on [C, B, X, Y, Z] at the stack's output extents
+    ``out``: output p reads layer 0's window at p + sum of (k - 1) // 2
+    over the later layers, the centre of their margins. The output is cropped,
+    not the input: that would copy ``predict_columns``' column matrix."""
+    lo = sum(((np.array(l.kernel.shape[2:]) - 1) // 2 for l in model.layers[1:]),
+             np.zeros(3, dtype=int))
+    return _conv(h, model.linear)[(slice(None),) * 2 + tuple(
+        slice(a, a + o) for a, o in zip(lo, out))]
 
 
 def forward(model: ModelWeights, x: np.ndarray,
             keep_activations: bool = False):
-    """Run the stack on a batch [B, in_ch, X, Y, Z] or one sample [in_ch, X, Y, Z].
+    """Run the model on a batch [B, in_ch, X, Y, Z] or one sample [in_ch, X, Y, Z].
 
-    Returns the output (and every activation, input first) in the input's
-    layout. ReLU is applied after every layer flagged ``relu``. Output
-    extents are the input minus (receptive field - 1).
+    Returns the output, linear branch included (and the stack's activations,
+    input first), in the input's layout. ReLU follows every layer flagged
+    ``relu``. Output extents are the input minus (receptive field - 1).
     """
     h, single = _as_batch(model, x)
-    acts = _activations(_in_dtype(model, h.dtype), h)
-    out = _outside(acts[-1], single)
+    acts, out = _activations(_in_dtype(model, h.dtype), h)
+    out = _outside(out, single)
     if keep_activations:
         return out, [_outside(a, single) for a in acts]
     return out
@@ -292,18 +308,19 @@ def loss(pred: np.ndarray, target: np.ndarray, model: ModelWeights | None,
 def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
              alpha: float, beta: float, valid: np.ndarray | None = None,
              squared_l2: bool = False):
-    """Exact loss gradients for every kernel and bias.
+    """Exact loss gradients for every kernel and bias of the stack.
 
     ``x``, ``target`` and ``valid`` are batches, or one 4-D sample, as in
-    ``forward``. Subgradient conventions: sign(0) = 0 for the L1 term, 0
-    at the origin for the un-squared norms. Returns (loss_value, grads)
-    with grads a list of (dkernel, dbias) matching the layer order, in the
-    input's dtype.
+    ``forward``; the linear branch is a constant of the prediction, outside
+    the weight penalty. Subgradient conventions: sign(0) = 0 for the L1
+    term, 0 at the origin for the un-squared norms. Returns (loss_value,
+    grads) with grads a list of (dkernel, dbias) matching the layer order,
+    in the input's dtype.
     """
     h, single = _as_batch(model, x)
     model = _in_dtype(model, h.dtype)
-    acts = _activations(model, h)
-    pred = _outside(acts[-1], single)
+    acts, pred = _activations(model, h)
+    pred = _outside(pred, single)
     e, n, rms, data = _data_term(pred, np.asarray(target, dtype=h.dtype), alpha,
                                  valid, squared_l2)
 
@@ -361,10 +378,10 @@ def _out_extents(h: np.ndarray, rf) -> tuple[int, int, int]:
 
 
 def _flat_first(model: ModelWeights) -> ModelWeights:
-    """A copy whose layer 0 is the same weights as a 1x1x1 conv over its windows."""
+    """A copy with layer 0 and the branch as 1x1x1 convs over layer 0's windows."""
     flat = model.copy()
-    first = flat.layers[0]
-    first.kernel = first.kernel.reshape(first.kernel.shape[0], -1, 1, 1, 1)
+    for layer in filter(None, (flat.layers[0], flat.linear)):
+        layer.kernel = layer.kernel.reshape(layer.kernel.shape[0], -1, 1, 1, 1)
     return flat
 
 
@@ -404,12 +421,14 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     enter the loss, so training runs on those alone: before the first
     step their layer-0 windows are unfolded once into a column matrix, and
     every step calls ``backward`` on it with layer 0 viewed as a 1x1x1
-    conv. Float32 ``x`` trains in float32 throughout: the warm start and
-    the targets are cast once. The kernels and biases are views into one
-    flat vector, and each Adam step updates it and its moments in place
-    over preallocated buffers, allocating nothing beyond ``backward``.
-    Returns (trained float64 model, loss history). Aborts with the step
-    index on a non-finite loss, before the first step if the warm start is
+    conv. The linear branch is held fixed: the targets lose its prediction
+    once, over that matrix, and the steps fit the stack alone. Float32
+    ``x`` trains in float32 throughout: the warm start and the targets are
+    cast once. The kernels and biases are views into one flat vector, and
+    each Adam step updates it and its moments in place over preallocated
+    buffers, allocating nothing beyond ``backward``. Returns (trained
+    float64 model, loss history). Aborts with the step index on a
+    non-finite loss, before the first step if the stack's warm start is
     not finite in the input's dtype, and after the last if the weights it
     leaves are not finite.
     """
@@ -423,7 +442,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     # the non-finite loss of the first step for a target that counts
     with np.errstate(over="ignore"):
         target = np.asarray(target).astype(h.dtype, copy=False)
-        model = _in_dtype(_flat_first(model), h.dtype)
+        flat = _in_dtype(_flat_first(model), h.dtype)
     if target.shape != shape:
         raise GeometryError(f"pred {shape} vs target {target.shape}")
     target = _inside(target, single)
@@ -436,16 +455,20 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
             raise GeometryError("validity mask excludes every position")
     idx = np.nonzero(keep)
     cols = _layer0_columns(h, idx, kshape[2:], rf)
-    cols = cols.swapaxes(0, 1)
     target = _columns_of(target, idx)
+    if flat.linear is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            target -= _branch(flat, cols, target.shape[2:]).swapaxes(0, 1)
+    cols = cols.swapaxes(0, 1)
     if valid is not None:
         valid = _columns_of(valid, idx)
 
-    theta = _flat_params(model)
+    stack = ModelWeights(flat.layers)
+    theta = _flat_params(stack)
     if not np.isfinite(theta).all():
         raise NumericalError(f"warm-start weights are not finite in {h.dtype}")
     grad, tmp = np.empty_like(theta), np.empty_like(theta)
-    grad_views = _views(grad, model)
+    grad_views = _views(grad, stack)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     history = []
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -454,7 +477,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         # a diverging run ends in the NumericalError below, not in warnings
         with np.errstate(over="ignore", invalid="ignore"):
             value, grads = backward(
-                model, cols, target, cfg.alpha, cfg.beta, valid=valid,
+                stack, cols, target, cfg.alpha, cfg.beta, valid=valid,
                 squared_l2=cfg.squared_l2,
             )
             if not np.isfinite(value):
@@ -481,8 +504,8 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         lr *= cfg.lr_decay
     if not np.isfinite(theta).all():
         raise NumericalError(f"non-finite weights after step {cfg.iterations}")
-    model.layers[0].kernel = model.layers[0].kernel.reshape(kshape)
-    return _in_dtype(model, np.float64), history
+    stack.layers[0].kernel = stack.layers[0].kernel.reshape(kshape)
+    return _in_dtype(ModelWeights(stack.layers, model.linear), np.float64), history
 
 
 # elements of the layer-0 column matrix in one block of ``predict_columns``:

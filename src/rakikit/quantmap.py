@@ -32,7 +32,7 @@ def fit_decay(echo_images: np.ndarray, te_ms, threshold: float = 0.0
 
     ``echo_images`` is real [echo, ...spatial] with finite magnitudes
     >= 0; a voxel is fitted only when every echo magnitude exceeds
-    ``threshold``.
+    ``threshold``, itself finite and >= 0.
     T is clamped to [0.1, 10000] ms; zero-variance voxels (constant
     signal) take the upper clamp with r2_goodness defined as 1.
     """
@@ -44,6 +44,8 @@ def fit_decay(echo_images: np.ndarray, te_ms, threshold: float = 0.0
         raise ConfigError(f"echo times must be finite, got {te_ms}")
     if len(np.unique(te)) != te.size:
         raise ConfigError(f"echo times must be distinct, got {te_ms}")
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ConfigError(f"threshold must be finite and >= 0, got {threshold}")
     if s.ndim < 2 or s.shape[0] != te.size:
         raise GeometryError(
             f"images [echo, ...spatial] with {te.size} echoes required, "

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .espirit import SensitivityMaps, coil_combine, make_combo_target
-from .nn_engine import (ModelWeights, TrainConfig, init_model,
+from .nn_engine import (ConvLayer, ModelWeights, TrainConfig, init_model,
                         predict_columns, receptive_field, train)
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
                        internal_view, lattice_cells, make_elliptical_mask,
@@ -256,12 +256,11 @@ def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
     """Ridge fit of a single first-layer-sized linear kernel per channel of
     every set: [set, out channel, feature].
 
-    The remaining layers are treated as centered identities, so output
-    position p reads the ``kernel_sizes[0]`` window at p plus their
-    margins; the resulting weight matrix maps that window directly onto the
-    stack's output grid. The windows are gathered, in grid order, only
-    where some channel is valid. An even kernel extent after layer 0 has
-    no center, and is a ConfigError.
+    Output position p reads the ``kernel_sizes[0]`` window at p plus the
+    centre of the later layers' margins, as the model's linear branch does.
+    The windows are gathered, in grid order, only where some channel is
+    valid. An even kernel extent after layer 0 has no center, and is a
+    ConfigError.
 
     The sets must hold equal ``inputs`` and ``valid``, as the per-coil sets
     of ``_target_sets`` do, so they share the gathered rows and Gram
@@ -307,61 +306,23 @@ def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
     return W
 
 
-def _uses_ridge(cfg: TrainConfig) -> bool:
-    """Whether ``linear_init`` seeds from the ridge solution: always without
-    hidden layers, else when the narrowest holds one +/- channel pair."""
-    return not cfg.widths or min(cfg.widths) >= 2
-
-
 def linear_init(ts: OffsetTargetSet, cfg: TrainConfig,
                 W: np.ndarray | None = None) -> ModelWeights:
-    """Seed the CNN with a calibrated linear kernel (GRAPPA-style warm start).
+    """Seed the model with a calibrated linear kernel (GRAPPA-style warm start).
 
-    The ridge solution W of ``ts`` (solved here unless given) is factorized
-    by SVD and embedded exactly in the ReLU stack with paired +/- channels
-    (ReLU(v) - ReLU(-v) = v); later layers start as centered identities.
-    Falls back to the random init if the hidden widths cannot hold the
-    paired factors (``_uses_ridge``). Hidden channels from
-    2r up, r = min(out channels, min(widths) // 2), start at exactly zero,
-    bias included, and ReLU'(0) = 0 keeps their gradient zero: training
-    never revives them. Per-coil RAKI at R = 2x2 (8 outputs) with widths
-    64 leaves 48 of each hidden layer's 64 channels dead.
+    The ridge solution W of ``ts`` (solved here unless given) becomes the
+    model's fixed linear branch and the stack's last layer starts at zero,
+    so the untrained model predicts exactly what W does, and training fits
+    the stack to the residual W leaves (Residual RAKI, Zhang et al.,
+    NeuroImage 2022).
     """
-    model = init_model(ts.in_channels, ts.out_channels, cfg)
-    if not _uses_ridge(cfg):
-        return model
     if W is None:
         (W,) = _ridge_solutions([ts], cfg)
-    if not cfg.widths:  # degenerate single-layer stack: the kernel is W itself
-        model.layers[0].kernel = W.reshape(
-            ts.out_channels, ts.in_channels, *cfg.kernel_sizes[0]
-        )
-        model.layers[0].bias = np.zeros_like(model.layers[0].bias)
-        return model
-    r = min(ts.out_channels, min(cfg.widths) // 2)
-    u, s, vt = np.linalg.svd(W, full_matrices=False)
-    rs = np.sqrt(s[:r])
-    A = u[:, :r] * rs  # [out_ch, r]
-    B = rs[:, None] * vt[:r]  # [r, nfeat]
-    k1 = cfg.kernel_sizes[0]
-    first = np.zeros_like(model.layers[0].kernel)
-    first[:r] = B.reshape(r, ts.in_channels, *k1)
-    first[r : 2 * r] = -first[:r]
-    model.layers[0].kernel = first
-    model.layers[0].bias = np.zeros_like(model.layers[0].bias)
-    for layer in model.layers[1:-1]:
-        kern = np.zeros_like(layer.kernel)
-        ctr = tuple((k - 1) // 2 for k in kern.shape[2:])
-        for j in range(2 * r):
-            kern[(j, j, *ctr)] = 1.0
-        layer.kernel = kern
-        layer.bias = np.zeros_like(layer.bias)
-    last = np.zeros_like(model.layers[-1].kernel)
-    last[:, :r, 0, 0, 0] = A
-    last[:, r : 2 * r, 0, 0, 0] = -A
-    model.layers[-1].kernel = last
-    model.layers[-1].bias = np.zeros_like(model.layers[-1].bias)
-    return model
+    model = init_model(ts.in_channels, ts.out_channels, cfg)
+    model.layers[-1].kernel[...] = 0.0  # init_model's biases are zero
+    shape = (ts.out_channels, *model.layers[0].kernel.shape[1:])
+    linear = ConvLayer(W.reshape(shape), np.zeros(shape[0]), relu=False)
+    return ModelWeights(model.layers, linear)
 
 
 def _train(problem: ReconProblem, coils: list[int] | None
@@ -378,9 +339,8 @@ def _train(problem: ReconProblem, coils: list[int] | None
     """
     cfg = problem.cfg
     sets = list(_target_sets(problem, coils))
-    ridge = _ridge_solutions(sets, cfg) if _uses_ridge(cfg) else [None] * len(sets)
     trained = []
-    for ts, W in zip(sets, ridge):
+    for ts, W in zip(sets, _ridge_solutions(sets, cfg)):
         with np.errstate(over="ignore"):
             x, y = ts.inputs.astype(np.float32), ts.targets.astype(np.float32)
         trained.append(train(linear_init(ts, cfg, W), x, y, cfg, valid=ts.valid))

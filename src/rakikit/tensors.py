@@ -107,6 +107,12 @@ def thread_count() -> int:
         return os.cpu_count() or 1
 
 
+def blas_thread_env() -> dict:
+    """The BLAS thread-count variables of the environment, None when unset."""
+    return {k: os.environ.get(k) for k in
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _centred(transform, data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Shift DC to index 0, apply the orthonormal transform, shift back.
 

@@ -1,7 +1,11 @@
 """Benchmark harness: rows, ratios, serialization."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,22 @@ class TestReport:
         env = fast_report.environment
         assert env["thread_count"] >= 1
         assert env["python"]
+        assert env["blas_threads"] == {k: os.environ.get(k) for k in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert json.loads(report_to_json(fast_report))["environment"] == env
+
+    def test_environment_closes_what_it_reads(self):
+        """Under -X dev an unclosed /proc/cpuinfo handle is a ResourceWarning."""
+        src = str(Path(bench.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-c",
+             "from rakikit.bench import _environment; _environment()"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert "ResourceWarning" not in run.stderr
 
     def test_config_hash_stable(self, fast_report):
         again = run_bench({**FAST, "recon": {"acs_kx": 8}})

@@ -839,9 +839,23 @@ class TestPipeline:
         assert manifest["seed"] == 11
         assert manifest["command"] == "phantom"
         assert manifest["threads"] == thread_count()
+        assert set(manifest["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert manifest["effective_config"]["phantom"]["n_coils"] == 4
         # defaults echoed into the persisted effective config
         assert manifest["effective_config"]["train"]["alpha"] == 0.0
+
+    def test_manifest_records_blas_thread_variables(self, tmp_path, monkeypatch):
+        from rakikit.cli import write_manifest
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        write_manifest(tmp_path, "phantom", {"seed": 1}, {})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2",
+                                            "OMP_NUM_THREADS": "3",
+                                            "MKL_NUM_THREADS": None}
 
     def test_maps_meta_records_espirit_diagnostics(self, pipeline):
         from rakikit import espirit_maps

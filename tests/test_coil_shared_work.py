@@ -82,13 +82,39 @@ class TestSharedRidge:
             train_raki(with_coils(full, n))
             assert len(calls) == pairs
 
+    def test_narrow_widths_solve_once_and_warm_start_from_the_ridge(
+            self, kind, monkeypatch):
+        """Widths (1, 8) take the ridge warm start like any others: one
+        solve per pair, and each coil's linear branch is its slice of W."""
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: calls.append(1) or solve(*a))
+        cfg = replace(CFG, iterations=1, widths=(1, 8))
+        p = named_problem(kind, "raki_percoil", cfg)
+        models, _ = train_raki(p)
+        assert len(calls) == len(cell_offsets(p.masks[0]))
+        ridge = _ridge_solutions(list(_target_sets(p, list(range(p.n_coils)))), cfg)
+        for model, W in zip(models, ridge, strict=True):
+            assert rel(model.linear.kernel.reshape(W.shape), W) <= 1e-12
+
     def test_no_solve_when_the_warm_start_is_random(self, kind, monkeypatch):
-        """Widths of 1 hold no +/- pair: linear_init keeps the random init."""
+        """The ridge is solved by the warm start alone: ``train`` from a
+        random ``init_model`` solves nothing and adds no linear branch."""
         monkeypatch.setattr(recon_models, "_ridge_solutions",
                             lambda *a: pytest.fail("ridge solved"))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: pytest.fail("solve called"))
         cfg = replace(CFG, iterations=1, widths=(1, 8))
-        models, _ = train_raki(named_problem(kind, "raki_percoil", cfg))
-        assert len(models) == 3
+        p = named_problem(kind, "raki_percoil", cfg)
+        for c in range(p.n_coils):
+            ts = build_targets(p, c)
+            model, hist = train(init_model(ts.in_channels, ts.out_channels, cfg),
+                                ts.inputs.astype(np.float32),
+                                ts.targets.astype(np.float32), cfg,
+                                valid=ts.valid)
+            assert model.linear is None
+            assert len(hist) == cfg.iterations
 
 
 @pytest.mark.parametrize("kind", NAMED)

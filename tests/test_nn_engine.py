@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rakikit import (
     ConfigError,
+    ConvLayer,
     GeometryError,
     ModelWeights,
     NumericalError,
@@ -575,6 +576,9 @@ class TestColumnCache:
             (3, 3, 5), (1, 1, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1)))
         problem = ReconProblem(apply_mask(ksp, mask), (mask,), "raki_percoil", cfg)
         model = linear_init(build_targets(problem, coil=0), cfg)
+        # the stack contributes beside the linear branch, as after training
+        last = model.layers[-1]
+        last.kernel = np.random.default_rng(3).uniform(-0.1, 0.1, last.kernel.shape)
 
         blocks = []
         original = nn_engine._layer0_columns
@@ -586,3 +590,84 @@ class TestColumnCache:
         assert len(blocks) > 1
         assert blocked.shape == whole.shape == (18, 32, 32, 32)  # 3x3 offsets, re/im
         assert_rel(blocked, whole, tol=1e-12)
+
+
+def with_branch(model, rng):
+    """``model`` with a random linear branch of layer 0's window."""
+    shape = (model.out_channels, *model.layers[0].kernel.shape[1:])
+    return ModelWeights(model.layers, ConvLayer(rng.standard_normal(shape),
+                                                rng.standard_normal(shape[0]),
+                                                relu=False))
+
+
+class TestLinearBranch:
+    """The fixed linear branch beside the stack: later kernels (1, 1, 3) and
+    (1, 1, 1) put its window one sample in along the third axis."""
+
+    CFG = TrainConfig(widths=(5, 4), iterations=6, learning_rate=1e-2, seed=1,
+                      kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)))
+
+    def _case(self):
+        rng = np.random.default_rng(11)
+        model = with_branch(init_model(3, 4, self.CFG), rng)
+        x = rng.standard_normal((2, 3, 9, 10, 11))
+        target = rng.standard_normal((2, 4, 7, 8, 7))
+        return rng, model, x, target
+
+    def test_output_is_the_stack_plus_the_branch(self):
+        _, model, x, _ = self._case()
+        stack = forward(ModelWeights(model.layers), x)
+        branch = forward(ModelWeights([model.linear]), x[..., 1:-1])
+        assert_rel(forward(model, x), stack + branch, tol=1e-12)
+
+    def test_branch_shape_must_match_layer_0(self):
+        _, model, _, _ = self._case()
+        short = ConvLayer(model.linear.kernel[:, :2], model.linear.bias, False)
+        with pytest.raises(ConfigError, match="linear branch"):
+            ModelWeights(model.layers, short)
+
+    def test_copy_cast_and_blocks_keep_the_branch(self, monkeypatch):
+        _, model, x, _ = self._case()
+        want = forward(model, x[0])
+        copied = model.copy()
+        assert np.array_equal(copied.linear.kernel, model.linear.kernel)
+        assert np.array_equal(copied.linear.bias, model.linear.bias)
+        copied.linear.kernel += 1.0
+        assert np.array_equal(forward(model, x[0]), want)
+        single = nn_engine._in_dtype(model, np.float32)
+        assert single.linear.kernel.dtype == single.linear.bias.dtype == np.float32
+        assert_rel(forward(single, x[0].astype(np.float32)), want, tol=1e-5)
+        monkeypatch.setattr(nn_engine, "COLUMN_BLOCK", 1 << 8)
+        blocks = []
+        unfold = nn_engine._layer0_columns
+        monkeypatch.setattr(nn_engine, "_layer0_columns",
+                            lambda *a: blocks.append(1) or unfold(*a))
+        assert_rel(whole_grid_prediction(model, x[0]), want, tol=1e-12)
+        assert len(blocks) > 1
+
+    def test_fd_agreement_with_the_branch(self):
+        rng, model, x, target = self._case()
+        assert fd_gradcheck(model, x, target, 0.3, 0.02, False, 10, rng) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_holds_the_branch_and_fits_the_residual(self, dtype):
+        """Training a model with a branch is training its stack on the
+        targets less the branch; the losses are the whole model's."""
+        _, model, x, target = self._case()
+        valid = np.random.default_rng(2).random(target.shape) > 0.3
+        x = x.astype(dtype)
+        got, hist = train(model, x, target, self.CFG, valid=valid)
+        stack = ModelWeights(model.layers)
+        residual = target - (forward(model, x) - forward(stack, x))
+        want, want_hist = train(stack, x, residual, self.CFG, valid=valid)
+        tol = 1e-4 if dtype == np.float32 else 1e-9
+        assert_rel(hist, want_hist, tol=tol)
+        for a, b in zip(got.layers, want.layers, strict=True):
+            assert a.kernel.dtype == np.float64
+            assert_rel(a.kernel, b.kernel, tol=tol)
+        assert np.array_equal(got.linear.kernel, model.linear.kernel)
+        assert np.array_equal(got.linear.bias, model.linear.bias)
+        first = loss(forward(model, x.astype(np.float64)), target, model,
+                     self.CFG.alpha, self.CFG.beta, valid=valid,
+                     squared_l2=self.CFG.squared_l2)
+        assert hist[0] == pytest.approx(first, rel=tol)

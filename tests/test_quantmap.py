@@ -31,6 +31,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="echo times must be finite"):
             fit_decay(np.ones((2, 4)), te)
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, np.nan, np.inf])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        """A negative threshold would fit zero-signal voxels through log(0),
+        a NaN one would silently fit nothing."""
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            fit_decay([[[1.0, 0.0]], [[0.5, 0.0]]], [10.0, 20.0],
+                      threshold=threshold)
+
     def test_shape_checked(self):
         with pytest.raises(GeometryError):
             fit_decay(np.ones((3, 4)), [0.0, 10.0])

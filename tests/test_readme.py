@@ -21,5 +21,5 @@ def test_python_quick_start_runs():
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     label, value = done.stdout.split()
-    # the example prints 0.0502; zero filling scores 0.133 on its scene
+    # the example prints 0.0494; zero filling scores 0.133 on its scene
     assert label == "NRMSE:" and math.isfinite(float(value)) and float(value) < 0.1

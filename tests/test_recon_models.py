@@ -187,19 +187,54 @@ class TestChannelLaws:
         assert ts.out_channels == 2 * 4  # 2 x R for R = 2x2
 
 
+def assert_warm_start_is_ridge(ts, cfg):
+    """The untrained model's output is the ridge map's, to 1e-10."""
+    pred = forward(linear_init(ts, cfg), ts.inputs)
+    (W,) = _ridge_solutions([ts], cfg)
+    expected = (ridge_features(ts, cfg) @ W.T).T.reshape(pred.shape)
+    np.testing.assert_allclose(pred, expected, atol=1e-10)
+
+
+NARROW = TrainConfig(widths=(1, 8), seed=0,
+                     kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)))
+
+
 class TestLinearInit:
     def test_embedding_reproduces_ridge_prediction(self, small_scene):
-        # the SVD factors and +/- ReLU pairs must compose back to exactly
-        # the linear ridge map when the hidden widths can hold them
+        # the fixed linear branch is the ridge map, and the stack's zero
+        # last layer adds nothing to it
         s = small_scene
         p = ReconProblem(s["masked"], (s["mask"],), "eraki", CFG, maps=s["maps"])
-        ts = build_targets(p)
-        model = linear_init(ts, CFG)
-        pred = forward(model, ts.inputs)
+        assert_warm_start_is_ridge(build_targets(p), CFG)
 
-        (W,) = _ridge_solutions([ts], CFG)
-        expected = (ridge_features(ts, CFG) @ W.T).T.reshape(pred.shape)
-        np.testing.assert_allclose(pred, expected, atol=1e-10)
+    def test_joint_warm_start_has_the_full_rank(self, joint_problem):
+        """54 outputs through hidden widths of 36: every output keeps its
+        ridge prediction, with no rank cap from the widths."""
+        cfg = replace(CFG, widths=(36,) * 4)
+        ts = build_targets(replace(joint_problem, cfg=cfg))
+        assert ts.out_channels == 54
+        assert_warm_start_is_ridge(ts, cfg)
+
+    @pytest.mark.parametrize("cfg", [CFG, NARROW], ids=["widths-16", "widths-1-8"])
+    def test_per_coil_warm_start_is_the_ridge(self, small_scene, cfg):
+        assert_warm_start_is_ridge(single_echo_targets(small_scene, cfg, coil=2),
+                                   cfg)
+
+    def test_no_hidden_channel_stays_dead(self, small_scene):
+        """Per-coil RAKI at R = 2x2 (8 outputs) with widths 64: after 5 Adam
+        steps no hidden layer holds an all-zero kernel row, and the last
+        layer has left zero."""
+        cfg = replace(CFG, widths=(64,) * 4)
+        ts = single_echo_targets(small_scene, cfg, coil=0)
+        assert ts.out_channels == 8
+        model, _ = nn_engine.train(linear_init(ts, cfg),
+                                   ts.inputs.astype(np.float32),
+                                   ts.targets.astype(np.float32), cfg,
+                                   valid=ts.valid)
+        for layer in model.layers[:-1]:
+            rows = np.abs(layer.kernel).reshape(layer.kernel.shape[0], -1)
+            assert (rows.max(axis=1) > 0).all()
+        assert np.abs(model.layers[-1].kernel).max() > 0
 
     def test_warm_start_beats_random_init_fit(self, small_scene):
         from rakikit.nn_engine import loss
@@ -256,7 +291,7 @@ class TestRidgeSolution:
 
     def test_single_layer_kernel_is_the_ridge_solution(self, small_scene):
         ts = single_echo_targets(small_scene, SINGLE_LAYER)
-        kernel = linear_init(ts, SINGLE_LAYER).layers[0].kernel
+        kernel = linear_init(ts, SINGLE_LAYER).linear.kernel
         ref = per_channel_ridge(ts, SINGLE_LAYER)
         assert np.linalg.norm(kernel.reshape(ref.shape) - ref) \
             <= 1e-9 * np.linalg.norm(ref)

@@ -276,7 +276,8 @@ class TestBitIdentical:
         assert calls == {"dec": 1, "scale": 1}
         for (want, want_hist), got, hist in zip(expected, models, histories):
             assert hist == want_hist
-            for a, b in zip(want.layers, got.layers):
+            for a, b in zip([*want.layers, want.linear], [*got.layers, got.linear],
+                            strict=True):
                 assert np.array_equal(a.kernel, b.kernel)
                 assert np.array_equal(a.bias, b.bias)
 

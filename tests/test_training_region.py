@@ -148,7 +148,8 @@ def reference_training(problem, coils, monkeypatch):
 def assert_same_training(got, want):
     (model, history), (ref_model, ref_history) = got, want
     assert history == ref_history
-    for layer, ref in zip(model.layers, ref_model.layers, strict=True):
+    for layer, ref in zip([*model.layers, model.linear],
+                          [*ref_model.layers, ref_model.linear], strict=True):
         assert np.array_equal(layer.kernel, ref.kernel)
         assert np.array_equal(layer.bias, ref.bias)
 
