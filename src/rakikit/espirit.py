@@ -8,10 +8,10 @@ positions too weak to carry signal are skipped before it. The kept
 kernels are correlated in k-space over their (2k1-1)x(2k2-1) lags, and
 two small inverse-DFT products per readout turn those lags into the
 per-voxel coil Gram matrix on the output grid (Uecker et al., MRM 71:990,
-2014). Its leading eigenvector, found by power iteration warm-started from
-the neighbouring readout (G^64, and up to G^1024 for voxels with a small
-spectral gap) with ``eigh`` where that does not converge, gives the maps;
-its leading eigenvalue gives the support measure.
+2014). Its leading eigenvector, found by power iteration (G^64, up to
+G^1024 for voxels with a small spectral gap) from the uniform unit vector,
+then from the last readout that had kernels, with ``eigh`` where that does
+not converge, gives the maps; its leading eigenvalue the support measure.
 
 Coil combination streams the coil axis: conj(S_c) x_c is accumulated one
 coil at a time, in coil order, which is bit for bit the sum over a
@@ -145,14 +145,13 @@ def _normalised_square(P: np.ndarray, out: np.ndarray) -> np.ndarray:
     return P
 
 
-def _leading_eigenpairs(G: np.ndarray, start: np.ndarray | None):
+def _leading_eigenpairs(G: np.ndarray, start: np.ndarray):
     """Leading eigenvalue and eigenvector of every Hermitian PSD G [..., nc, nc].
 
-    From ``start`` vectors (the neighbouring readout's), G^(2**_SQUARINGS)
-    applied to them is a power iteration; voxels whose residual exceeds
-    ``_RESIDUAL_TOL`` go on alone, applying G^(2**m) for m up to
-    ``_MAX_SQUARINGS``. Voxels still unconverged, and every voxel when
-    ``start`` is None, take the pair from ``eigh`` instead.
+    From ``start`` vectors, G^(2**_SQUARINGS) applied to them is a power
+    iteration; voxels whose residual exceeds ``_RESIDUAL_TOL`` go on alone,
+    applying G^(2**m) for m up to ``_MAX_SQUARINGS``. Voxels still
+    unconverged take the pair from ``eigh`` instead.
     Returns the eigenvalues, the unit eigenvectors and the fallback count.
     """
     shape, nc = G.shape[:-2], G.shape[-1]
@@ -160,34 +159,33 @@ def _leading_eigenpairs(G: np.ndarray, start: np.ndarray | None):
     lead = np.zeros(len(G))
     vec = np.zeros((len(G), nc), dtype=np.complex128)
     todo = np.arange(len(G))  # voxels without a pair yet; Gt, P and v follow it
-    if start is not None:
-        buf = np.empty((2, *G.shape), dtype=np.complex128)
-        P, m = G, 0  # P = G^(2**m), trace-normalised
-        while m < _SQUARED:
-            m += 1
-            P = _normalised_square(P, buf[m % 2])
-        v = start.reshape(-1, nc, 1)
-        for _ in range(2 ** (_SQUARINGS - _SQUARED)):
+    buf = np.empty((2, *G.shape), dtype=np.complex128)
+    P, m = G, 0  # P = G^(2**m), trace-normalised
+    while m < _SQUARED:
+        m += 1
+        P = _normalised_square(P, buf[m % 2])
+    v = start.reshape(-1, nc, 1)
+    for _ in range(2 ** (_SQUARINGS - _SQUARED)):
+        v = P @ v
+    Gt = G
+    for k in range(_SQUARINGS, _MAX_SQUARINGS + 1):
+        if k > _SQUARINGS:
+            while m < k:
+                m += 1
+                P = _normalised_square(P, buf[m % 2, :len(P)])
             v = P @ v
-        Gt = G
-        for k in range(_SQUARINGS, _MAX_SQUARINGS + 1):
-            if k > _SQUARINGS:
-                while m < k:
-                    m += 1
-                    P = _normalised_square(P, buf[m % 2, :len(P)])
-                v = P @ v
-            v = v[..., 0]
-            norm = np.linalg.norm(v, axis=-1)
-            v /= np.where(norm > 0, norm, 1.0)[..., None]
-            w = (Gt @ v[..., None])[..., 0]
-            lam = np.einsum("...c,...c->...", v.conj(), w).real
-            resid = np.linalg.norm(w - lam[..., None] * v, axis=-1)
-            ok = (norm > 0) & (resid <= _RESIDUAL_TOL)
-            lead[todo[ok]] = lam[ok]
-            vec[todo[ok]] = v[ok]
-            todo, Gt, P, v = todo[~ok], Gt[~ok], P[~ok], v[~ok, :, None]
-            if len(todo) == 0:
-                break
+        v = v[..., 0]
+        norm = np.linalg.norm(v, axis=-1)
+        v /= np.where(norm > 0, norm, 1.0)[..., None]
+        w = (Gt @ v[..., None])[..., 0]
+        lam = np.einsum("...c,...c->...", v.conj(), w).real
+        resid = np.linalg.norm(w - lam[..., None] * v, axis=-1)
+        ok = (norm > 0) & (resid <= _RESIDUAL_TOL)
+        lead[todo[ok]] = lam[ok]
+        vec[todo[ok]] = v[ok]
+        todo, Gt, P, v = todo[~ok], Gt[~ok], P[~ok], v[~ok, :, None]
+        if len(todo) == 0:
+            break
     if len(todo):
         evals, evecs = np.linalg.eigh(G[todo])
         lead[todo] = evals[:, -1]
@@ -225,11 +223,11 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     maps = np.zeros((nc, nx, out1, out2), dtype=np.complex128)
     eigval = np.zeros((nx, out1, out2))
     fallbacks = 0
-    vec = None  # the previous readout's eigenvectors warm-start the next
+    # the uniform unit vector starts the sweep; empty readouts leave vec be
+    vec = np.full((out1, out2, nc), nc ** -0.5, dtype=np.complex128)
     for ix in range(nx):
         kern = _row_space(hyb[:, ix], k1, k2, sigma_threshold, scale)
         if len(kern) == 0:
-            vec = None
             continue
         lead, vec, n_eigh = _leading_eigenpairs(_gram(kern, out1, out2), vec)
         fallbacks += n_eigh

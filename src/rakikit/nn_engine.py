@@ -48,6 +48,14 @@ def receptive_field(kernel_sizes) -> tuple[int, int, int]:
     return tuple(int(r) for r in rf)
 
 
+def branch_offset(kernel_sizes) -> tuple[int, int, int]:
+    """Where the linear branch reads: output p of the stack takes layer 0's
+    window at p + sum of (k - 1) // 2 over the later layers, the centre of
+    their margins (the lower centre for an even extent)."""
+    later = np.array(kernel_sizes[1:], dtype=int).reshape(-1, 3)
+    return tuple(int(a) for a in ((later - 1) // 2).sum(axis=0))
+
+
 @dataclass
 class ConvLayer:
     kernel: np.ndarray  # [out_ch, in_ch, k1, k2, k3]
@@ -235,11 +243,9 @@ def _activations(model: ModelWeights, h: np.ndarray):
 
 def _branch(model: ModelWeights, h: np.ndarray, out) -> np.ndarray:
     """The linear branch on [C, B, X, Y, Z] at the stack's output extents
-    ``out``: output p reads layer 0's window at p + sum of (k - 1) // 2
-    over the later layers, the centre of their margins. The output is cropped,
-    not the input: that would copy ``predict_columns``' column matrix."""
-    lo = sum(((np.array(l.kernel.shape[2:]) - 1) // 2 for l in model.layers[1:]),
-             np.zeros(3, dtype=int))
+    ``out``, read at ``branch_offset``. The output is cropped, not the
+    input: that would copy ``predict_columns``' column matrix."""
+    lo = branch_offset([l.kernel.shape[2:] for l in model.layers])
     return _conv(h, model.linear)[(slice(None),) * 2 + tuple(
         slice(a, a + o) for a, o in zip(lo, out))]
 

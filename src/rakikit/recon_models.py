@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .espirit import SensitivityMaps, coil_combine, make_combo_target
-from .nn_engine import (ConvLayer, ModelWeights, TrainConfig, init_model,
-                        predict_columns, receptive_field, train)
+from .nn_engine import (ConvLayer, ModelWeights, TrainConfig, branch_offset,
+                        init_model, predict_columns, receptive_field, train)
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
                        internal_view, lattice_cells, make_elliptical_mask,
                        make_uniform_mask, steps)
@@ -256,11 +256,9 @@ def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
     """Ridge fit of a single first-layer-sized linear kernel per channel of
     every set: [set, out channel, feature].
 
-    Output position p reads the ``kernel_sizes[0]`` window at p plus the
-    centre of the later layers' margins, as the model's linear branch does.
-    The windows are gathered, in grid order, only where some channel is
-    valid. An even kernel extent after layer 0 has no center, and is a
-    ConfigError.
+    Output position p reads the ``kernel_sizes[0]`` window at p plus
+    ``branch_offset``, as the model's linear branch does. The windows are
+    gathered, in grid order, only where some channel is valid.
 
     The sets must hold equal ``inputs`` and ``valid``, as the per-coil sets
     of ``_target_sets`` do, so they share the gathered rows and Gram
@@ -276,13 +274,7 @@ def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
     ``linear_init`` from 12.1 s to 0.28 s on a 2-core Xeon.
     """
     ts = sets[0]
-    later = np.array(cfg.kernel_sizes[1:], dtype=int).reshape(-1, 3)
-    if (later % 2 == 0).any():
-        raise ConfigError(
-            f"the ridge warm start needs odd kernel extents after layer 0, "
-            f"got {[list(k) for k in cfg.kernel_sizes[1:]]}"
-        )
-    lo = ((later - 1) // 2).sum(axis=0)
+    lo = branch_offset(cfg.kernel_sizes)
     win = np.lib.stride_tricks.sliding_window_view(
         ts.inputs, cfg.kernel_sizes[0], axis=(1, 2, 3))
     pos = np.nonzero(ts.valid.any(0))
@@ -333,16 +325,19 @@ def _train(problem: ReconProblem, coils: list[int] | None
     The sets share their input and validity mask, so the ridge warm start
     is solved once for all of them (``_ridge_solutions``: one solve per
     (re, im) pair, whatever the set count) and each set's ``linear_init``
-    takes its slice of W. ``train`` gets float32 copies of the inputs and
-    targets: both are O(1) after the ACS scaling, and a value beyond
-    float32's range becomes inf and ends in its NumericalError.
+    takes its slice of W. ``train`` gets float32 copies of the inputs, cast
+    once for all sets, and of each set's targets: both are O(1) after the
+    ACS scaling, and a value beyond float32's range becomes inf and ends in
+    its NumericalError.
     """
     cfg = problem.cfg
     sets = list(_target_sets(problem, coils))
     trained = []
+    with np.errstate(over="ignore"):
+        x = sets[0].inputs.astype(np.float32)  # shared by every set
     for ts, W in zip(sets, _ridge_solutions(sets, cfg)):
         with np.errstate(over="ignore"):
-            x, y = ts.inputs.astype(np.float32), ts.targets.astype(np.float32)
+            y = ts.targets.astype(np.float32)
         trained.append(train(linear_init(ts, cfg, W), x, y, cfg, valid=ts.valid))
     return [m for m, _ in trained], [h for _, h in trained]
 

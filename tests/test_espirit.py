@@ -166,11 +166,6 @@ class TestLeadingEigenpairs:
         overlap = np.abs(np.sum(np.conj(vec) * q[..., 0], axis=-1))
         np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
 
-    def test_no_start_is_all_eigh(self):
-        G, _ = self._batch([[1.0, 0.3, 0.1, 0.0]] * 3)
-        _, _, n_eigh = _leading_eigenpairs(G, None)
-        assert n_eigh == 3
-
 
 class TestRowSpace:
     def test_negligible_slice_returns_no_kernels_without_eigh(self, monkeypatch):
@@ -290,19 +285,15 @@ class TestMapEstimation:
         np.testing.assert_allclose(maps.eigval, ref_eigval, rtol=0, atol=1e-10)
         assert np.abs(maps.maps.data - ref_maps)[:, keep].max() < 1e-8
         assert maps.retained_frac == keep.mean()
-        assert 0 < maps.eigh_fallbacks < maps.eigval.size
+        assert 0 <= maps.eigh_fallbacks < maps.eigval.size
 
-    def test_criterion_03_sends_only_cold_readouts_to_eigh(self):
-        # work-count guard: a warm-started readout should need (almost) no
-        # eigh; the cold ones (the first readout with kernels after one
-        # without) need it for every voxel
+    def test_criterion_03_sends_almost_no_voxels_to_eigh(self):
+        # work-count guard: the sweep starts from the uniform vector and
+        # carries eigenvectors across empty readouts, so power iteration
+        # converges almost everywhere; eigh takes at most 0.1 % of voxels
         maps = espirit_maps(criterion_03_acs(), kernel_size=6,
                             crop_threshold=0.99, out_extents=(64, 64))
-        has_kernels = maps.eigval.reshape(len(maps.eigval), -1).any(axis=1)
-        cold = has_kernels & ~np.concatenate([[False], has_kernels[:-1]])
-        cold_voxels = int(cold.sum()) * 64 * 64
-        assert cold_voxels > 0
-        assert cold_voxels <= maps.eigh_fallbacks <= 1.01 * cold_voxels
+        assert maps.eigh_fallbacks <= 1e-3 * maps.eigval.size
 
     def test_bad_thresholds_raise(self):
         acs = CTensor(np.ones((4, 8, 16, 16)), ("coil", "kx", "ky", "kz"))

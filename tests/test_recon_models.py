@@ -76,16 +76,18 @@ def joint_problem():
 
 
 def ridge_features(ts, cfg):
-    """First-kernel windows of the margin-cropped input, one row per output."""
-    lo = np.zeros(3, dtype=int)
+    """First-kernel windows of the margin-cropped input, one row per output.
+
+    The later layers take sum (k - 1) off each axis; output p reads the
+    window at p plus the lower half, sum (k - 1) // 2, and the upper half
+    comes off the far end (one more sample there for an even extent).
+    """
+    margin, lo = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
     for ks in cfg.kernel_sizes[1:]:
+        margin += np.array(ks) - 1
         lo += (np.array(ks) - 1) // 2
-    x = ts.inputs[
-        :,
-        lo[0] : ts.inputs.shape[1] - lo[0] or None,
-        lo[1] : ts.inputs.shape[2] - lo[1] or None,
-        lo[2] : ts.inputs.shape[3] - lo[2] or None,
-    ]
+    x = ts.inputs[(slice(None), *(slice(a, n - m + a) for a, n, m in
+                                  zip(lo, ts.inputs.shape[1:], margin)))]
     win = np.lib.stride_tricks.sliding_window_view(
         x, cfg.kernel_sizes[0], axis=(1, 2, 3)
     )
@@ -197,6 +199,10 @@ def assert_warm_start_is_ridge(ts, cfg):
 
 NARROW = TrainConfig(widths=(1, 8), seed=0,
                      kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)))
+EVEN_LATER = TrainConfig(
+    widths=(16,) * 4, seed=0,
+    kernel_sizes=((3, 3, 3), (1, 1, 2), (2, 2, 2), (1, 1, 1), (1, 1, 1)),
+)
 
 
 class TestLinearInit:
@@ -219,6 +225,14 @@ class TestLinearInit:
     def test_per_coil_warm_start_is_the_ridge(self, small_scene, cfg):
         assert_warm_start_is_ridge(single_echo_targets(small_scene, cfg, coil=2),
                                    cfg)
+
+    @pytest.mark.parametrize("coil", [None, 2], ids=["eraki", "per-coil"])
+    def test_even_extents_after_layer_0_warm_start_is_the_ridge(
+            self, small_scene, coil):
+        """An even extent after layer 0 has no centre: the branch reads at
+        the lower one, and the ridge is fitted there."""
+        assert_warm_start_is_ridge(
+            single_echo_targets(small_scene, EVEN_LATER, coil), EVEN_LATER)
 
     def test_no_hidden_channel_stays_dead(self, small_scene):
         """Per-coil RAKI at R = 2x2 (8 outputs) with widths 64: after 5 Adam
@@ -283,8 +297,9 @@ class TestRidgeSolution:
                                       dual=True)
 
     @pytest.mark.parametrize("coil", [None, 3], ids=["eraki", "per-coil"])
-    @pytest.mark.parametrize("cfg, dual", [(WIDE_KERNEL, True), (CFG, False)],
-                             ids=["dual", "primal"])
+    @pytest.mark.parametrize("cfg, dual", [(WIDE_KERNEL, True), (CFG, False),
+                                           (EVEN_LATER, False)],
+                             ids=["dual", "primal", "even-later"])
     def test_single_echo_problem(self, small_scene, coil, cfg, dual):
         ts = single_echo_targets(small_scene, cfg, coil)
         self.assert_matches_reference(ts, cfg, dual)
