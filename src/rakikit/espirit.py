@@ -29,7 +29,7 @@ import scipy.fft
 
 from .errors import ConfigError, GeometryError, NumericalError
 from .sampling import SamplingMask
-from .tensors import CTensor, fftc, ifftc, ifftc_nd
+from .tensors import CTensor, fftc, fftc_nd, ifftc, ifftc_nd
 
 # Power iteration applies G^(2**_SQUARINGS) to a start vector; a voxel keeps
 # its result when the residual |Gv - lambda v| is at most _RESIDUAL_TOL,
@@ -350,17 +350,10 @@ def kspace_combine_convolution(coil_kspace: CTensor, maps: SensitivityMaps) -> C
     nc, nx, n1, n2 = x.shape
     kmaps = fftc(m.with_data(np.conj(m.data)), ("kx", "ky", "kz")).data
     out = np.zeros((nx, n1, n2), dtype=np.complex128)
-    n = nx * n1 * n2
-    for c in range(nc):
-        out += _circ_conv_centered(x.data[c], kmaps[c]) / np.sqrt(n)
+    axes = (0, 1, 2)
+    for c in range(nc):  # the centred pair takes the convolution to a product
+        out += ifftc_nd(fftc_nd(x.data[c], axes) * fftc_nd(kmaps[c], axes), axes)
     res = CTensor(out, ("kx", "ky", "kz"))
     spatial = tuple(a for a in coil_kspace.axes if a != "coil")
     return res.transpose(spatial)
 
-
-def _circ_conv_centered(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Centered circular convolution via padded FFTs (orthonormal pair)."""
-    sh = a.shape
-    fa = scipy.fft.fftn(scipy.fft.ifftshift(a))
-    fb = scipy.fft.fftn(scipy.fft.ifftshift(b))
-    return scipy.fft.fftshift(scipy.fft.ifftn(fa * fb))

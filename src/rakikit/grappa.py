@@ -66,24 +66,6 @@ def _source_offsets(v1, v2, blocks, taps) -> np.ndarray:
     return out.reshape(-1, 3)
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
-    """Solve ``(L L^H) x = b`` by block substitution on the Cholesky factor L.
-
-    GEMMs plus LU solves of the diagonal blocks: numpy has no triangular
-    solve, and an LU of all of L would cost as much as the factorisation.
-    """
-    x = b.copy()
-    starts = range(0, len(chol), block)
-    for i in starts:  # L y = b
-        s = slice(i, i + block)
-        x[s] = np.linalg.solve(chol[s, s], x[s] - chol[s, :i] @ x[:i])
-    for i in reversed(starts):  # L^H x = y
-        s, rest = slice(i, i + block), slice(i + block, None)
-        x[s] = np.linalg.solve(chol[s, s].conj().T,
-                               x[s] - chol[rest, s].conj().T @ x[rest])
-    return x
-
-
 def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
                      blocks=DEFAULT_BLOCKS, taps: int = DEFAULT_TAPS,
                      lam: float = DEFAULT_LAMBDA) -> GrappaKernel:
@@ -93,6 +75,9 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     readout start times a (p1, p2) anchor; above ``MAX_WINDOWS`` only the
     (p1, p2) anchors are strided, so the windows stay a product set. The
     ridge weight is ``lam * mean(diag(A^H A))`` so lam is dimensionless.
+    A positive ridge makes the system positive definite, solved by LU; at
+    ``lam = 0`` a pseudo-inverse through ``eigh`` drops the directions
+    below 1e-14 of the largest eigenvalue.
     The fit runs on the windows scaled by a power of two near 1/max|acs|,
     so it holds at any magnitude float64 can hold. The window matrix A is
     never formed: with Z_x the block windows of readout plane x, block
@@ -168,10 +153,11 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     ridge = lam * float(np.mean(np.real(np.diag(AhA))))
     AhA_reg = AhA + ridge * np.eye(n_unknown)
 
-    try:
-        X = _cho_solve(np.linalg.cholesky(AhA_reg), AhT, m)
-    except np.linalg.LinAlgError:
-        # not positive definite: drop the directions below the floor
+    if ridge > 0:  # positive definite
+        X = np.linalg.solve(AhA_reg, AhT)
+    else:
+        # lam = 0 or no signal: drop the directions below the floor, which
+        # an LU solve would amplify
         evals, evecs = np.linalg.eigh(AhA_reg)
         floor = max(float(evals.max()), 1.0) * 1e-14
         inv = np.zeros_like(evals)

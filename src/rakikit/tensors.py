@@ -86,6 +86,9 @@ class CTensor:
         return label in self.axes
 
     def transpose(self, order: tuple[str, ...]) -> "CTensor":
+        if sorted(order) != sorted(self.axes):
+            raise GeometryError(f"axis order {tuple(order)} is not a "
+                                f"permutation of {self.axes}")
         idx = tuple(self.axis(a) for a in order)
         return CTensor(np.transpose(self.data, idx), order)
 

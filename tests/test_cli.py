@@ -506,6 +506,42 @@ class TestExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_bench_on_a_grid_only_the_learned_methods_refuse(self, tmp_path):
+        """47 x 47 does not divide by the 2 x 2 steps the learned methods
+        decimate by: their rows hold the error, zerofill and GRAPPA are
+        scored, and the bench exits 0 (its untimed warm-up once exited 3)."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "phantom": {"extents": [16, 47, 47]},
+            "mask": {"extents": [47, 47]}, "train": {"iterations": 2}}))
+        assert main(["bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        rows = json.loads((tmp_path / "o" / "report.json").read_text())["methods"]
+        for method in ("zerofill", "grappa"):
+            assert "error" not in rows[method] and rows[method]["nrmse"] < 1
+        for method in ("raki", "eraki"):
+            assert rows[method] == {"error": "GeometryError: pattern extents "
+                                             "(47, 47) must divide by steps (2, 2)"}
+
+    def test_maps_of_a_multi_echo_acs_is_data_error(self, pipeline, tmp_path,
+                                                    capsys):
+        """ESPIRiT reads one echo: a 3-echo ACS exits 3 with one line, where
+        its axis order once reached np.transpose and ended in a traceback."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {**CONFIG, "phantom": {**CONFIG["phantom"], "te_ms": [0, 20, 40]}}))
+        assert main(["phantom", "--config", str(cfg),
+                     "--out", str(tmp_path / "ph")]) == 0
+        ksp = load_bundle(tmp_path / "ph" / "kspace")
+        mask = load_mask(pipeline["root"] / "mask" / "mask")
+        save_bundle(extract_acs(ksp, mask), tmp_path / "acs")
+        capsys.readouterr()
+        assert main(["maps", "--config", str(cfg), "--acs", str(tmp_path / "acs"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "not a permutation" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])
     def test_bench_scenario_not_object_is_config_error(self, tmp_path, capsys,
                                                        seed):

@@ -351,14 +351,17 @@ class TestCoilCombine:
         )
         np.testing.assert_allclose(combo.data, expected.data, atol=1e-10)
 
-    def test_kspace_convolution_equals_image_combine(self):
+    # (3, 15, 9) has odd extents, where ifftshift and fftshift differ
+    @pytest.mark.parametrize("extents", [(4, 16, 16), (3, 15, 9)],
+                             ids=["4x16x16", "3x15x9"])
+    def test_kspace_convolution_equals_image_combine(self, extents):
         coils = make_compact_coils(
-            (4, 16, 16), 4, support=3, seed=1, normalized=True
+            extents, 4, support=3, seed=1, normalized=True
         ).data
         maps = self._maps_from(coils)
         rng = np.random.default_rng(2)
-        k = rng.standard_normal((4, 4, 16, 16)) + 1j * rng.standard_normal(
-            (4, 4, 16, 16)
+        k = rng.standard_normal((4, *extents)) + 1j * rng.standard_normal(
+            (4, *extents)
         )
         ksp = CTensor(k, ("coil", "kx", "ky", "kz"))
         lhs = kspace_combine_convolution(ksp, maps)

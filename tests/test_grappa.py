@@ -31,7 +31,7 @@ from rakikit import (
     default_spec,
 )
 from rakikit.grappa import FILL_KX_CHUNK, MAX_WINDOWS, cell_offsets, lattice_basis
-from rakikit.sampling import acquired_coords, steps
+from rakikit.sampling import acquired_coords, internal_view, steps
 
 from conftest import compact_scene
 
@@ -100,13 +100,12 @@ def make_mask(kind, r1, r2, shift, n1, n2):
     return make((n1, n2), r1, r2, shift=shift % r2)
 
 
-def dense_calibrate(acs, mask, src, lam):
-    """The normal equations formed with explicit conjugate copies, as reference.
+def dense_system(acs, mask, src):
+    """The window matrix A and its targets T, formed explicitly, as reference.
 
     The windows are grappa_calibrate's: every anchor whose sources and
     cell offsets lie in the ACS, with the (p1, p2) anchors strided so that
-    at most MAX_WINDOWS remain. Returns the weights, the window count and
-    ||AX - T|| / ||T||.
+    at most MAX_WINDOWS remain.
     """
     nc, nx, n1, n2 = acs.shape
     tgt = np.array(cell_offsets(mask)[1:], dtype=int).reshape(-1, 2)
@@ -123,19 +122,32 @@ def dense_calibrate(acs, mask, src, lam):
     A = np.transpose(A, (1, 0, 2)).reshape(len(anchors), -1)
     T = acs[:, anchors[:, 0:1], anchors[:, 1:2] + tgt[:, 0],
             anchors[:, 2:3] + tgt[:, 1]]  # [nc, W, ntgt]
-    T = np.transpose(T, (1, 2, 0)).reshape(len(anchors), -1)
+    return A, np.transpose(T, (1, 2, 0)).reshape(len(anchors), -1)
+
+
+def eigh_solve(AhA, AhT):
+    """Pseudo-inverse solve dropping eigenvalues below 1e-14 of the largest."""
+    evals, evecs = np.linalg.eigh(AhA)
+    floor = max(evals.max(), 1.0) * 1e-14
+    inv = np.zeros_like(evals)
+    inv[evals > floor] = 1 / evals[evals > floor]
+    return evecs @ ((evecs.conj().T @ AhT) * inv[:, None])
+
+
+def dense_calibrate(acs, mask, src, lam):
+    """The normal equations formed with explicit conjugate copies, as reference.
+
+    Returns the weights, the window count and ||AX - T|| / ||T||.
+    """
+    A, T = dense_system(acs, mask, src)
     AhA = A.conj().T @ A
     AhA_reg = AhA + lam * np.mean(np.real(np.diag(AhA))) * np.eye(len(AhA))
     AhT = A.conj().T @ T
     try:
         X = scipy.linalg.cho_solve(scipy.linalg.cho_factor(AhA_reg), AhT)
     except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(AhA_reg)
-        floor = max(evals.max(), 1.0) * 1e-14
-        inv = np.zeros_like(evals)
-        inv[evals > floor] = 1 / evals[evals > floor]
-        X = evecs @ ((evecs.conj().T @ AhT) * inv[:, None])
-    return X.T, len(anchors), np.linalg.norm(A @ X - T) / np.linalg.norm(T)
+        X = eigh_solve(AhA_reg, AhT)
+    return X.T, len(A), np.linalg.norm(A @ X - T) / np.linalg.norm(T)
 
 
 def assert_matches_dense(acs, mask, kernel, lam):
@@ -156,6 +168,7 @@ class TestCalibration:
         st.sampled_from([1e-6, 1e-2]),
     )
     @example("uniform", 2, 2, 1, (12, 44, 44), (1, 1, 1), 1e-6)  # strided windows
+    @example("uniform", 2, 2, 1, (7, 30, 30), (2, 2, 3), 0.0)  # lam = 0, full rank
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_normal_equations(self, kind, r1, r2, shift, acs_shape,
                                             shape, lam):
@@ -170,8 +183,9 @@ class TestCalibration:
 
     @pytest.mark.parametrize("kind", ["uniform", "kyt"])
     def test_eigh_fallback_matches_dense(self, kind, monkeypatch):
-        # lam = 0 and an all-zero coil: A^H A is singular, Cholesky fails and
-        # eigh reads the lower triangle, the one mirrored from the upper
+        # lam = 0 and an all-zero coil: A^H A is singular, lam = 0 takes the
+        # eigh route, and eigh reads the lower triangle, the one mirrored
+        # from the upper
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -182,11 +196,32 @@ class TestCalibration:
             (3, 7, 20, 20))
         acs[1] = 0
         kernel = grappa_calibrate(acs, mask, blocks=(2, 2), taps=3, lam=0.0)
-        assert calls, "the Cholesky path was taken"
+        assert calls, "lam = 0 did not take the eigh route"
         assert_matches_dense(acs, mask, kernel, 0.0)
         # the dead coil's null directions are dropped, not amplified
         w = kernel.weights.reshape(len(kernel.weights), 3, -1)
         assert np.abs(w[:, 1]).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("r2", [1, 2])
+    def test_lam_zero_is_the_pseudo_inverse_on_exact_scene(self, r2, monkeypatch):
+        # the exact scene leaves A^H A rank-deficient: the pseudo-inverse
+        # drops its null directions, which an LU solve amplifies (max |w|
+        # 0.32 and 1.06 at R = 2x1 and 2x2 against 13.9 and 6.4)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(1) or eigh(a))
+        ksp, _ = compact_scene((8, 32, 32), 8, (6, 20, 20), seed=1)
+        mask = make_uniform_mask(
+            (32, 32), 2, r2, acs_box=centered_acs_box((32, 32), (24, 24))
+        )
+        acs = internal_view(extract_acs(apply_mask(ksp, mask), mask), mask)
+        kernel = grappa_calibrate(acs, mask, lam=0.0)
+        assert calls, "lam = 0 did not take the eigh route"
+        A, T = dense_system(acs, mask, kernel.src)
+        want = eigh_solve(A.conj().T @ A, A.conj().T @ T).T
+        # eigenvalues just above the floor pass rounding on at ~1e-7
+        assert np.linalg.norm(kernel.weights - want) <= 1e-5 * np.linalg.norm(want)
 
     def test_windows_and_residual_on_exact_scene(self):
         # the compact-coil scene is exactly solvable: the fit leaves ~0

@@ -64,6 +64,16 @@ class TestCTensor:
         back = t.transpose(("ky", "coil", "kx")).transpose(("coil", "kx", "ky"))
         np.testing.assert_array_equal(back.data, t.data)
 
+    @pytest.mark.parametrize("order", [
+        ("coil", "kx"),  # missing
+        ("coil", "kx", "ky", "kz"),  # extra
+        ("coil", "kx", "kx"),  # repeated
+    ])
+    def test_transpose_needs_a_permutation(self, order):
+        t = CTensor(rand_c((2, 3, 4)), ("coil", "kx", "ky"))
+        with pytest.raises(GeometryError, match="not a permutation"):
+            t.transpose(order)
+
 
 class TestCenteredFFT:
     def test_inverse(self):
