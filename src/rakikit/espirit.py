@@ -206,6 +206,8 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
         raise ConfigError(f"sigma threshold must be in (0,1), got {sigma_threshold}")
     if not (0 < crop_threshold <= 1):
         raise ConfigError(f"crop threshold must be in (0,1], got {crop_threshold}")
+    if acs.has_axis("echo"):
+        raise GeometryError("unexpected axes ['echo']; reduce echo first")
     x = acs.transpose(("coil", "kx", "ky", "kz"))
     if not np.isfinite(x.data).all():
         raise NumericalError("ACS contains non-finite samples")

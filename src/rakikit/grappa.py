@@ -56,7 +56,7 @@ class GrappaKernel:
     kind: str
     n_coils: int
     windows: int  # calibration windows fitted
-    residual: float  # ||A X - T|| / ||T|| of the ridge fit over those windows
+    residual: float  # ||AX - T||/||T|| from the normal equations: floor about 1e-8
 
 
 def _source_offsets(v1, v2, blocks, taps) -> np.ndarray:

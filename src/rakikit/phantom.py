@@ -89,14 +89,10 @@ def default_spec(extents=(64, 64, 16), n_coils=8, te_ms=(0.0,), seed=0, **kw) ->
 
 def _paint(spec: PhantomSpec):
     """Rasterize ellipsoids: amplitude, T2, T2* maps (later regions win)."""
-    nx, ny, nz = spec.extents
-    ix, iy, iz = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
+    coords = np.ix_(*map(np.arange, spec.extents))  # broadcast 1-D axes
     amp = np.zeros(spec.extents, dtype=np.complex128)
     t2 = np.zeros(spec.extents)
     t2star = np.zeros(spec.extents)
-    coords = (ix, iy, iz)
     for e in spec.ellipsoids:
         d = np.zeros(spec.extents)
         for ax in range(3):
@@ -120,36 +116,38 @@ def make_smooth_coils(extents: tuple[int, int, int], n_coils: int,
                       seed: int = 0) -> np.ndarray:
     """Gaussian-lobe receive maps on a ring, with linear phase ramps.
 
+    Lobe and ramp are separable, so each coil is the outer product of three
+    1-D factors and sum_c |C_c|^2 is sum_c |a_c(x)|^2 |b_c(y)|^2 |c_c(z)|^2.
+
     Returns [coil, x, y, z], normalized so sum_c |C_c|^2 == 1 everywhere.
     """
     nx, ny, nz = extents
     rng = np.random.default_rng(seed)
-    ix, iy, iz = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    maps = np.empty((n_coils, nx, ny, nz), dtype=np.complex128)
+    factors = [np.empty((n_coils, n), dtype=np.complex128) for n in extents]
     # ring of lobes with z-centers cycling through three levels so every
     # axis sees magnitude variation (z-invariant ring coils cannot unfold
     # kz acceleration)
     for c in range(n_coils):
         ang = 2 * np.pi * c / n_coils + rng.uniform(-0.2, 0.2)
-        cx = nx / 2 + 0.55 * nx * np.cos(ang)
-        cy = ny / 2 + 0.55 * ny * np.sin(ang)
-        cz = nz * (0.2 + 0.3 * (c % 3) + rng.uniform(-0.04, 0.04))
-        wx = rng.uniform(0.5, 0.8) * nx
-        wy = rng.uniform(0.5, 0.8) * ny
-        wz = rng.uniform(0.425, 0.68) * nz
-        mag = np.exp(
-            -(((ix - cx) / wx) ** 2 + ((iy - cy) / wy) ** 2 + ((iz - cz) / wz) ** 2)
-        )
-        ramp = (
-            rng.uniform(-0.8, 0.8) * (ix - nx / 2) / nx
-            + rng.uniform(-0.8, 0.8) * (iy - ny / 2) / ny
-            + rng.uniform(-0.8, 0.8) * (iz - nz / 2) / nz
-        )
-        maps[c] = mag * np.exp(2j * np.pi * ramp + 1j * ang)
-    norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
-    return maps / norm
+        centers = (nx / 2 + 0.55 * nx * np.cos(ang), ny / 2 + 0.55 * ny * np.sin(ang),
+                   nz * (0.2 + 0.3 * (c % 3) + rng.uniform(-0.04, 0.04)))
+        widths = (rng.uniform(0.5, 0.8) * nx, rng.uniform(0.5, 0.8) * ny,
+                  rng.uniform(0.425, 0.68) * nz)
+        slopes = rng.uniform(-0.8, 0.8, 3)
+        for f, n, ctr, w, s, phase in zip(factors, extents, centers, widths,
+                                          slopes, (ang, 0.0, 0.0)):
+            t = np.arange(n)
+            f[c] = np.exp(-(((t - ctr) / w) ** 2)
+                          + 2j * np.pi * s * (t - n / 2) / n + 1j * phase)
+    fx, fy, fz = factors
+    fxy = fx[:, :, None] * fy[:, None, :]  # [coil, x, y]
+    ssq = np.abs(fxy.reshape(n_coils, -1)).T ** 2 @ np.abs(fz) ** 2
+    inv_norm = np.reciprocal(np.sqrt(ssq, out=ssq), out=ssq).reshape(extents)
+    maps = np.empty((n_coils, nx, ny, nz), dtype=np.complex128)
+    for c in range(n_coils):
+        np.multiply(fxy[c, :, :, None], fz[c], out=maps[c])
+        maps[c] *= inv_norm
+    return maps
 
 
 DC_BOOST = 3.0  # the compact DC tap gains DC_BOOST * support**1.5: no map zeros

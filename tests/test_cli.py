@@ -525,8 +525,9 @@ class TestExitCodes:
 
     def test_maps_of_a_multi_echo_acs_is_data_error(self, pipeline, tmp_path,
                                                     capsys):
-        """ESPIRiT reads one echo: a 3-echo ACS exits 3 with one line, where
-        its axis order once reached np.transpose and ended in a traceback."""
+        """ESPIRiT reads one echo: a 3-echo ACS exits 3 with one line naming
+        the echo axis, where its axis order once reached np.transpose and
+        ended in a traceback, and later named only an axis permutation."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(
             {**CONFIG, "phantom": {**CONFIG["phantom"], "te_ms": [0, 20, 40]}}))
@@ -539,7 +540,8 @@ class TestExitCodes:
         assert main(["maps", "--config", str(cfg), "--acs", str(tmp_path / "acs"),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "not a permutation" in err
+        assert err.startswith("data error:") and "['echo']" in err
+        assert "reduce echo first" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["", "seed"])

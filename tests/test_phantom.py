@@ -1,5 +1,7 @@
 """Synthetic phantom generation: geometry, decay, coils, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,61 @@ from rakikit import (
     make_phantom,
     make_smooth_coils,
 )
+from rakikit.phantom import _paint
 from rakikit.tensors import center_slices
+
+
+def full_grid_smooth_coils(extents, n_coils, seed=0):
+    """make_smooth_coils evaluated voxel by voxel on 3-D coordinate grids:
+    the reference its per-axis factorisation must reproduce."""
+    nx, ny, nz = extents
+    rng = np.random.default_rng(seed)
+    ix, iy, iz = np.meshgrid(
+        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
+    )
+    maps = np.empty((n_coils, nx, ny, nz), dtype=np.complex128)
+    for c in range(n_coils):
+        ang = 2 * np.pi * c / n_coils + rng.uniform(-0.2, 0.2)
+        cx = nx / 2 + 0.55 * nx * np.cos(ang)
+        cy = ny / 2 + 0.55 * ny * np.sin(ang)
+        cz = nz * (0.2 + 0.3 * (c % 3) + rng.uniform(-0.04, 0.04))
+        wx = rng.uniform(0.5, 0.8) * nx
+        wy = rng.uniform(0.5, 0.8) * ny
+        wz = rng.uniform(0.425, 0.68) * nz
+        mag = np.exp(
+            -(((ix - cx) / wx) ** 2 + ((iy - cy) / wy) ** 2 + ((iz - cz) / wz) ** 2)
+        )
+        ramp = (
+            rng.uniform(-0.8, 0.8) * (ix - nx / 2) / nx
+            + rng.uniform(-0.8, 0.8) * (iy - ny / 2) / ny
+            + rng.uniform(-0.8, 0.8) * (iz - nz / 2) / nz
+        )
+        maps[c] = mag * np.exp(2j * np.pi * ramp + 1j * ang)
+    norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
+    return maps / norm
+
+
+def meshgrid_paint(spec):
+    """_paint on int64 meshgrid coordinates: the reference its broadcast
+    1-D terms must match bit for bit."""
+    nx, ny, nz = spec.extents
+    ix, iy, iz = np.meshgrid(
+        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
+    )
+    amp = np.zeros(spec.extents, dtype=np.complex128)
+    t2 = np.zeros(spec.extents)
+    t2star = np.zeros(spec.extents)
+    coords = (ix, iy, iz)
+    for e in spec.ellipsoids:
+        d = np.zeros(spec.extents)
+        for ax in range(3):
+            if spec.extents[ax] > 1:
+                d += ((coords[ax] - e.center[ax]) / e.semi_axes[ax]) ** 2
+        inside = d <= 1.0
+        amp[inside] = e.amplitude
+        t2[inside] = e.t2
+        t2star[inside] = e.t2star
+    return amp, t2, t2star
 
 
 class TestSpecValidation:
@@ -140,6 +196,49 @@ class TestSmoothCoils:
         a = make_smooth_coils((8, 8, 4), 4, seed=5)
         b = make_smooth_coils((8, 8, 4), 4, seed=5)
         np.testing.assert_array_equal(a, b)
+
+
+class TestFactoredSynthesis:
+    """The per-axis coil factors and the broadcast painter against their
+    full-grid references."""
+
+    @pytest.mark.parametrize("extents", [(32, 96, 96), (7, 5, 3), (16, 16, 1)])
+    @pytest.mark.parametrize("n_coils,seed", [(8, 0), (3, 7), (5, 11)])
+    def test_coils_match_the_full_grid_formula(self, extents, n_coils, seed):
+        maps = make_smooth_coils(extents, n_coils, seed=seed)
+        ref = full_grid_smooth_coils(extents, n_coils, seed=seed)
+        assert maps.shape == ref.shape and maps.dtype == ref.dtype
+        rel = np.abs(maps - ref).max() / np.abs(ref).max()
+        assert rel <= 1e-13
+        ssq = np.sum(np.abs(maps) ** 2, axis=0)
+        np.testing.assert_allclose(ssq, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        *(default_spec(extents=e) for e in
+          [(32, 96, 96), (7, 5, 3), (16, 16, 1), (1, 1, 1), (16, 72, 72)]),
+        PhantomSpec(extents=(9, 13, 6), ellipsoids=(
+            Ellipsoid((2.5, 11.0, 1.0), (3.3, 4.1, 2.2), 0.5 - 1j, 40.0, 20.0),
+            Ellipsoid((7.0, 3.5, 4.7), (2.0, 6.0, 1.5), 2.0, 70.0, 35.0),
+        )),
+    ], ids=["32x96x96", "7x5x3", "16x16x1", "1x1x1", "16x72x72", "off-centre"])
+    def test_paint_is_bit_identical_to_the_meshgrid_painter(self, spec):
+        for got, ref in zip(_paint(spec), meshgrid_paint(spec)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_coil_peak_memory(self):
+        """The output plus three real 3-D grids: the full-grid formula's
+        coordinate grids and per-coil temporaries peak near twice that."""
+        extents, n_coils = (32, 96, 96), 8
+        grid = np.prod(extents) * 8
+        tracemalloc.start()
+        try:
+            maps = make_smooth_coils(extents, n_coils, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert maps.nbytes == n_coils * 2 * grid
+        assert peak <= maps.nbytes + 3 * grid
 
 
 class TestCompactCoils:
