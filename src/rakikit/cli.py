@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -3,15 +3,16 @@
 Readout-decoupled (hybrid) strategy: a 1D inverse FFT along the fully
 sampled kx axis, then an independent 2D eigen-analysis per readout
 position over (ky, kz). The row space of the block-Hankel calibration
-matrix comes from the eigendecomposition of its normal matrix; readout
-positions too weak to carry signal are skipped before it. The kept
-kernels are correlated in k-space over their (2k1-1)x(2k2-1) lags, and
-two small inverse-DFT products per readout turn those lags into the
-per-voxel coil Gram matrix on the output grid (Uecker et al., MRM 71:990,
-2014). Its leading eigenvector, found by power iteration (G^64, up to
-G^1024 for voxels with a small spectral gap) from the uniform unit vector,
-then from the last readout that had kernels, with ``eigh`` where that does
-not converge, gives the maps; its leading eigenvalue the support measure.
+matrix comes from the eigendecomposition of the smaller of its two Gram
+matrices; readout positions too weak to carry signal are skipped before
+it. The kept kernels are correlated in k-space over their
+(2k1-1)x(2k2-1) lags, and two small inverse-DFT products per readout turn
+those lags into the per-voxel coil Gram matrix on the output grid
+(Uecker et al., MRM 71:990, 2014). Its leading eigenvector, found by power
+iteration (G^64, up to G^1024 for voxels with a small spectral gap) from
+the uniform unit vector, then from the last readout that had kernels,
+with ``eigh`` where that does not converge, gives the maps; its leading
+eigenvalue the support measure.
 
 Coil combination streams the coil axis: conj(S_c) x_c is accumulated one
 coil at a time, in coil order, which is bit for bit the sum over a
@@ -87,7 +88,9 @@ def _row_space(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
 
     The right singular vectors of A are the eigenvectors of A^H A, and
     singular values are the square roots of its eigenvalues, so ``tau``
-    thresholds singular values. ``scale`` is the magnitude of
+    thresholds singular values. With fewer windows (rows) than columns
+    the smaller A A^H is decomposed instead: its eigenvectors u give the
+    kept right singular vectors as A^H u / s. ``scale`` is the magnitude of
     the strongest readout position; slices whose leading singular value is
     negligible against it carry no signal and return no kernels (otherwise
     round-off noise masquerades as a fully determined row space).
@@ -99,12 +102,16 @@ def _row_space(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
         return np.zeros((0, nc, k1, k2), dtype=np.complex128)
     windows = np.lib.stride_tricks.sliding_window_view(hyb_x, (k1, k2), axis=(1, 2))
     A = windows.transpose(1, 2, 0, 3, 4).reshape(-1, nc * k1 * k2)
-    lam, vec = np.linalg.eigh(A.conj().T @ A)
+    dual = A.shape[0] < A.shape[1]
+    lam, vec = np.linalg.eigh(A @ A.conj().T if dual else A.conj().T @ A)
     s = np.sqrt(np.maximum(lam[::-1], 0.0))
     if s[0] <= max(scale, s[0]) * 1e-12:
         return np.zeros((0, nc, k1, k2), dtype=np.complex128)
     keep = s >= tau * s[0]
-    return vec[:, ::-1][:, keep].conj().T.reshape(-1, nc, k1, k2)
+    kern = vec[:, ::-1][:, keep].conj().T  # the kept v^H, or u^H
+    if dual:
+        kern = kern @ A / s[keep, None]
+    return kern.reshape(-1, nc, k1, k2)
 
 
 def _gram(kern: np.ndarray, out1: int, out2: int) -> np.ndarray:

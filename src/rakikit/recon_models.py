@@ -262,16 +262,7 @@ def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
 
     The sets must hold equal ``inputs`` and ``valid``, as the per-coil sets
     of ``_target_sets`` do, so they share the gathered rows and Gram
-    matrices: each (re, im) channel pair is one solve whose right-hand
-    sides are every set's two target columns.
-
-    The real and imaginary channels of a cell offset share their valid
-    rows A. With fewer rows than features the solve takes the dual form
-    W = Aᵀ(AAᵀ + λI)⁻¹Y, otherwise the primal (AᵀA + λI)W = AᵀY; both give
-    the same W, and λ = RIDGE_INIT·trace(AᵀA)/nfeat in both, since
-    trace(AAᵀ) = trace(AᵀA). On the 3-echo joint scene (16x72x72, 54
-    outputs, 2160 features against at most 512 rows) this took
-    ``linear_init`` from 12.1 s to 0.28 s on a 2-core Xeon.
+    matrices (``_ridge_fit``).
     """
     ts = sets[0]
     lo = branch_offset(cfg.kernel_sizes)
@@ -281,20 +272,50 @@ def _ridge_solutions(sets: list[OffsetTargetSet], cfg: TrainConfig
     F = win[:, pos[0] + lo[0], pos[1] + lo[1], pos[2] + lo[2]]
     F = F.swapaxes(0, 1).reshape(len(pos[0]), -1)  # [position, feature]
     T = np.stack([s.targets[:, pos[0], pos[1], pos[2]] for s in sets])
-    V = ts.valid[:, pos[0], pos[1], pos[2]]
-    nfeat = F.shape[1]
-    W = np.zeros((len(sets), ts.out_channels, nfeat))
-    for c in range(0, ts.out_channels, 2):  # (re, im) pairs
-        A = F[V[c]]
-        Y = T[:, c : c + 2, V[c]].reshape(-1, A.shape[0]).T  # [row, 2 * set]
-        dual = A.shape[0] < nfeat
-        gram = A @ A.T if dual else A.T @ A
+    return _ridge_fit(F, T, ts.valid[:, pos[0], pos[1], pos[2]])
+
+
+def _ridge_fit(F: np.ndarray, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """W [set, channel, feature] of the ridge of targets T [set, channel,
+    position] on the feature rows F [position, feature], each channel on
+    its valid rows V [channel, position].
+
+    Each (re, im) channel pair shares its valid rows A and is one solve
+    whose right-hand sides are every set's two target columns. With fewer
+    positions than features, every pair takes the dual form
+    W = Aᵀ(AAᵀ + λI)⁻¹Y: AAᵀ is sliced from the Gram FFᵀ of all positions,
+    computed once, and W is one product of Fᵀ with the pairs' dual
+    solutions, zero off their rows. Otherwise each pair solves the primal
+    (AᵀA + λI)W = AᵀY. Both give the same W, and λ =
+    RIDGE_INIT·trace(AᵀA)/nfeat in both, since trace(AAᵀ) = trace(AᵀA).
+    On the 3-echo joint scene (16x72x72, 54 outputs, 2160 features against
+    944 positions) the dual form took ``linear_init`` from 12.1 s to
+    0.28 s on a 2-core Xeon, and slicing the one Gram took this solve from
+    0.33 s to 0.16 s.
+    """
+    n_pos, nfeat = F.shape
+    n_sets, n_out = T.shape[:2]
+
+    def ridged(gram):
         gram[np.diag_indices_from(gram)] += RIDGE_INIT * np.trace(gram) / nfeat
+        return gram
+
+    dual = n_pos < nfeat
+    K = F @ F.T if dual else None
+    Z = np.zeros((n_pos, n_sets, n_out))  # dual solutions, zero off their rows
+    W = np.zeros((n_sets, n_out, nfeat))
+    for c in range(0, n_out, 2):  # (re, im) pairs
+        r = V[c]
+        Y = T[:, c : c + 2, r].reshape(2 * n_sets, -1).T  # [row, 2 * set]
         if dual:
-            X = A.T @ np.linalg.solve(gram, Y)
+            Z[r, :, c : c + 2] = np.linalg.solve(
+                ridged(K[np.ix_(r, r)]), Y).reshape(-1, n_sets, 2)
         else:
-            X = np.linalg.solve(gram, A.T @ Y)
-        W[:, c : c + 2] = X.T.reshape(len(sets), 2, nfeat)
+            A = F[r]
+            W[:, c : c + 2] = np.linalg.solve(ridged(A.T @ A), A.T @ Y).T.reshape(
+                n_sets, 2, nfeat)
+    if dual:
+        W = (F.T @ Z.reshape(n_pos, -1)).T.reshape(n_sets, n_out, nfeat)
     return W
 
 

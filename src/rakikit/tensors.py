@@ -2,14 +2,17 @@
 
 Every array that crosses a module boundary travels as a :class:`CTensor`:
 a complex128 ndarray plus named axes. The centered FFT convention puts DC
-at index ``floor(N/2)`` on every transformed axis (shift applied on both
-sides). It holds one scratch buffer besides its output: the shifted copy
-of the input is transformed in place, threaded over the available cores,
-then shifted into the output. Each line's transform is the same
-arithmetic whatever the thread count or the other axes, so a volume
-transformed one coil at a time equals the whole-array transform bit for
-bit. Center crops put the extra sample on the low-index side when
-parities mismatch.
+at index ``floor(N/2)`` on every transformed axis, as ``ifftshift`` before
+the transform and ``fftshift`` after it would. No shifted copy is made:
+by the shift theorem the shifts are phase ramps, so the input times the
+ramp is the output buffer, transformed in place, threaded over the
+available cores, and multiplied by the ramp once more, times a constant
+phase. With every transformed extent even the ramp is a real ±1
+checkerboard. Besides the output only the ramp, over the transformed
+axes, is held. Each line's arithmetic is the same whatever the thread
+count or the other axes, so a volume transformed one coil at a time
+equals the whole-array transform bit for bit. Center crops put the extra
+sample on the low-index side when parities mismatch.
 """
 
 from __future__ import annotations
@@ -116,35 +119,62 @@ def blas_thread_env() -> dict:
             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _centred(transform, data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Shift DC to index 0, apply the orthonormal transform, shift back.
+def _ramp(shape: tuple[int, ...], axes: tuple[int, ...], sign: int):
+    """Phase ramp of the centred transform over ``axes``, and its constant.
 
-    The transform overwrites the shifted copy, so the only buffers are
-    that copy and the output.
+    Along an axis of n samples with s = n // 2, the centred DFT of x is
+    exp(-sign·2πi s²/n)·r(f) times the plain DFT of r(k)·x(k), where
+    r(k) = exp(sign·2πi s k/n) and sign is +1 forward, -1 inverse. The
+    ramp is the product of the axes' r, broadcast over the others; the
+    constant is the product of their exp(-sign·2πi s²/n). For an even n
+    both are exactly ±1, so with every extent even the ramp is real.
     """
-    shifted = scipy.fft.ifftshift(data, axes=axes)
-    shifted = transform(shifted, axes=axes, norm="ortho", overwrite_x=True,
-                        workers=thread_count())
-    return scipy.fft.fftshift(shifted, axes=axes)
+    ramp, const = np.ones([1] * len(shape)), 1.0
+    for a in sorted(d % len(shape) for d in axes):
+        n, s = shape[a], shape[a] // 2
+        k = np.arange(n).reshape([n if i == a else 1 for i in range(len(shape))])
+        if n % 2 == 0:
+            ramp = ramp * (1.0 - 2.0 * (k % 2))
+            const *= -1.0 if s % 2 else 1.0
+        else:
+            ramp = ramp * np.exp(sign * 2j * np.pi * (s * k % n) / n)
+            const *= np.exp(-sign * 2j * np.pi * (s * s % n) / n)
+    return ramp, const
+
+
+def _centred(data: np.ndarray, axes: tuple[int, ...], forward: bool) -> np.ndarray:
+    """The orthonormal transform with DC at the centre, by the shift theorem.
+
+    The input times the ramp is the one fresh buffer; the transform
+    overwrites it, and the ramp times the constant is applied in place.
+    Besides the output only the ramp, over the transformed axes, is held.
+    """
+    transform, sign = (scipy.fft.fftn, 1) if forward else (scipy.fft.ifftn, -1)
+    ramp, const = _ramp(data.shape, axes, sign)
+    out = transform(np.multiply(data, ramp), axes=axes, norm="ortho",
+                    overwrite_x=True, workers=thread_count())
+    ramp *= const
+    out *= ramp
+    return out
 
 
 def fftc(x: CTensor, axes) -> CTensor:
     """Centered orthonormal forward DFT along the named axes."""
-    return x.with_data(_centred(scipy.fft.fftn, x.data, _resolve_axes(x, axes)))
+    return x.with_data(_centred(x.data, _resolve_axes(x, axes), True))
 
 
 def ifftc(x: CTensor, axes) -> CTensor:
     """Centered orthonormal inverse DFT along the named axes."""
-    return x.with_data(_centred(scipy.fft.ifftn, x.data, _resolve_axes(x, axes)))
+    return x.with_data(_centred(x.data, _resolve_axes(x, axes), False))
 
 
 def fftc_nd(data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Centered orthonormal DFT on a raw ndarray."""
-    return _centred(scipy.fft.fftn, data, axes)
+    return _centred(data, axes, True)
 
 
 def ifftc_nd(data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    return _centred(scipy.fft.ifftn, data, axes)
+    return _centred(data, axes, False)
 
 
 def center_slices(full: int, target: int) -> slice:

@@ -93,6 +93,19 @@ class TestExitCodes:
         assert err.startswith("numerical error:")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_unallocatable_phantom_is_numerical_error(self, tmp_path, capsys):
+        # 10^15 complex voxels, 2^53.8 bytes: above the 2^48-byte address
+        # space, so the first allocation fails before any page is touched
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(
+            {"phantom": {"extents": [100000, 100000, 100000]}}))
+        capsys.readouterr()
+        assert main(["phantom", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "ph")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("memory error:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("doc", [
         {"seed": 1, "mask": {"r1": "x"}},  # number leaf given a string
         {"seed": 1, "mask": {"r1": 2.5}},  # integer leaf given a float

@@ -48,6 +48,48 @@ def rel(a, b):
 # one ridge solve per channel pair
 
 
+def per_pair_ridge(F, T, V):
+    """Each (re, im) pair's ridge from the Gram of its own valid rows A:
+    the dual AAᵀ when A has fewer rows than features, else the primal."""
+    n_sets, n_out = T.shape[:2]
+    nfeat = F.shape[1]
+    W = np.zeros((n_sets, n_out, nfeat))
+    for c in range(0, n_out, 2):
+        A = F[V[c]]
+        Y = T[:, c : c + 2, V[c]].reshape(2 * n_sets, -1).T
+        dual = A.shape[0] < nfeat
+        gram = A @ A.T if dual else A.T @ A
+        gram[np.diag_indices_from(gram)] += (recon_models.RIDGE_INIT
+                                             * np.trace(gram) / nfeat)
+        if dual:
+            X = A.T @ np.linalg.solve(gram, Y)
+        else:
+            X = np.linalg.solve(gram, A.T @ Y)
+        W[:, c : c + 2] = X.T.reshape(n_sets, 2, nfeat)
+    return W
+
+
+@pytest.mark.parametrize("n_pos,nfeat", [
+    (60, 100),  # dual: every pair's Gram sliced from the one FF^T
+    (150, 40),  # primal
+    (120, 100),  # primal, though some pairs have fewer rows than features
+])
+def test_ridge_fit_matches_per_pair_solve(n_pos, nfeat):
+    rng = np.random.default_rng(n_pos)
+    F = rng.standard_normal((n_pos, nfeat))
+    T = rng.standard_normal((3, 8, n_pos))
+    V = np.repeat(rng.random((4, n_pos)) < 0.8, 2, axis=0)
+    assert rel(recon_models._ridge_fit(F, T, V), per_pair_ridge(F, T, V)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", NAMED)
+def test_eraki_ridge_matches_per_pair_solve(kind, monkeypatch):
+    ts = build_targets(named_problem(kind, "eraki"))
+    W = _ridge_solutions([ts], CFG)
+    monkeypatch.setattr(recon_models, "_ridge_fit", per_pair_ridge)
+    assert rel(W, _ridge_solutions([ts], CFG)) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", SINGLE_ECHO)
 class TestSharedRidge:
     def test_shared_solve_matches_per_coil(self, kind):
@@ -57,6 +99,13 @@ class TestSharedRidge:
         assert shared.shape[0] == p.n_coils
         for c, W in enumerate(shared):
             assert rel(W, _ridge_solutions([build_targets(p, c)], CFG)[0]) <= 1e-12
+
+    def test_shared_gram_matches_per_pair_solve(self, kind, monkeypatch):
+        p = named_problem(kind, "raki_percoil")
+        sets = list(_target_sets(p, list(range(p.n_coils))))
+        shared = _ridge_solutions(sets, CFG)
+        monkeypatch.setattr(recon_models, "_ridge_fit", per_pair_ridge)
+        assert rel(shared, _ridge_solutions(sets, CFG)) <= 1e-12
 
     def test_training_matches_per_coil(self, kind):
         p = named_problem(kind, "raki_percoil")

@@ -23,6 +23,7 @@ from rakikit import (
     make_phantom,
     make_uniform_mask,
 )
+from rakikit import espirit
 from rakikit.espirit import (
     SensitivityMaps,
     _gram,
@@ -167,7 +168,47 @@ class TestLeadingEigenpairs:
         np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
 
 
+def primal_row_space(hyb_x, k1, k2, tau, scale=0.0):
+    """Row-space kernels from eigh(A^H A) whatever the shape of A."""
+    nc = hyb_x.shape[0]
+    if np.sqrt(k1 * k2) * np.linalg.norm(hyb_x) <= scale * 1e-12:
+        return np.zeros((0, nc, k1, k2), dtype=np.complex128)
+    win = np.lib.stride_tricks.sliding_window_view(hyb_x, (k1, k2), axis=(1, 2))
+    A = win.transpose(1, 2, 0, 3, 4).reshape(-1, nc * k1 * k2)
+    lam, vec = np.linalg.eigh(A.conj().T @ A)
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    if s[0] <= max(scale, s[0]) * 1e-12:
+        return np.zeros((0, nc, k1, k2), dtype=np.complex128)
+    keep = s >= tau * s[0]
+    return vec[:, ::-1][:, keep].conj().T.reshape(-1, nc, k1, k2)
+
+
 class TestRowSpace:
+    def test_dual_form_spans_the_primal_row_space(self):
+        # 8 coils, 16x16 slice, k = 6: 121 windows against 288 columns
+        rng = np.random.default_rng(3)
+        hyb = rng.standard_normal((8, 16, 16)) + 1j * rng.standard_normal((8, 16, 16))
+        hyb[:, :, 8:] *= 1e-3  # a decaying spectrum, so the cut drops some
+        scale = float(np.linalg.norm(hyb))
+        dual = _row_space(hyb, 6, 6, 0.01, scale).reshape(-1, 288)
+        primal = primal_row_space(hyb, 6, 6, 0.01, scale).reshape(-1, 288)
+        assert len(dual) == len(primal) < 121
+        np.testing.assert_allclose(dual @ dual.conj().T, np.eye(len(dual)),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dual.conj().T @ dual, primal.conj().T @ primal,
+                                   rtol=0, atol=1e-9)
+
+    def test_dual_form_matches_the_primal_maps(self, monkeypatch):
+        # 8 coils, 16x16 ACS, k = 6: 121 windows against 288 columns
+        maps, _, _ = estimated_maps(n_coils=8)
+        monkeypatch.setattr(espirit, "_row_space", primal_row_space)
+        ref, _, _ = estimated_maps(n_coils=8)
+        keep = maps.eigval >= 0.9
+        np.testing.assert_array_equal(keep, ref.eigval >= 0.9)
+        assert keep.any()
+        np.testing.assert_allclose(maps.eigval, ref.eigval, rtol=0, atol=1e-9)
+        assert np.abs(maps.maps.data - ref.maps.data).max() <= 1e-9
+
     def test_negligible_slice_returns_no_kernels_without_eigh(self, monkeypatch):
         rng = np.random.default_rng(5)
         hyb = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))

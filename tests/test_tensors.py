@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,9 @@ from rakikit import (
     UnknownDtypeError,
     crop_center,
     fftc,
+    fftc_nd,
     ifftc,
+    ifftc_nd,
     load_bundle,
     nrmse,
     psnr,
@@ -116,6 +119,58 @@ class TestCenteredFFT:
         )
         back = ifftc(fftc(t, ("kx", "ky")), ("kx", "ky"))
         np.testing.assert_allclose(back.data, t.data, atol=1e-10)
+
+
+def shift_definition(transform, x, axes):
+    """The centred transform as the shifts define it: DC to index 0,
+    the orthonormal transform, DC back to the centre."""
+    shifted = scipy.fft.ifftshift(x, axes=axes)
+    return scipy.fft.fftshift(transform(shifted, axes=axes, norm="ortho"),
+                              axes=axes)
+
+
+class TestShiftTheorem:
+    """The phase-ramp transform against the shift definition."""
+
+    LABELS = ("coil", "kx", "ky", "kz")
+
+    @pytest.mark.parametrize("shape,axes", [
+        ((8, 16, 48, 48), (1, 2, 3)),  # even, every spatial axis
+        ((3, 7, 11, 13), (1, 2, 3)),  # odd
+        ((3, 7, 11, 13), (3, 1)),  # odd, unordered, not leading
+        ((5, 9, 10), (0, 1, 2)),  # mixed, the leading axis included
+        ((4, 6, 5, 8), (2,)),  # one even axis in the middle
+        ((4, 6, 5, 8), (2, 3)),  # mixed pair
+        ((2, 1, 3, 2), (1, 2, 3)),  # singleton and tiny extents
+    ], ids=["even", "odd", "odd-unordered", "mixed-leading", "one-axis",
+            "mixed-pair", "tiny"])
+    def test_agrees_with_shift_definition(self, shape, axes):
+        x = rand_c(shape, seed=sum(shape))
+        before = x.copy()
+        labels = self.LABELS[-len(shape):]
+        named = tuple(labels[a] for a in axes)
+        t = CTensor(x, labels)
+        for ours, nd, transform in ((fftc, fftc_nd, scipy.fft.fftn),
+                                    (ifftc, ifftc_nd, scipy.fft.ifftn)):
+            ref = shift_definition(transform, x, axes)
+            scale = np.abs(ref).max()
+            for got in (ours(t, named).data, nd(x, axes)):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-14 * scale
+        assert np.array_equal(x, before)  # the input is left as it was
+
+    @pytest.mark.parametrize("shape,axes", [
+        ((8, 16, 48, 48), (1, 2, 3)),
+        ((3, 7, 11, 13), (3, 1)),
+        ((4, 6, 5, 8), (2, 3)),
+    ], ids=["even", "odd-unordered", "mixed-pair"])
+    def test_per_coil_is_the_whole_array(self, shape, axes):
+        x = rand_c(shape, seed=1)
+        coil_axes = tuple(a - 1 for a in axes)
+        for nd in (fftc_nd, ifftc_nd):
+            per_coil = np.stack([nd(c, coil_axes) for c in x])
+            assert np.array_equal(per_coil, nd(x, axes))
+
 
 
 class TestCropPad:

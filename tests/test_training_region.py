@@ -3,7 +3,9 @@
 The target sets once cropped the decimated input to the bounding box of
 the ACS anchors plus the receptive field's margins, and the ridge warm
 start windowed that whole crop before keeping its valid rows. Both are
-kept here as references. Training on the uncropped grid, with the ridge
+kept here as references; the reference ridge hands its rows to the
+library's solve (``_ridge_fit``), which ``tests/test_coil_shared_work.py``
+holds to the per-pair solve. Training on the uncropped grid, with the ridge
 gathering only its valid positions, must give the same ridge W and the
 same trained weights and loss histories, bit for bit (``np.array_equal``),
 over the named uniform, elliptical, joint and ky-t patterns.
@@ -100,8 +102,8 @@ def cropped_target_sets(problem, coils):
 
 
 def windowed_ridge(ts, cfg):
-    """The ridge over every window of the margin-cropped input, valid rows
-    kept per (re, im) pair."""
+    """The ridge over every window of the margin-cropped input, the rows
+    where some channel is valid kept and solved as the library solves them."""
     k1 = cfg.kernel_sizes[0]
     lo = np.zeros(3, dtype=int)
     for ks in cfg.kernel_sizes[1:]:
@@ -116,21 +118,10 @@ def windowed_ridge(ts, cfg):
     ou, ov, ox = win.shape[1:4]
     assert (ou, ov, ox) == ts.targets.shape[1:]
     F = win.transpose(1, 2, 3, 0, 4, 5, 6).reshape(ou * ov * ox, -1)
-    nfeat = F.shape[1]
-    W = np.zeros((ts.out_channels, nfeat))
-    for c in range(0, ts.out_channels, 2):
-        sel = ts.valid[c].ravel()
-        A = F[sel]
-        Y = ts.targets[c : c + 2].reshape(2, -1)[:, sel].T
-        dual = A.shape[0] < nfeat
-        gram = A @ A.T if dual else A.T @ A
-        gram[np.diag_indices_from(gram)] += (recon_models.RIDGE_INIT
-                                             * np.trace(gram) / nfeat)
-        if dual:
-            W[c : c + 2] = (A.T @ np.linalg.solve(gram, Y)).T
-        else:
-            W[c : c + 2] = np.linalg.solve(gram, A.T @ Y).T
-    return W
+    V = ts.valid.reshape(ts.out_channels, -1)
+    keep = V.any(0)
+    T = ts.targets.reshape(ts.out_channels, -1)[None, :, keep]
+    return recon_models._ridge_fit(F[keep], T, V[:, keep])[0]
 
 
 def reference_training(problem, coils, monkeypatch):
