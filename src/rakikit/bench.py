@@ -138,7 +138,7 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
         row["calibration_windows"] = kernel.windows
         row["calibration_residual"] = kernel.residual
         t0 = time.monotonic()
-        fourier = tuple(a for a in ("kx", *mask.axes) if a != "t")
+        fourier = mask.fourier_axes
         if maps is None:  # root-sum-of-squares over the coils
             img = ifftc(kspace, fourier)
             rss = np.sqrt(np.sum(np.abs(img.data) ** 2, axis=img.axis("coil")))

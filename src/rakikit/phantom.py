@@ -184,9 +184,9 @@ def make_compact_coils(extents: tuple[int, int, int], n_coils: int,
 def make_phantom(spec: PhantomSpec) -> dict[str, CTensor]:
     """Generate ground truth k-space, images, sensitivities, and T maps.
 
-    Returns a dict with keys ``kspace`` [coil, echo, kx, ky, kz],
-    ``images`` (coil-free, [echo, kx, ky, kz]), ``coil_images``,
-    ``sens_true`` [coil, kx, ky, kz], ``t2_true``, ``t2star_true``.
+    Returns a dict with keys ``kspace`` [coil, echo, kx, ky, kz], the
+    centred FFT of ``sens_true`` [coil, kx, ky, kz] times ``images``
+    (coil-free, [echo, kx, ky, kz]), and ``t2_true``, ``t2star_true``.
     A texture or noise level that takes the k-space beyond float64 is a
     NumericalError (non-finite images reach the k-space too).
     """
@@ -209,8 +209,7 @@ def make_phantom(spec: PhantomSpec) -> dict[str, CTensor]:
         decay = np.where(support, np.exp(-te / np.where(support, tmap, 1.0)), 0.0)
         images[e] = amp * decay
 
-    coil_images = sens[:, None] * images[None]  # [coil, echo, x, y, z]
-    kspace = fftc_nd(coil_images, axes=(2, 3, 4))
+    kspace = fftc_nd(sens[:, None] * images[None], axes=(2, 3, 4))
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed + 1)
         noise = rng.standard_normal(kspace.shape) + 1j * rng.standard_normal(
@@ -221,11 +220,9 @@ def make_phantom(spec: PhantomSpec) -> dict[str, CTensor]:
         raise NumericalError("phantom k-space is not finite; lower texture "
                              "or noise_sigma")
 
-    k_axes = ("coil", "echo", "kx", "ky", "kz")
     return {
-        "kspace": CTensor(kspace, k_axes),
+        "kspace": CTensor(kspace, ("coil", "echo", "kx", "ky", "kz")),
         "images": CTensor(images, ("echo", "kx", "ky", "kz")),
-        "coil_images": CTensor(coil_images, k_axes),
         "sens_true": CTensor(sens, ("coil", "kx", "ky", "kz")),
         "t2_true": CTensor(t2.astype(np.complex128), ("kx", "ky", "kz")),
         "t2star_true": CTensor(t2star.astype(np.complex128), ("kx", "ky", "kz")),

@@ -15,7 +15,7 @@ nx] grid is entered only in ``_decimated_input`` and left only through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .espirit import SensitivityMaps, coil_combine, make_combo_target
 from .nn_engine import (ConvLayer, ModelWeights, TrainConfig, branch_offset,
                         init_model, predict_columns, receptive_field, train)
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
-                       internal_view, lattice_cells, make_elliptical_mask,
-                       make_uniform_mask, steps)
+                       internal_view, lattice_cells, steps)
 from .tensors import CTensor, fftc, ifftc
 
 MODES = ("raki_percoil", "eraki", "eraki_joint")
@@ -72,12 +71,8 @@ def echo_shifted_masks(mask: SamplingMask, n_echo: int) -> tuple[SamplingMask, .
     """Echo e gets CAIPI shift (shift + e) mod R2, same lattice otherwise."""
     if mask.kind == "kyt":
         return tuple([mask] * n_echo)
-    maker = make_elliptical_mask if mask.elliptical else make_uniform_mask
-    return tuple(
-        maker(mask.extents, mask.r1, mask.r2,
-              shift=(mask.shift + e) % mask.r2, acs_box=mask.acs_box)
-        for e in range(n_echo)
-    )
+    return tuple(replace(mask, shift=(mask.shift + e) % mask.r2)
+                 for e in range(n_echo))
 
 
 def _complex_to_channels(arr: np.ndarray) -> np.ndarray:
@@ -439,7 +434,7 @@ def infer(models: ModelWeights | list[ModelWeights],
     """
     mask0 = problem.masks[0]
     p1l, p2l = mask0.axes
-    fourier = tuple(a for a in ("kx", p1l, p2l) if a != "t")
+    fourier = mask0.fourier_axes
     n_off = len(cell_offsets(mask0))
     ne = problem.n_echoes
     percoil = problem.mode == "raki_percoil"
@@ -487,7 +482,7 @@ def zerofill_recon(problem: ReconProblem) -> ReconResult:
     """Zero-filled baseline: combine the masked k-space with full-grid maps."""
     if problem.maps is None:
         raise ConfigError("zero-filled combination needs full-grid maps")
-    fourier = tuple(a for a in ("kx", *problem.masks[0].axes) if a != "t")
+    fourier = problem.masks[0].fourier_axes
     comb = coil_combine(problem.kspace_masked, problem.maps, fourier)
     image = comb.with_data(np.abs(comb.data))
     ksp = fftc(comb, fourier)

@@ -2,8 +2,9 @@
 
 A mask lives on the two phase-encode axes only and is broadcast over
 coil/echo/readout when applied; the readout axis is always fully sampled.
-Elliptical corners are tracked separately as "never acquired" so they can
-be excluded from training losses and zeroed in outputs.
+A mask is the seven values of its descriptor; its sampled grid and the
+elliptical corners it never acquires (excluded from training losses and
+zeroed in outputs) are read-only planes derived from them.
 
 The lattice geometry of GRAPPA and the learned models lives here: the
 steps of a rectangular index lattice, one map from it to the acquired frame
@@ -13,7 +14,8 @@ So does their working order, [coil, (echo,) kx, p1, p2] (:func:`internal_view`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,26 +26,61 @@ from .tensors import CTensor, center_slices, save_bundle, load_bundle, bundle_me
 
 @dataclass(frozen=True)
 class SamplingMask:
-    grid: np.ndarray  # bool [n1, n2] over the pattern axes
+    """The seven values that define a pattern; its planes derive from them."""
+
+    extents: tuple[int, int]  # (n1, n2) over the pattern axes
     axes: tuple[str, str]  # e.g. ("ky", "kz") or ("ky", "t")
     r1: int
     r2: int
     shift: int  # CAIPI shift Delta (per R1 block for lattices, per t for ky-t)
     elliptical: bool
     acs_box: tuple[tuple[int, int], tuple[int, int]] | None  # (start, length) per axis
-    never_acquired: np.ndarray = field(default=None)
-    kind: str = "lattice"  # "lattice" | "kyt"
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=bool))
-        if self.never_acquired is None:
-            object.__setattr__(
-                self, "never_acquired", np.zeros_like(self.grid, dtype=bool)
-            )
+        extents = tuple(int(n) for n in self.extents)
+        box = self.acs_box
+        if box is not None:
+            box = tuple((int(s), int(ln)) for s, ln in box)
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "acs_box", box)
+        r1, r2, shift = self.r1, self.r2, self.shift
+        if r1 < 1 or r2 < 1:
+            raise ConfigError(f"acceleration factors r1 {r1} and r2 {r2} must be >= 1")
+        if self.kind == "kyt" and (r2 != 1 or self.elliptical):
+            raise ConfigError(f"a ky-t mask has r2 1 and no ellipse, got r2 {r2}, "
+                              f"elliptical {self.elliptical}")
+        if self.kind == "lattice" and not 0 <= shift < r2:
+            raise ConfigError(f"CAIPI shift {shift} must be in [0, r2) = [0, {r2})")
+        if self.elliptical and min(extents) < 2:
+            raise ConfigError(f"an elliptical mask needs extents >= 2, got {extents}")
+        if box is not None and (len(box) != 2 or any(
+                s < 0 or ln < 1 or s + ln > n for (s, ln), n in zip(box, extents))):
+            raise ConfigError(f"acs_box {box} does not fit extents {extents}")
 
     @property
-    def extents(self) -> tuple[int, int]:
-        return self.grid.shape
+    def kind(self) -> str:
+        return "kyt" if self.axes == ("ky", "t") else "lattice"
+
+    @property
+    def fourier_axes(self) -> tuple[str, ...]:
+        """The axes an image is transformed over: kx and the pattern axes but t."""
+        return tuple(a for a in ("kx", *self.axes) if a != "t")
+
+    @cached_property
+    def never_acquired(self) -> np.ndarray:
+        """bool [n1, n2], read-only: the corners outside an elliptical pattern."""
+        if self.elliptical:
+            return _read_only(~_ellipse_interior(self.extents))
+        return _read_only(np.zeros(self.extents, dtype=bool))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """bool [n1, n2], read-only: the lattice off the corners, plus the ACS box."""
+        grid = on_lattice(self) & ~self.never_acquired
+        if self.acs_box is not None:
+            (s1, l1), (s2, l2) = self.acs_box
+            grid[s1 : s1 + l1, s2 : s2 + l2] = True
+        return _read_only(grid)
 
     def acceleration(self) -> float:
         """Measured net acceleration: grid positions / pattern samples.
@@ -55,14 +92,9 @@ class SamplingMask:
         return self.grid.size / int(sampled.sum())
 
 
-def _check_box(extents, acs_box):
-    if acs_box is None:
-        return None
-    box = tuple((int(s), int(ln)) for s, ln in acs_box)
-    for (s, ln), n in zip(box, extents):
-        if s < 0 or ln < 1 or s + ln > n:
-            raise ConfigError(f"acs_box {box} does not fit extents {extents}")
-    return box
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def centered_acs_box(extents, acs_extents):
@@ -130,46 +162,19 @@ def _ellipse_interior(extents) -> np.ndarray:
     return ((i - a) / a) ** 2 + ((j - b) / b) ** 2 <= 1.0
 
 
-def _force_acs(grid, acs_box):
-    if acs_box is not None:
-        (s1, l1), (s2, l2) = acs_box
-        grid[s1 : s1 + l1, s2 : s2 + l2] = True
-
-
-def _pattern(extents, axes, r1, r2, shift, acs_box, kind="lattice"):
-    box = _check_box(extents, acs_box)
-    mask = SamplingMask(np.zeros(extents, dtype=bool), axes, r1, r2, shift,
-                        False, box, kind=kind)
-    grid = on_lattice(mask)
-    _force_acs(grid, box)
-    return replace(mask, grid=grid)
-
-
 def make_uniform_mask(extents, r1, r2, shift=0, acs_box=None) -> SamplingMask:
     """Uniform R1xR2 lattice with CAIPI shift ``shift`` per R1 block."""
-    if r1 < 1 or r2 < 1:
-        raise ConfigError(f"acceleration factors must be >= 1, got {r1}x{r2}")
-    if not (0 <= shift < r2):
-        raise ConfigError(f"CAIPI shift must satisfy 0 <= shift < R2, got {shift}")
-    return _pattern(extents, ("ky", "kz"), r1, r2, shift, acs_box)
+    return SamplingMask(extents, ("ky", "kz"), r1, r2, shift, False, acs_box)
 
 
 def make_elliptical_mask(extents, r1, r2, shift=0, acs_box=None) -> SamplingMask:
     """Uniform CAIPI lattice intersected with the inscribed ellipse."""
-    if min(extents) < 2:
-        raise ConfigError(f"an elliptical mask needs extents >= 2, got {extents}")
-    base = make_uniform_mask(extents, r1, r2, shift, acs_box)
-    interior = _ellipse_interior(extents)
-    grid = base.grid & interior
-    _force_acs(grid, base.acs_box)
-    return replace(base, grid=grid, elliptical=True, never_acquired=~interior)
+    return SamplingMask(extents, ("ky", "kz"), r1, r2, shift, True, acs_box)
 
 
 def make_kyt_mask(ny, nt, r, shift=0, acs_box=None) -> SamplingMask:
     """Spatiotemporal pattern: at time t, ky lines with (ky - shift*t) % r == 0."""
-    if r < 1:
-        raise ConfigError(f"acceleration must be >= 1, got {r}")
-    return _pattern((ny, nt), ("ky", "t"), r, 1, shift, acs_box, kind="kyt")
+    return SamplingMask((ny, nt), ("ky", "t"), r, 1, shift, False, acs_box)
 
 
 def _pattern_axis_indices(x: CTensor, mask: SamplingMask) -> tuple[int, int]:
@@ -233,38 +238,27 @@ def save_mask(mask: SamplingMask, path: str | Path) -> None:
     save_bundle(CTensor(stack, ("maps", *mask.axes)), path, meta={"mask": desc})
 
 
-def _box_fits(box, extents) -> bool:
-    return isinstance(box, list) and len(box) == 2 and all(
-        isinstance(b, list) and len(b) == 2 and all(type(i) is int for i in b)
-        and b[0] >= 0 and b[1] >= 1 and b[0] + b[1] <= n
-        for b, n in zip(box, extents))
-
-
 def _descriptor_fault(desc: dict, x: CTensor) -> str | None:
-    """What makes a mask descriptor unfit for its [maps=2, p1, p2] bundle."""
-    r1, r2, shift, box = desc["r1"], desc["r2"], desc["shift"], desc["acs_box"]
+    """What makes a mask descriptor unreadable over its [maps=2, p1, p2] bundle."""
     if x.data.ndim != 3 or x.axes[0] != "maps" or x.shape[0] != 2:
         return f"data {x.axes} of shape {x.shape} is not a [maps=2, p1, p2] stack"
     if desc["axes"] != list(x.axes[1:]):
         return f"axes {desc['axes']!r} are not the bundle's {list(x.axes[1:])}"
-    if desc["kind"] not in ("lattice", "kyt"):
-        return f"kind {desc['kind']!r} is neither 'lattice' nor 'kyt'"
-    if not all(type(r) is int and r >= 1 for r in (r1, r2)):
-        return f"r1 {r1!r} and r2 {r2!r} must be integers >= 1"
-    if desc["kind"] == "kyt" and r2 != 1:
-        return f"a ky-t mask has r2 1, not {r2}"
-    lattice = desc["kind"] == "lattice"
-    if type(shift) is not int or (lattice and not 0 <= shift < r2):
-        return f"shift {shift!r} must be an integer, in [0, r2) for a lattice"
+    for key in ("r1", "r2", "shift"):
+        if type(desc[key]) is not int:
+            return f"{key} {desc[key]!r} must be an integer"
     if type(desc["elliptical"]) is not bool:
         return f"elliptical {desc['elliptical']!r} must be a boolean"
-    if box is not None and not _box_fits(box, x.shape[1:]):
-        return (f"acs_box {box!r} is not two [start, length] pairs inside "
-                f"{x.shape[1:]}")
+    box = desc["acs_box"]
+    if box is not None and not (isinstance(box, list) and len(box) == 2 and all(
+            isinstance(b, list) and len(b) == 2 and all(type(i) is int for i in b)
+            for b in box)):
+        return f"acs_box {box!r} is not two [start, length] integer pairs"
     return None
 
 
 def load_mask(path: str | Path) -> SamplingMask:
+    """The mask of a bundle, whose planes and kind must be its descriptor's."""
     x = load_bundle(path)
     desc = bundle_meta(path).get("mask")
     keys = {"axes", "r1", "r2", "shift", "elliptical", "acs_box", "kind"}
@@ -275,10 +269,16 @@ def load_mask(path: str | Path) -> SamplingMask:
     bad = _descriptor_fault(desc, x)
     if bad:
         raise BundleError(f"mask bundle {path}: {bad}")
-    grid = np.real(x.data[0]) > 0.5
-    never = np.real(x.data[1]) > 0.5
-    box = tuple(tuple(b) for b in desc["acs_box"]) if desc["acs_box"] else None
-    return SamplingMask(
-        grid, tuple(desc["axes"]), desc["r1"], desc["r2"], desc["shift"],
-        desc["elliptical"], box, never_acquired=never, kind=desc["kind"],
-    )
+    try:
+        mask = SamplingMask(x.shape[1:], tuple(desc["axes"]), desc["r1"], desc["r2"],
+                            desc["shift"], desc["elliptical"], desc["acs_box"])
+    except ConfigError as e:
+        raise BundleError(f"mask bundle {path}: {e}") from None
+    if desc["kind"] != mask.kind:
+        raise BundleError(f"mask bundle {path}: kind {desc['kind']!r} is not "
+                          f"{mask.kind!r}, that of {mask}")
+    for plane, name in enumerate(("grid", "never_acquired")):
+        if not np.array_equal(np.real(x.data[plane]) > 0.5, getattr(mask, name)):
+            raise BundleError(f"mask bundle {path}: its {name} plane is not "
+                              f"that of {mask}")
+    return mask

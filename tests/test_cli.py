@@ -354,6 +354,25 @@ class TestExitCodes:
         assert err.startswith("data error: mask bundle") and "r1" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_mask_planes_off_the_descriptor_are_data_error(self, pipeline,
+                                                          tmp_path, capsys):
+        """A never-acquired plane set everywhere would zero every sample."""
+        r = pipeline["root"]
+        stack = load_bundle(r / "mask" / "mask")
+        stack.data[1] = 1.0
+        meta = json.loads((r / "mask" / "mask.json").read_text())["meta"]
+        save_bundle(stack, tmp_path / "mask", meta=meta)
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", "grappa", "--data", str(r / "masked_kspace"),
+                     "--mask", str(tmp_path / "mask"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: mask bundle")
+        assert "never_acquired plane" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("bundle, key, value", [
         ("masked_kspace", "shape", "abc"),
         ("masked_kspace", "shape", ["a", 12, 24, 24]),

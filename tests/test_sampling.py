@@ -12,6 +12,7 @@ from rakikit import (
     ConfigError,
     CTensor,
     GeometryError,
+    SamplingMask,
     apply_mask,
     centered_acs_box,
     extract_acs,
@@ -22,6 +23,7 @@ from rakikit import (
     save_bundle,
     save_mask,
 )
+from rakikit.recon_models import echo_shifted_masks
 from rakikit.sampling import acquired_coords, cell_offsets, lattice_cells, steps
 
 
@@ -176,6 +178,123 @@ class TestOneGeometry:
         np.testing.assert_array_equal(a2 + offs[..., 1], j)
 
 
+def former_planes(extents, r1, r2, shift, elliptical, acs_box, kind):
+    """(grid, never_acquired) by the former makers, which stored both: the
+    lattice with the ACS box forced, then for an ellipse that grid within
+    the interior, the box forced again."""
+    def force_acs(grid):
+        if acs_box is not None:
+            (s1, l1), (s2, l2) = acs_box
+            grid[s1 : s1 + l1, s2 : s2 + l2] = True
+
+    i, j = np.ogrid[: extents[0], : extents[1]]
+    if kind == "kyt":
+        lattice = (i - shift * j) % r1 == 0
+    else:
+        lattice = (i % r1 == 0) & ((j - shift * (i // r1)) % r2 == 0)
+    grid = np.broadcast_to(lattice, extents).copy()
+    force_acs(grid)
+    if not elliptical:
+        return grid, np.zeros(extents, dtype=bool)
+    a, b = (extents[0] - 1) / 2.0, (extents[1] - 1) / 2.0
+    interior = ((i - a) / a) ** 2 + ((j - b) / b) ** 2 <= 1.0
+    grid &= interior
+    force_acs(grid)
+    return grid, ~interior
+
+
+@st.composite
+def pattern_values(draw):
+    """Extents, r1, r2, shift, elliptical, ACS box (or None) and kind."""
+    kind = draw(st.sampled_from(["lattice", "kyt"]))
+    extents = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    r1 = draw(st.integers(1, 4))
+    r2 = 1 if kind == "kyt" else draw(st.integers(1, 3))
+    shift = draw(st.integers(-3, 5) if kind == "kyt" else st.integers(0, r2 - 1))
+    elliptical = kind == "lattice" and draw(st.booleans())
+    box = None
+    if draw(st.booleans()):
+        starts = [draw(st.integers(0, n - 1)) for n in extents]
+        box = tuple((s, draw(st.integers(1, n - s))) for s, n in zip(starts, extents))
+    return extents, r1, r2, shift, elliptical, box, kind
+
+
+def make(extents, r1, r2, shift, elliptical, acs_box, kind):
+    if kind == "kyt":
+        return make_kyt_mask(*extents, r1, shift=shift, acs_box=acs_box)
+    maker = make_elliptical_mask if elliptical else make_uniform_mask
+    return maker(extents, r1, r2, shift=shift, acs_box=acs_box)
+
+
+class TestDerivedPlanes:
+    """A mask holds its seven values; the planes derive from them."""
+
+    @given(values=pattern_values())
+    @settings(max_examples=80, deadline=None)
+    def test_planes_are_the_former_makers(self, values, tmp_path_factory):
+        mask = make(*values)
+        grid, never = former_planes(*values)
+        assert np.array_equal(mask.grid, grid)
+        assert np.array_equal(mask.never_acquired, never)
+        assert mask.kind == values[-1]
+
+        path = tmp_path_factory.mktemp("mask") / "m"
+        save_mask(mask, path)
+        back = load_mask(path)
+        assert back == mask
+        assert np.array_equal(back.grid, grid)
+        assert np.array_equal(back.never_acquired, never)
+
+        # echo e: shift (shift + e) mod r2 on a lattice, ky-t masks repeated
+        extents, r1, r2, shift, elliptical, box, kind = values
+        for e, echo in enumerate(echo_shifted_masks(mask, 3)):
+            if kind == "kyt":
+                assert echo == mask
+            else:
+                g, n = former_planes(extents, r1, r2, (shift + e) % r2,
+                                     elliptical, box, kind)
+                assert np.array_equal(echo.grid, g)
+                assert np.array_equal(echo.never_acquired, n)
+
+    @given(pattern_values())
+    @settings(max_examples=30, deadline=None)
+    def test_equal_masks_compare_and_hash_equal(self, values):
+        a, b = make(*values), make(*values)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_uniform_mask((13, 13), 1, 1)
+
+    def test_planes_refuse_writes(self):
+        mask = make_elliptical_mask((16, 16), 2, 2, acs_box=((6, 4), (6, 4)))
+        for plane in (mask.grid, mask.never_acquired):
+            with pytest.raises(ValueError, match="read-only"):
+                plane[0, 0] = not plane[0, 0]
+
+    @pytest.mark.parametrize("values, word", [
+        (((8, 8), ("ky", "kz"), 0, 2, 0, False, None), "r1"),
+        (((8, 8), ("ky", "t"), 2, 2, 0, False, None), "r2"),
+        (((8, 8), ("ky", "t"), 2, 1, 0, True, None), "ellipse"),
+        (((8, 8), ("ky", "kz"), 2, 2, 2, False, None), "shift"),
+        (((1, 8), ("ky", "kz"), 1, 1, 0, True, None), "extents"),
+        (((8, 8), ("ky", "kz"), 2, 2, 0, False, ((0, 4),)), "acs_box"),
+        (((8, 8), ("ky", "kz"), 2, 2, 0, False, ((6, 4), (0, 4))), "acs_box"),
+    ], ids=["r1", "kyt-r2", "kyt-ellipse", "shift", "ellipse-extent",
+            "one-pair-box", "box-outside"])
+    def test_constructor_is_the_validator(self, values, word):
+        with pytest.raises(ConfigError, match=word):
+            SamplingMask(*values)
+
+
+def tampered_bundle(path, mask, grid=None, never=None, **desc):
+    """``mask``'s bundle with its planes and descriptor values replaced."""
+    save_mask(mask, path)
+    meta = json.loads(path.with_suffix(".json").read_text())["meta"]
+    meta["mask"].update(desc)
+    planes = np.stack([mask.grid if grid is None else grid,
+                       mask.never_acquired if never is None else never])
+    save_bundle(CTensor(planes.astype(complex), ("maps", *mask.axes)), path,
+                meta=meta)
+
+
 class TestMaskIO:
     @pytest.mark.parametrize(
         "mask",
@@ -240,6 +359,31 @@ class TestMaskIO:
         header["meta"]["mask"][key] = value
         (tmp_path / "m.json").write_text(json.dumps(header))
         with pytest.raises(BundleError, match=word):
+            load_mask(tmp_path / "m")
+
+    def test_never_acquired_plane_over_the_grid_is_bundle_error(self, tmp_path):
+        mask = make_uniform_mask((12, 8), 3, 2, shift=1,
+                                 acs_box=centered_acs_box((12, 8), (6, 4)))
+        tampered_bundle(tmp_path / "m", mask, never=np.ones((12, 8), bool))
+        with pytest.raises(BundleError, match="never_acquired plane"):
+            load_mask(tmp_path / "m")
+
+    def test_grid_plane_off_the_pattern_is_bundle_error(self, tmp_path):
+        """24 acquired positions, the ACS box alone, against the pattern's 36."""
+        mask = make_uniform_mask((12, 8), 3, 2, shift=1,
+                                 acs_box=centered_acs_box((12, 8), (6, 4)))
+        (s1, l1), (s2, l2) = mask.acs_box
+        grid = np.zeros((12, 8), bool)
+        grid[s1 : s1 + l1, s2 : s2 + l2] = True
+        assert (grid.sum(), mask.grid.sum()) == (24, 36)
+        tampered_bundle(tmp_path / "m", mask, grid=grid)
+        with pytest.raises(BundleError, match="grid plane"):
+            load_mask(tmp_path / "m")
+
+    def test_elliptical_kyt_descriptor_is_bundle_error(self, tmp_path):
+        mask = make_kyt_mask(12, 6, 4, shift=1, acs_box=((4, 4), (0, 6)))
+        tampered_bundle(tmp_path / "m", mask, elliptical=True)
+        with pytest.raises(BundleError, match="ellipse"):
             load_mask(tmp_path / "m")
 
     def test_descriptor_over_a_third_plane_is_bundle_error(self, tmp_path):
