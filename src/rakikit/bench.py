@@ -115,8 +115,10 @@ def reconstruct(method: str, data: CTensor, mask: SamplingMask,
         raise ConfigError(f"method {method} requires sensitivity maps")
     if not np.isfinite(data.data).all():
         raise NumericalError("k-space holds non-finite values")
+    if maps is not None and not np.isfinite(maps.maps.data).all():
+        raise NumericalError("sensitivity maps hold non-finite values")
     ne = data.extent("echo") if data.has_axis("echo") else 1
-    masks = echo_shifted_masks(mask, ne) if ne > 1 else (mask,)
+    masks = echo_shifted_masks(mask, ne)
     view = internal_view(data, mask)  # [coil, (echo,) kx, p1, p2]
     if view.shape[-2:] == mask.extents:  # a mismatch is reported downstream
         held = (view != 0).any(axis=(0, -3)).reshape(ne, *mask.extents)

@@ -48,7 +48,6 @@ DEFAULTS = {
         "kernel_size": 5,
         "sigma_threshold": 0.01,
         "crop_threshold": 0.9,
-        "out_extents": None,  # None = mask.extents
     },
     # TrainConfig's field defaults but the seed, tuples as JSON lists
     "train": json.loads(json.dumps({f.name: f.default for f in fields(TrainConfig)
@@ -64,7 +63,7 @@ DEFAULTS = {
 
 # list leaves of positive integers, keyed below the root: (length, nullable)
 LIST_LEAVES = {"phantom.extents": (3, False), "mask.extents": (2, False),
-               "mask.acs": (2, True), "espirit.out_extents": (2, True)}
+               "mask.acs": (2, True)}
 NUMBER_LISTS = ("phantom.te_ms",)  # non-empty lists of numbers
 # integer leaves whose default is None -> whether null is accepted
 INT_LEAVES = {"seed": False, "recon.acs_kx": True}
@@ -212,10 +211,6 @@ def sampling_mask(cfg: dict) -> SamplingMask:
 
 def sensitivity_maps(cfg: dict, acs: CTensor) -> SensitivityMaps:
     """ESPIRiT maps of ``acs`` by a merged config's ``espirit`` section, on
-    the grid of ``espirit.out_extents``, or of ``mask.extents`` if null."""
-    e = cfg["espirit"]
-    return espirit_maps(
-        acs, kernel_size=e["kernel_size"], sigma_threshold=e["sigma_threshold"],
-        crop_threshold=e["crop_threshold"],
-        out_extents=tuple(e["out_extents"] or cfg["mask"]["extents"]),
-    )
+    the grid of ``mask.extents``."""
+    e = cfg["espirit"]  # its leaves are espirit_maps keywords
+    return espirit_maps(acs, **e, out_extents=tuple(cfg["mask"]["extents"]))

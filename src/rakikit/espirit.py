@@ -10,9 +10,9 @@ it. The kept kernels are correlated in k-space over their
 those lags into the per-voxel coil Gram matrix on the output grid
 (Uecker et al., MRM 71:990, 2014). Its leading eigenvector, found by power
 iteration (G^64, up to G^1024 for voxels with a small spectral gap) from
-the uniform unit vector, then from the last readout that had kernels,
-with ``eigh`` where that does not converge, gives the maps; its leading
-eigenvalue the support measure.
+the uniform unit vector at every readout, so that no readout's maps depend
+on another's, with ``eigh`` where that does not converge, gives the maps;
+its leading eigenvalue the support measure.
 
 Coil combination streams the coil axis: conj(S_c) x_c is accumulated one
 coil at a time, in coil order, which is bit for bit the sum over a
@@ -232,13 +232,12 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     maps = np.zeros((nc, nx, out1, out2), dtype=np.complex128)
     eigval = np.zeros((nx, out1, out2))
     fallbacks = 0
-    # the uniform unit vector starts the sweep; empty readouts leave vec be
-    vec = np.full((out1, out2, nc), nc ** -0.5, dtype=np.complex128)
+    start = np.full((out1, out2, nc), nc ** -0.5, dtype=np.complex128)
     for ix in range(nx):
         kern = _row_space(hyb[:, ix], k1, k2, sigma_threshold, scale)
         if len(kern) == 0:
             continue
-        lead, vec, n_eigh = _leading_eigenpairs(_gram(kern, out1, out2), vec)
+        lead, vec, n_eigh = _leading_eigenpairs(_gram(kern, out1, out2), start)
         fallbacks += n_eigh
         # phase gauge on the first coil
         ph = vec[..., 0]

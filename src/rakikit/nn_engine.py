@@ -397,24 +397,17 @@ def _columns_of(a: np.ndarray, idx) -> np.ndarray:
     return cols[:, :, None, None].swapaxes(0, 1)
 
 
-def _views(flat: np.ndarray, model: ModelWeights) -> list[np.ndarray]:
-    """Consecutive views of ``flat`` shaped as each layer's kernel, then bias."""
-    views, at = [], 0
-    for layer in model.layers:
-        for p in (layer.kernel, layer.bias):
-            views.append(flat[at : at + p.size].reshape(p.shape))
-            at += p.size
-    return views
-
-
 def _flat_params(model: ModelWeights) -> np.ndarray:
     """Make every kernel and bias of ``model`` a view into one flat vector,
     which is returned: an update of the vector is an update of the model."""
     theta = np.concatenate([p.ravel() for layer in model.layers
                             for p in (layer.kernel, layer.bias)])
-    views = iter(_views(theta, model))
+    at = 0
     for layer in model.layers:
-        layer.kernel, layer.bias = next(views), next(views)
+        for name in ("kernel", "bias"):
+            p = getattr(layer, name)
+            setattr(layer, name, theta[at : at + p.size].reshape(p.shape))
+            at += p.size
     return theta
 
 
@@ -431,8 +424,8 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     once, over that matrix, and the steps fit the stack alone. Float32
     ``x`` trains in float32 throughout: the warm start and the targets are
     cast once. The kernels and biases are views into one flat vector, and
-    each Adam step updates it and its moments in place over preallocated
-    buffers, allocating nothing beyond ``backward``. Returns (trained
+    each step is Adam's update equations (Kingma & Ba, arXiv:1412.6980) on
+    it, the gradients concatenated in its order. Returns (trained
     float64 model, loss history). Aborts with the step index on a
     non-finite loss, before the first step if the stack's warm start is
     not finite in the input's dtype, and after the last if the weights it
@@ -473,8 +466,6 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     theta = _flat_params(stack)
     if not np.isfinite(theta).all():
         raise NumericalError(f"warm-start weights are not finite in {h.dtype}")
-    grad, tmp = np.empty_like(theta), np.empty_like(theta)
-    grad_views = _views(grad, stack)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     history = []
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -489,24 +480,10 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss at step {step}")
             history.append(value)
-            for view, g in zip(grad_views, (g for pair in grads for g in pair)):
-                view[...] = g
-            # Adam, each element in the order of
-            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            #   theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-            m *= b1
-            m += np.multiply(grad, 1 - b1, out=tmp)
-            v *= b2
-            np.multiply(grad, 1 - b2, out=tmp)
-            v += np.multiply(tmp, grad, out=tmp)
-            # the gradient is spent: grad takes the denominator, tmp the step
-            np.divide(v, 1 - b2**step, out=grad)
-            np.sqrt(grad, out=grad)
-            grad += eps
-            np.divide(m, 1 - b1**step, out=tmp)
-            tmp *= lr
-            tmp /= grad
-            theta -= tmp
+            g = np.concatenate([d.ravel() for pair in grads for d in pair])
+            m = b1 * m + g * (1 - b1)
+            v = b2 * v + g * (1 - b2) * g
+            theta -= m / (1 - b1**step) * lr / (np.sqrt(v / (1 - b2**step)) + eps)
         lr *= cfg.lr_decay
     if not np.isfinite(theta).all():
         raise NumericalError(f"non-finite weights after step {cfg.iterations}")

@@ -41,16 +41,14 @@ class ReconProblem:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        ne = self.n_echoes
-        if len(self.masks) != ne:
-            raise GeometryError(
-                f"{ne} echoes need {ne} masks, got {len(self.masks)}"
-            )
-        k, axes = self.kspace_masked, self.masks[0].axes
-        extents = tuple(k.extent(a) for a in axes)
-        if any(m.extents != extents for m in self.masks):
-            raise GeometryError(f"k-space {axes} extents {extents} differ from "
-                                f"the mask's {self.masks[0].extents}")
+        ne, first = self.n_echoes, next(iter(self.masks), None)
+        if first is None or tuple(self.masks) != echo_shifted_masks(first, ne):
+            raise GeometryError(f"{ne} echoes need the {ne} echo shifts of "
+                                f"the first mask, {first}")
+        extents = tuple(self.kspace_masked.extent(a) for a in first.axes)
+        if first.extents != extents:
+            raise GeometryError(f"k-space {first.axes} extents {extents} differ "
+                                f"from the mask's {first.extents}")
         if self.mode == "raki_percoil" and self.kspace_masked.has_axis("echo"):
             raise ConfigError("per-coil RAKI supports a single echo, without "
                               "an echo axis")

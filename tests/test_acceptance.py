@@ -386,7 +386,7 @@ def test_criterion_10_cli_determinism(tmp_path, report):
         "phantom": {"extents": [8, 24, 24], "n_coils": 4, "texture": 0.5},
         "mask": {"extents": [24, 24], "r1": 2, "r2": 2, "shift": 1,
                  "acs": [16, 16]},
-        "espirit": {"kernel_size": 5, "out_extents": [24, 24]},
+        "espirit": {"kernel_size": 5},
         "train": {"iterations": 10, "widths": [8, 8, 8, 8],
                   "kernel_sizes": [[3, 3, 3], [1, 1, 3], [1, 1, 1],
                                    [1, 1, 1], [1, 1, 1]]},

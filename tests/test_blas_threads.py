@@ -39,7 +39,7 @@ cfg = checked(merge(DEFAULTS, {
     "phantom": {"extents": [16, 32, 32], "n_coils": 4, "texture": 0.5},
     "mask": {"extents": [32, 32], "r1": 2, "r2": 2, "shift": 1,
              "acs": [16, 16]},
-    "espirit": {"kernel_size": 5, "out_extents": [32, 32]},
+    "espirit": {"kernel_size": 5},
     "train": {"iterations": 10, "widths": [8, 8, 8, 8]},
 }))
 ph = make_phantom(phantom_spec(cfg))

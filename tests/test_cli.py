@@ -25,14 +25,14 @@ from rakikit.bench import BENCH_METHODS, thread_count
 from rakikit.cli import main
 from rakikit.config import DEFAULTS, merge
 from rakikit.sampling import load_mask
-from rakikit.tensors import AXIS_LABELS
+from rakikit.tensors import AXIS_LABELS, bundle_meta
 
 CONFIG = {
     "seed": 11,
     "phantom": {"extents": [12, 24, 24], "n_coils": 4, "texture": 0.5},
     "mask": {"extents": [24, 24], "r1": 2, "r2": 2, "shift": 1,
              "acs": [16, 16]},
-    "espirit": {"kernel_size": 5, "out_extents": [24, 24]},
+    "espirit": {"kernel_size": 5},
     "train": {"iterations": 5, "widths": [8, 8, 8, 8],
               "kernel_sizes": [[3, 3, 3], [1, 1, 3], [1, 1, 1], [1, 1, 1],
                                [1, 1, 1]]},
@@ -132,14 +132,13 @@ class TestExitCodes:
         {"seed": 1, "mask": {"extents": "ab"}},
         {"seed": 1, "mask": {"kind": "kyt", "extents": [32]}},
         {"seed": 1, "mask": {"acs": [16]}},
-        {"seed": 1, "espirit": {"out_extents": [8]}},
-        {"seed": 1, "espirit": {"out_extents": "x"}},
         {"seed": 1, "phantom": {"extents": [8, 8.5, 8]}},  # element type
         {"seed": 1, "mask": {"acs": [16, True]}},
         {"seed": 1, "espirit": {"kernel_size": 0}},
         {"seed": 1, "espirit": {"kernel_size": -3}},
         {"seed": 1, "recon": {"init": "linear"}},  # deleted leaves
         {"seed": 1, "recon": {"target_margin": 1}},
+        {"seed": 1, "espirit": {"out_extents": None}},
         {"seed": 1, "bench": {}},
         {"seed": 1, "phantom": {"te_ms": "ab"}},  # list of numbers
         {"seed": 1, "phantom": {"te_ms": []}},
@@ -166,9 +165,9 @@ class TestExitCodes:
             "zero-lr", "zero-lr-decay", "lr-decay-above-1",
             "short-phantom-extents", "str-phantom-extents",
             "str-mask-extents", "short-kyt-extents", "short-acs",
-            "short-out-extents", "str-out-extents", "float-extent",
-            "bool-acs", "zero-kernel-size", "negative-kernel-size",
-            "recon-init", "recon-target-margin", "bench-section",
+            "float-extent", "bool-acs", "zero-kernel-size",
+            "negative-kernel-size", "recon-init", "recon-target-margin",
+            "espirit-out-extents", "bench-section",
             "str-te-ms", "empty-te-ms", "str-acs-kx", "float-acs-kx",
             "list-acs-kx", "bool-acs-kx", "zero-acs-kx", "negative-lam",
             "nan-lam", "inf-lam", "negative-seed", "inf-texture",
@@ -224,10 +223,8 @@ class TestExitCodes:
         assert merged["recon"] == {"acs_kx": 1, "lam": 2.5}
 
     def test_nullable_list_leaves_accept_null(self):
-        merged = merge(DEFAULTS, {"mask": {"acs": None},
-                                  "espirit": {"out_extents": None}})
+        merged = merge(DEFAULTS, {"mask": {"acs": None}})
         assert merged["mask"]["acs"] is None
-        assert merged["espirit"]["out_extents"] is None
 
     @pytest.mark.parametrize("where", ["in-acs", "outside-acs"])
     @pytest.mark.parametrize("method", BENCH_METHODS)
@@ -253,6 +250,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "non-finite" in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", BENCH_METHODS)
+    def test_nonfinite_maps_are_numerical_error(self, pipeline, tmp_path,
+                                                capsys, method):
+        r = pipeline["root"]
+        maps = self._copy_maps(pipeline, tmp_path)
+        bad = load_bundle(maps / "maps")
+        bad.data[1, 3, 5, 5] = np.nan
+        save_bundle(bad, maps / "maps", meta=bundle_meta(maps / "maps"))
+        capsys.readouterr()
+        assert main(["recon", "--config", str(pipeline["cfg"]),
+                     "--method", method, "--data", str(r / "masked_kspace"),
+                     "--mask", str(r / "mask"), "--maps", str(maps),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err == ("numerical error: sensitivity maps hold non-finite "
+                       "values\n")
+        assert not (tmp_path / "o" / "image.json").exists()
 
     @pytest.mark.parametrize("header", ["{not json", '{"dtype": "complex128"}'],
                              ids=["not-json", "missing-keys"])
@@ -732,7 +747,7 @@ MASK = sections(
      "acs": st.none() | extent_lists(2)})
 ESPIRIT = sections(
     {}, {"kernel_size": st.integers(-1, 12), "sigma_threshold": UNIT,
-         "crop_threshold": UNIT, "out_extents": st.none() | extent_lists(2)})
+         "crop_threshold": UNIT})
 RECON = sections({}, {"acs_kx": st.none() | COUNT, "lam": NUMBER})
 FIT = sections({}, {"threshold": NUMBER})
 
@@ -922,7 +937,6 @@ class TestPipeline:
 
     def test_maps_meta_records_espirit_diagnostics(self, pipeline):
         from rakikit import espirit_maps
-        from rakikit.tensors import bundle_meta
 
         r = pipeline["root"]
         meta = bundle_meta(r / "maps" / "maps")
@@ -1130,10 +1144,10 @@ class TestPipeline:
                 == {k: v for k, v in report.items() if k not in clock | {"method"}}
 
     def test_maps_default_to_the_mask_extents(self, pipeline, tmp_path):
-        """``espirit.out_extents`` null: maps on ``mask.extents``, not on the
-        ACS grid, so recon takes them; the same maps as set explicitly."""
+        """The default ``espirit`` section puts the maps on ``mask.extents``,
+        not on the ACS grid, so recon takes them; the pipeline's maps."""
         r = pipeline["root"]
-        doc = {**CONFIG, "espirit": {"kernel_size": 5}}
+        doc = {k: v for k, v in CONFIG.items() if k != "espirit"}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         assert main(["maps", "--config", str(cfg), "--acs", str(r / "acs"),

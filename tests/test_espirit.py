@@ -270,6 +270,28 @@ class TestMapEstimation:
         assert (maps.eigval[0] == 0).all()
         assert (np.abs(maps.maps.data[:, 0]) == 0).all()
 
+    def test_readouts_are_independent(self, small_scene, monkeypatch):
+        """Every readout starts from the same vector: with the kernels of
+        the first readout that has any dropped, every other readout's maps
+        are bit for bit those of the unpatched call."""
+        ref = small_scene["maps"]  # kernel 5 on the 48x48 mask grid
+        has_kernels = ref.eigval.any(axis=(1, 2))
+        ix = int(np.argmax(has_kernels))
+        assert has_kernels[ix] and has_kernels[ix + 1]
+        row_space, readout = espirit._row_space, iter(range(len(has_kernels)))
+
+        def drop_readout_ix(*args):
+            kern = row_space(*args)
+            return kern[:0] if next(readout) == ix else kern
+
+        monkeypatch.setattr(espirit, "_row_space", drop_readout_ix)
+        got = espirit_maps(small_scene["acs"], kernel_size=5,
+                           out_extents=(48, 48))
+        assert (got.eigval[ix] == 0).all()
+        others = np.arange(len(has_kernels)) != ix
+        assert np.array_equal(got.maps.data[:, others], ref.maps.data[:, others])
+        assert np.array_equal(got.eigval[others], ref.eigval[others])
+
     def test_low_resolution_default_grid(self):
         ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))
         mask = make_uniform_mask(

@@ -116,6 +116,10 @@ def pair_rows(ts):
     return ts.valid[0::2].reshape(ts.out_channels // 2, -1).sum(axis=1)
 
 
+BOX = centered_acs_box((12, 12), (8, 8))
+CAIPI = make_uniform_mask((12, 12), 2, 2, shift=1, acs_box=BOX)
+
+
 class TestProblemValidation:
     def test_unknown_mode(self, small_scene):
         s = small_scene
@@ -132,6 +136,40 @@ class TestProblemValidation:
         with pytest.raises(GeometryError):
             ReconProblem(s["masked"], (s["mask"], s["mask"]), "eraki", CFG,
                          maps=s["maps"])
+
+    def test_no_mask_is_geometry_error(self, small_scene):
+        s = small_scene
+        with pytest.raises(GeometryError, match="first mask, None"):
+            ReconProblem(s["masked"], (), "eraki", CFG, maps=s["maps"])
+
+    @staticmethod
+    def _echoes(masks, maps):
+        """A problem over zero k-space holding one echo per mask."""
+        mask = masks[0]
+        k = np.zeros((2, len(masks), 4, *mask.extents), dtype=np.complex128)
+        return ReconProblem(CTensor(k, ("coil", "echo", "kx", *mask.axes)),
+                            masks, "eraki", CFG, maps=maps)
+
+    @pytest.mark.parametrize("masks", [
+        (CAIPI, make_uniform_mask((12, 12), 3, 1, acs_box=BOX)),
+        (CAIPI, replace(CAIPI, shift=0,
+                        acs_box=centered_acs_box((12, 12), (6, 6)))),
+        (CAIPI,) * 3,
+    ], ids=["other-r", "other-acs-box", "unshifted-repeat"])
+    def test_echo_masks_must_be_the_echo_shifts_of_the_first(
+            self, small_scene, masks):
+        """Training reads mask 0's lattice and ACS box for every echo."""
+        with pytest.raises(GeometryError, match=r"echo shifts of the first "
+                           r"mask, SamplingMask\(extents=\(12, 12\)"):
+            self._echoes(masks, small_scene["maps"])
+
+    @pytest.mark.parametrize("base", [
+        CAIPI, make_elliptical_mask((12, 12), 2, 2, shift=1, acs_box=BOX),
+        make_kyt_mask(12, 12, 3, shift=1, acs_box=BOX),
+    ], ids=["uniform", "elliptical", "kyt"])
+    def test_echo_shifted_masks_are_accepted(self, small_scene, base):
+        p = self._echoes(echo_shifted_masks(base, 3), small_scene["maps"])
+        assert p.n_echoes == 3
 
     @pytest.mark.parametrize("mode", ["raki_percoil", "eraki"])
     def test_kspace_extents_must_match_mask(self, small_scene, mode):
