@@ -7,14 +7,19 @@ suite). Complex k-space enters as stacked real/imaginary channels; the
 network itself is real.
 
 Inputs carry a leading batch axis, [B, C, X, Y, Z]; one sample
-[C, X, Y, Z] is a batch of one. Every convolution is one GEMM over its
-unfolded kernel windows (im2col), and its input gradient a col2im
-scatter. ``train`` fits only the (p1, p2) output columns that hold a
-target: once per call it gathers their receptive-field patches into a
+[C, X, Y, Z] is a batch of one. Inside, the engine works in
+[C, X, Y, Z, B], the batch innermost, so each offset of a kernel window
+is one slice whose innermost runs are whole (Z, B) rows. Every
+convolution is one GEMM over its unfolded kernel windows (im2col), and
+its input gradient a col2im sum of those slices; ``backward`` takes the
+kernel gradients from the unfolded matrices of the forward pass.
+``train`` fits only the (p1, p2) output columns that hold a target: once
+per call it gathers their receptive-field patches, the columns as the
 batch, unfolds layer 0's window over them into one column matrix, and
 steps a model whose layer 0 is the same weights as a 1x1x1 conv over that
 matrix. ``predict_columns`` runs inference over blocks of columns the same
-way, every model of a list on each block's one column matrix.
+way, every model of a list on each block's one column matrix, its layer 0
+and linear branch one GEMM.
 
 The engine computes in the dtype of its input: float32 input stays
 float32 (the weights are cast to it), any other input becomes float64.
@@ -42,10 +47,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def receptive_field(kernel_sizes) -> tuple[int, int, int]:
     """Input extent one output sample sees through a stack of valid convs."""
-    rf = np.ones(3, dtype=int)
+    rf = (1, 1, 1)
     for ks in kernel_sizes:
-        rf += np.array(ks) - 1
-    return tuple(int(r) for r in rf)
+        rf = tuple(r + int(k) - 1 for r, k in zip(rf, ks))
+    return rf
 
 
 def branch_offset(kernel_sizes) -> tuple[int, int, int]:
@@ -158,7 +163,7 @@ def init_model(in_channels: int, out_channels: int, cfg: TrainConfig) -> ModelWe
 
 
 def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
-    """Input as the engine's layout [in_ch, B, X, Y, Z], float32 if it came
+    """Input as the engine's layout [in_ch, X, Y, Z, B], float32 if it came
     as float32 and float64 otherwise, and whether it came as one sample
     [in_ch, X, Y, Z] rather than a batch [B, in_ch, X, Y, Z].
     """
@@ -179,7 +184,11 @@ def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
 
 
 def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
-    """``model`` with its weights in ``dtype``, sharing those already in it."""
+    """``model`` with its weights in ``dtype``: ``model`` itself if they all are."""
+    layers = [*model.layers, *filter(None, [model.linear])]
+    if all(a.dtype == dtype for l in layers for a in (l.kernel, l.bias)):
+        return model
+
     def cast(l):
         return ConvLayer(l.kernel.astype(dtype, copy=False),
                          l.bias.astype(dtype, copy=False), l.relu)
@@ -188,66 +197,81 @@ def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
 
 
 def _inside(a: np.ndarray, single: bool) -> np.ndarray:
-    """[B, C, X, Y, Z] (or one [C, X, Y, Z]) -> channel-first [C, B, X, Y, Z]."""
-    return a[:, None] if single else a.swapaxes(0, 1)
+    """[B, C, X, Y, Z] (or one [C, X, Y, Z]) -> the engine's [C, X, Y, Z, B]."""
+    return a[..., None] if single else a.transpose(1, 2, 3, 4, 0)
 
 
 def _outside(h: np.ndarray, single: bool) -> np.ndarray:
-    return h[:, 0] if single else h.swapaxes(0, 1)
+    return h[..., 0] if single else h.transpose(4, 0, 1, 2, 3)
 
 
 def _unfold(h: np.ndarray, ks) -> np.ndarray:
-    """[C, B, X, Y, Z] -> kernel windows [C*k1*k2*k3, B, o1, o2, o3] (im2col).
+    """[C, X, Y, Z, B] -> kernel windows [C*k1*k2*k3, o1, o2, o3, B] (im2col).
 
     Features run in ``kernel.reshape(out_ch, -1)`` order; a 1x1x1 window
-    is the input itself.
+    is the input itself. Each window offset is one slice copy, whose
+    innermost runs are whole (o3, B) rows of the input.
     """
     if tuple(ks) == (1, 1, 1):
         return h
-    win = np.lib.stride_tricks.sliding_window_view(h, tuple(ks), axis=(2, 3, 4))
-    return win.transpose(0, 5, 6, 7, 1, 2, 3, 4).reshape(-1, *win.shape[1:5])
+    o1, o2, o3 = (n - k + 1 for n, k in zip(h.shape[1:4], ks))
+    cols = np.empty((h.shape[0], *ks, o1, o2, o3, h.shape[4]), dtype=h.dtype)
+    for a, b, c in np.ndindex(*ks):
+        cols[:, a, b, c] = h[:, a : a + o1, b : b + o2, c : c + o3]
+    return cols.reshape(-1, *cols.shape[4:])
 
 
 def _fold(dcols: np.ndarray, ks, shape) -> np.ndarray:
     """Adjoint of ``_unfold`` (col2im): add window gradients onto the input grid."""
     if tuple(ks) == (1, 1, 1):
         return dcols.reshape(shape)
-    o1, o2, o3 = dcols.shape[2:]
+    o1, o2, o3 = dcols.shape[1:4]
     d = dcols.reshape(shape[0], *ks, *dcols.shape[1:])
     dx = np.zeros(shape, dtype=dcols.dtype)
     for a, b, c in np.ndindex(*ks):
-        dx[:, :, a : a + o1, b : b + o2, c : c + o3] += d[:, a, b, c]
+        dx[:, a : a + o1, b : b + o2, c : c + o3] += d[:, a, b, c]
     return dx
 
 
-def _conv(h: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Valid convolution of [C, B, X, Y, Z]: one GEMM over its unfolded windows."""
+def _gemm(layer: ConvLayer, cols: np.ndarray) -> np.ndarray:
+    """A layer over its unfolded windows [F, o1, o2, o3, B]: [out_ch, o1, o2, o3, B]."""
     oc = layer.kernel.shape[0]
-    cols = _unfold(h, layer.kernel.shape[2:])
     out = layer.kernel.reshape(oc, -1) @ cols.reshape(cols.shape[0], -1)
     out += layer.bias[:, None]
     return out.reshape(oc, *cols.shape[1:])
 
 
 def _activations(model: ModelWeights, h: np.ndarray):
-    """Input and every layer's output, all [C, B, X, Y, Z], and the model's
-    output: the last of them plus the linear branch."""
-    acts = [h]
-    for layer in model.layers:
-        h = _conv(h, layer)
+    """The model on [C, X, Y, Z, B]: every layer's unfolded input, every
+    activation (the input first) and the model's output, the last
+    activation plus the linear branch. Layer 0 and the branch read the same
+    windows, so they are one GEMM whose rows are split."""
+    first = model.layers[0]
+    if model.linear is not None:
+        first = ConvLayer(np.concatenate([first.kernel, model.linear.kernel]),
+                          np.concatenate([first.bias, model.linear.bias]), False)
+    cols = [_unfold(h, first.kernel.shape[2:])]
+    both = _gemm(first, cols[0])
+    oc = model.layers[0].kernel.shape[0]
+    h, acts = both[:oc], [h]
+    for li, layer in enumerate(model.layers):
+        if li:
+            cols.append(_unfold(h, layer.kernel.shape[2:]))
+            h = _gemm(layer, cols[-1])
         if layer.relu:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return acts, h if model.linear is None else h + _branch(model, acts[0], h.shape[2:])
+    if model.linear is None:
+        return cols, acts, h
+    return cols, acts, h + _crop_branch(model, both[oc:], h.shape[1:4])
 
 
-def _branch(model: ModelWeights, h: np.ndarray, out) -> np.ndarray:
-    """The linear branch on [C, B, X, Y, Z] at the stack's output extents
-    ``out``, read at ``branch_offset``. The output is cropped, not the
-    input: that would copy ``predict_columns``' column matrix."""
+def _crop_branch(model: ModelWeights, b: np.ndarray, out) -> np.ndarray:
+    """The linear branch's output ``b`` [C, X, Y, Z, B] at the stack's
+    output extents ``out``, read at ``branch_offset``. The output is
+    cropped, not the input: that would copy the column matrix."""
     lo = branch_offset([l.kernel.shape[2:] for l in model.layers])
-    return _conv(h, model.linear)[(slice(None),) * 2 + tuple(
-        slice(a, a + o) for a, o in zip(lo, out))]
+    return b[(slice(None), *(slice(a, a + o) for a, o in zip(lo, out)))]
 
 
 def forward(model: ModelWeights, x: np.ndarray,
@@ -259,7 +283,7 @@ def forward(model: ModelWeights, x: np.ndarray,
     ``relu``. Output extents are the input minus (receptive field - 1).
     """
     h, single = _as_batch(model, x)
-    acts, out = _activations(_in_dtype(model, h.dtype), h)
+    _, acts, out = _activations(_in_dtype(model, h.dtype), h)
     out = _outside(out, single)
     if keep_activations:
         return out, [_outside(a, single) for a in acts]
@@ -269,7 +293,8 @@ def forward(model: ModelWeights, x: np.ndarray,
 def _weight_norm(model: ModelWeights) -> float:
     total = 0.0
     for layer in model.layers:
-        total += float(np.sum(layer.kernel**2)) + float(np.sum(layer.bias**2))
+        total += float(np.vdot(layer.kernel, layer.kernel))
+        total += float(np.vdot(layer.bias, layer.bias))
     return float(np.sqrt(total))
 
 
@@ -281,16 +306,19 @@ def _data_term(pred: np.ndarray, target: np.ndarray, alpha: float,
     e = pred - target
     if valid is not None:
         mask = np.broadcast_to(valid, e.shape)
-        n = int(mask.sum())
+        n = int(np.count_nonzero(mask))
         if n == 0:
             raise GeometryError("validity mask excludes every position")
         e = np.where(mask, e, 0.0)
     else:
         n = e.size
-    l1 = float(np.sum(np.abs(e))) / n
     msq = float(np.sum(e**2)) / n
     rms = float(np.sqrt(msq))
-    return e, n, rms, alpha * l1 + (1 - alpha) * (msq if squared_l2 else rms)
+    data = (1 - alpha) * (msq if squared_l2 else rms)
+    if alpha:  # the L1 term
+        l1 = float(np.sum(np.abs(e))) / n
+        data = alpha * l1 + data
+    return e, n, rms, data
 
 
 def _penalty(model: ModelWeights | None, beta: float, squared_l2: bool):
@@ -325,7 +353,7 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     """
     h, single = _as_batch(model, x)
     model = _in_dtype(model, h.dtype)
-    acts, pred = _activations(model, h)
+    cols, acts, pred = _activations(model, h)
     pred = _outside(pred, single)
     e, n, rms, data = _data_term(pred, np.asarray(target, dtype=h.dtype), alpha,
                                  valid, squared_l2)
@@ -345,14 +373,16 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         layer = model.layers[li]
         if layer.relu:
             gout = gout * (acts[li + 1] > 0)
-        oc, ks = layer.kernel.shape[0], layer.kernel.shape[2:]
+        oc = layer.kernel.shape[0]
         w = layer.kernel.reshape(oc, -1)
-        cols = _unfold(acts[li], ks)
         g2 = gout.reshape(oc, -1)
-        dk = (g2 @ cols.reshape(w.shape[1], -1).T).reshape(layer.kernel.shape)
+        # the windows as the GEMM's left operand: for layer 0's wide
+        # matrix 2.4x as fast as g2 @ cols.T (OpenBLAS, 2-core Xeon)
+        dk = (cols[li].reshape(w.shape[1], -1) @ g2.T).T.reshape(layer.kernel.shape)
         grads[li] = (dk, g2.sum(axis=1))
         if li > 0:
-            gout = _fold((w.T @ g2).reshape(cols.shape), ks, acts[li].shape)
+            gout = _fold((w.T @ g2).reshape(cols[li].shape),
+                         layer.kernel.shape[2:], acts[li].shape)
 
     reg, scale = _penalty(model, beta, squared_l2)
     if beta > 0:
@@ -367,20 +397,20 @@ def _layer0_columns(h: np.ndarray, idx, ks, rf) -> np.ndarray:
 
     An output column is one (batch, p1, p2) position of the stack's output
     across the whole third axis; ``idx`` holds their (b, u, v) index
-    arrays into ``h`` [C, B, X, Y, Z]. Each column's receptive-field patch
-    is gathered into a batch and unfolded by layer 0's kernel window ``ks``:
-    [C*k1*k2*k3, n, d1, d2, o3] with d = rf - ks + 1, on which layer 0 acts
-    as a 1x1x1 conv (``_flat_first``).
+    arrays into ``h`` [C, X, Y, Z, B]. Each column's receptive-field patch
+    is gathered, laid out with the columns innermost and unfolded by layer
+    0's kernel window ``ks``: [C*k1*k2*k3, d1, d2, o3, n] with d = rf - ks
+    + 1, on which layer 0 acts as a 1x1x1 conv (``_flat_first``).
     """
     b, u, v = (np.asarray(i)[:, None, None] for i in idx)
-    patches = h[:, b, u + np.arange(rf[0])[:, None], v + np.arange(rf[1])]
-    # a 1x1x1 window returns the patches, which fancy indexing lays out
-    # column-first; every step's GEMM wants the features first
-    return np.ascontiguousarray(_unfold(patches, ks))
+    # [n, rf[0], rf[1], C, Z]: gathered in runs along Z, faster than
+    # indexing all four axes at once into the final layout
+    patches = h[:, u + np.arange(rf[0])[:, None], v + np.arange(rf[1]), :, b]
+    return _unfold(np.ascontiguousarray(patches.transpose(3, 1, 2, 4, 0)), ks)
 
 
 def _out_extents(h: np.ndarray, rf) -> tuple[int, int, int]:
-    return tuple(n - r + 1 for n, r in zip(h.shape[2:], rf))
+    return tuple(n - r + 1 for n, r in zip(h.shape[1:4], rf))
 
 
 def _flat_first(model: ModelWeights) -> ModelWeights:
@@ -392,9 +422,9 @@ def _flat_first(model: ModelWeights) -> ModelWeights:
 
 
 def _columns_of(a: np.ndarray, idx) -> np.ndarray:
-    """Output columns ``idx`` of [C, B, ou, ov, oz] as a batch [n, C, 1, 1, oz]."""
-    cols = np.ascontiguousarray(a[:, idx[0], idx[1], idx[2]])  # [C, n, oz]
-    return cols[:, :, None, None].swapaxes(0, 1)
+    """Output columns ``idx`` of [C, ou, ov, oz, B] as [C, 1, 1, oz, n]."""
+    b, u, v = idx
+    return a[:, u, v, np.arange(a.shape[3])[:, None], b][:, None, None]
 
 
 def _flat_params(model: ModelWeights) -> np.ndarray:
@@ -425,7 +455,9 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     ``x`` trains in float32 throughout: the warm start and the targets are
     cast once. The kernels and biases are views into one flat vector, and
     each step is Adam's update equations (Kingma & Ba, arXiv:1412.6980) on
-    it, the gradients concatenated in its order. Returns (trained
+    it, the gradients concatenated in its order and the weight penalty's
+    gradient added to them there, as ``backward`` would add it to each
+    array. Returns (trained
     float64 model, loss history). Aborts with the step index on a
     non-finite loss, before the first step if the stack's warm start is
     not finite in the input's dtype, and after the last if the weights it
@@ -435,7 +467,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     rf = model.receptive_field
     out = _out_extents(h, rf)
     shape = (model.out_channels, *out) if single else (
-        h.shape[1], model.out_channels, *out)
+        h.shape[4], model.out_channels, *out)
     kshape = model.layers[0].kernel.shape
     # values beyond float32's range become inf: the weight check below, or
     # the non-finite loss of the first step for a target that counts
@@ -446,10 +478,10 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         raise GeometryError(f"pred {shape} vs target {target.shape}")
     target = _inside(target, single)
     if valid is None:
-        keep = np.ones((h.shape[1], *out[:2]), dtype=bool)
+        keep = np.ones((h.shape[4], *out[:2]), dtype=bool)
     else:
         valid = _inside(np.broadcast_to(valid, shape), single)
-        keep = valid.any(axis=(0, 4))
+        keep = valid.any(axis=(0, 3)).transpose(2, 0, 1)
         if not keep.any():
             raise GeometryError("validity mask excludes every position")
     idx = np.nonzero(keep)
@@ -457,10 +489,12 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     target = _columns_of(target, idx)
     if flat.linear is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            target -= _branch(flat, cols, target.shape[2:]).swapaxes(0, 1)
-    cols = cols.swapaxes(0, 1)
+            target -= _crop_branch(flat, _gemm(flat.linear, cols), target.shape[1:4])
+    # the steps' batches [n, C, ...]: views whose engine layout is the
+    # contiguous [C, ..., n] arrays
+    cols, target = _outside(cols, False), _outside(target, False)
     if valid is not None:
-        valid = _columns_of(valid, idx)
+        valid = _outside(_columns_of(valid, idx), False)
 
     stack = ModelWeights(flat.layers)
     theta = _flat_params(stack)
@@ -473,14 +507,16 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     for step in range(1, cfg.iterations + 1):
         # a diverging run ends in the NumericalError below, not in warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grads = backward(
-                stack, cols, target, cfg.alpha, cfg.beta, valid=valid,
-                squared_l2=cfg.squared_l2,
-            )
+            value, grads = backward(stack, cols, target, cfg.alpha, 0.0,
+                                    valid=valid, squared_l2=cfg.squared_l2)
+            g = np.concatenate([d.ravel() for pair in grads for d in pair])
+            if cfg.beta > 0:  # the penalty as backward adds it, on the flat vector
+                reg, scale = _penalty(stack, cfg.beta, cfg.squared_l2)
+                value += reg
+                g += scale * theta
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss at step {step}")
             history.append(value)
-            g = np.concatenate([d.ravel() for pair in grads for d in pair])
             m = b1 * m + g * (1 - b1)
             v = b2 * v + g * (1 - b2) * g
             theta -= m / (1 - b1**step) * lr / (np.sqrt(v / (1 - b2**step)) + eps)
@@ -514,14 +550,14 @@ def predict_columns(models: list[ModelWeights], x: np.ndarray):
     ou, ov, _ = _out_extents(h, rf)
     flats = [_in_dtype(_flat_first(m), h.dtype) for m in models]
     per_column = (flats[0].in_channels * (rf[0] - ks[0] + 1)
-                  * (rf[1] - ks[1] + 1) * (h.shape[4] - ks[2] + 1))
+                  * (rf[1] - ks[1] + 1) * (h.shape[3] - ks[2] + 1))
     block = max(1, COLUMN_BLOCK // per_column)
-    columns = (h.shape[1], ou, ov)
+    columns = (h.shape[4], ou, ov)
     total = int(np.prod(columns))
     for start in range(0, total, block):
         sl = slice(start, min(start + block, total))
         idx = np.unravel_index(np.arange(sl.start, sl.stop), columns)
-        cols = _layer0_columns(h, idx, ks, rf).swapaxes(0, 1)
+        cols = _outside(_layer0_columns(h, idx, ks, rf), False)
         # forward gives [n, C, 1, 1, oz]
         yield sl, [forward(f, cols)[:, :, 0, 0].swapaxes(0, 1) for f in flats]
 

@@ -3,10 +3,11 @@
 The coils' target sets share their input and validity mask, so the ridge
 warm start is one solve per (re, im) pair for all coils, and inference
 unfolds each block of layer-0 columns once for all models. Training keeps
-its weights in one flat vector and steps Adam in place. Each is compared
-with the formula it replaced, kept here as the reference: the per-coil
-ridge and training to rounding, the per-array Adam loop and the whole-grid
-scatter bit for bit.
+its weights in one flat vector and steps Adam in place, in a layout with
+the columns innermost. Each is compared with the formula it replaced, kept
+here as the reference: the per-coil ridge, training and the trainer of the
+[C, B, X, Y, Z] layout to rounding, the per-array Adam loop and the
+whole-grid scatter bit for bit.
 """
 
 from dataclasses import replace
@@ -14,12 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rakikit import (CTensor, TrainConfig, build_targets, infer,
-                     init_model, linear_init, train, train_eraki, train_raki)
+from rakikit import (ConvLayer, CTensor, ReconProblem, TrainConfig,
+                     build_targets, infer, init_model, linear_init, train,
+                     train_eraki, train_raki)
 from rakikit import nn_engine, recon_models
 from rakikit.nn_engine import (_as_batch, _columns_of, _flat_first, _in_dtype,
                                _inside, _layer0_columns, _out_extents,
-                               backward)
+                               _outside, backward, branch_offset)
 from rakikit.recon_models import _model_input, _ridge_solutions, _target_sets
 from rakikit.sampling import cell_offsets, internal_view
 
@@ -187,14 +189,15 @@ def train_per_array(model, x, target, cfg, valid):
     h, single = _as_batch(model, x)
     rf = model.receptive_field
     out = _out_extents(h, rf)
-    shape = (h.shape[1], model.out_channels, *out)
+    shape = (h.shape[4], model.out_channels, *out)
     kshape = model.layers[0].kernel.shape
     target = _inside(np.asarray(target).astype(h.dtype), single)
     model = _in_dtype(_flat_first(model), h.dtype)
     valid = _inside(np.broadcast_to(valid, shape), single)
-    idx = np.nonzero(valid.any(axis=(0, 4)))
-    cols = _layer0_columns(h, idx, kshape[2:], rf).swapaxes(0, 1)
-    target, valid = _columns_of(target, idx), _columns_of(valid, idx)
+    idx = np.nonzero(valid.any(axis=(0, 3)).transpose(2, 0, 1))
+    cols = _outside(_layer0_columns(h, idx, kshape[2:], rf), False)
+    target = _outside(_columns_of(target, idx), False)
+    valid = _outside(_columns_of(valid, idx), False)
     params = [p for layer in model.layers for p in (layer.kernel, layer.bias)]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -239,6 +242,136 @@ def test_flat_adam_equals_per_array_loop(dtype, objective):
         assert a.kernel.dtype == np.float64
         assert np.array_equal(a.kernel, b.kernel)
         assert np.array_equal(a.bias, b.bias)
+
+
+# ---------------------------------------------------------------------------
+# the [C, B, X, Y, Z] layout that the columns-innermost one replaced
+
+
+def unfold_batch_second(h, ks):
+    """[C, B, X, Y, Z] -> kernel windows [C*k1*k2*k3, B, o1, o2, o3]."""
+    if tuple(ks) == (1, 1, 1):
+        return h
+    win = np.lib.stride_tricks.sliding_window_view(h, tuple(ks), axis=(2, 3, 4))
+    return win.transpose(0, 5, 6, 7, 1, 2, 3, 4).reshape(-1, *win.shape[1:5])
+
+
+def fold_batch_second(dcols, ks, shape):
+    if tuple(ks) == (1, 1, 1):
+        return dcols.reshape(shape)
+    o1, o2, o3 = dcols.shape[2:]
+    d = dcols.reshape(shape[0], *ks, *dcols.shape[1:])
+    dx = np.zeros(shape, dtype=dcols.dtype)
+    for a, b, c in np.ndindex(*ks):
+        dx[:, :, a : a + o1, b : b + o2, c : c + o3] += d[:, a, b, c]
+    return dx
+
+
+def gemm_batch_second(layer, cols):
+    oc = layer.kernel.shape[0]
+    out = layer.kernel.reshape(oc, -1) @ cols.reshape(cols.shape[0], -1)
+    out += layer.bias[:, None]
+    return out.reshape(oc, *cols.shape[1:])
+
+
+def train_batch_second(model, x, target, cfg, valid):
+    """``train`` of one float32 sample [C, X, Y, Z] as it was in the
+    [C, B, X, Y, Z] layout, the target-carrying columns as the batch, for
+    the squared-L2 data term: unfolded again for each kernel gradient, and
+    one Adam update per kernel and bias array."""
+    assert cfg.alpha == 0 and cfg.squared_l2 and x.dtype == np.float32
+    rf, kshape = model.receptive_field, model.layers[0].kernel.shape
+    u, v = (i[:, None, None] for i in np.nonzero(valid.any(axis=(0, 3))))
+    patches = x[:, u + np.arange(rf[0])[:, None], v + np.arange(rf[1])]
+    cols = np.ascontiguousarray(unfold_batch_second(patches, kshape[2:]))
+
+    def flat(layer):
+        k = layer.kernel.astype(np.float32)
+        return ConvLayer(k.reshape(k.shape[0], -1, 1, 1, 1),
+                         layer.bias.astype(np.float32), layer.relu)
+
+    layers = [flat(model.layers[0])] + [
+        ConvLayer(l.kernel.astype(np.float32), l.bias.astype(np.float32), l.relu)
+        for l in model.layers[1:]]
+    u, v = u[:, 0, 0], v[:, 0, 0]
+    target = np.ascontiguousarray(target.astype(np.float32)[:, u, v])[:, :, None, None]
+    valid = np.ascontiguousarray(valid[:, u, v])[:, :, None, None]
+    lo = branch_offset([l.kernel.shape[2:] for l in model.layers])
+    target -= gemm_batch_second(flat(model.linear), cols)[
+        :, :, lo[0] : lo[0] + 1, lo[1] : lo[1] + 1, lo[2] : lo[2] + target.shape[4]]
+
+    params = [p for layer in layers for p in (layer.kernel, layer.bias)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    history = []
+    b1, b2, eps = nn_engine.ADAM_BETA1, nn_engine.ADAM_BETA2, nn_engine.ADAM_EPS
+    lr = cfg.learning_rate
+    n = int(valid.sum())
+    for step in range(1, cfg.iterations + 1):
+        acts = [cols]
+        for layer in layers:
+            h = gemm_batch_second(layer, unfold_batch_second(acts[-1],
+                                                            layer.kernel.shape[2:]))
+            if layer.relu:
+                np.maximum(h, 0.0, out=h)
+            acts.append(h)
+        e = np.where(valid, acts[-1] - target, 0.0)
+        norm = sum(float(np.sum(p**2)) for p in params)
+        history.append(float(np.sum(e**2)) / n + cfg.beta * float(np.sqrt(norm))**2)
+        gout = 2.0 * e / n
+        grads = []
+        for li in range(len(layers) - 1, -1, -1):
+            layer = layers[li]
+            if layer.relu:
+                gout = gout * (acts[li + 1] > 0)
+            oc, ks = layer.kernel.shape[0], layer.kernel.shape[2:]
+            w = layer.kernel.reshape(oc, -1)
+            c = unfold_batch_second(acts[li], ks)
+            g2 = gout.reshape(oc, -1)
+            dk = (g2 @ c.reshape(w.shape[1], -1).T).reshape(layer.kernel.shape)
+            grads[:0] = [dk, g2.sum(axis=1)]
+            if li > 0:
+                gout = fold_batch_second((w.T @ g2).reshape(c.shape), ks,
+                                         acts[li].shape)
+        for i, (p, g) in enumerate(zip(params, grads)):
+            g += 2.0 * cfg.beta * p
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            p -= lr * (m[i] / (1 - b1**step)) / (np.sqrt(v[i] / (1 - b2**step)) + eps)
+        lr *= cfg.lr_decay
+    layers[0].kernel = layers[0].kernel.reshape(kshape)
+    return layers, history
+
+
+# the benchmark's desk scene settings (perfbench/scenes.py) at 20 steps
+DESK = TrainConfig(alpha=0.0, beta=1e-4, squared_l2=True, learning_rate=1e-4,
+                   lr_decay=0.998, iterations=20, widths=(16,) * 4, seed=5,
+                   kernel_sizes=nn_engine.DEFAULT_KERNELS)
+
+
+@pytest.mark.parametrize("mode", ["eraki", "raki_percoil"])
+def test_train_equals_batch_second_layout(small_scene, mode, monkeypatch):
+    """On the desk scene, eRAKI's combined set and each coil's set train
+    as in the [C, B, X, Y, Z] layout, to float32 rounding."""
+    calls = []
+
+    def recorded(model, x, target, cfg, valid=None):
+        got = train(model, x, target, cfg, valid=valid)
+        calls.append((model, x, target, valid, got))
+        return got
+
+    monkeypatch.setattr(recon_models, "train", recorded)
+    s = small_scene
+    problem = ReconProblem(s["masked"], (s["mask"],), mode, DESK, maps=s["maps"])
+    (train_eraki if mode == "eraki" else train_raki)(problem)
+    assert len(calls) == (1 if mode == "eraki" else problem.n_coils)
+    for model, x, target, valid, (got, hist) in calls:
+        want, want_hist = train_batch_second(model, x, target, DESK, valid)
+        assert len(hist) == DESK.iterations
+        assert rel(np.array(hist), np.array(want_hist)) <= 1e-5
+        for a, b in zip(got.layers, want, strict=True):
+            assert rel(a.kernel, b.kernel) <= 1e-5
+            assert rel(a.bias, b.bias) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,23 @@ class TestEquivalence:
         assert_rel(pred, ref_pred)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ks=st.tuples(*[st.integers(1, 4)] * 3),
+       extra=st.tuples(*[st.integers(0, 3)] * 3), channels=st.integers(1, 3),
+       batch=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_unfold_and_fold_are_adjoint(ks, extra, channels, batch, seed):
+    """<unfold(x), y> == <x, fold(y)> in the engine's [C, X, Y, Z, B]
+    layout, even kernel extents and a batch of one included."""
+    rng = np.random.default_rng(seed)
+    shape = (channels, *(k + e for k, e in zip(ks, extra)), batch)
+    x = rng.standard_normal(shape)
+    cols = nn_engine._unfold(x, ks)
+    assert cols.shape == (channels * int(np.prod(ks)), *(e + 1 for e in extra), batch)
+    y = rng.standard_normal(cols.shape)
+    gap = np.vdot(cols, y) - np.vdot(x, nn_engine._fold(y, ks, shape))
+    assert abs(gap) <= 1e-12 * np.linalg.norm(cols) * np.linalg.norm(y)
+
+
 class TestColumnCache:
     """train unfolds layer 0 once, over the target-carrying columns only."""
 
@@ -557,12 +574,12 @@ class TestColumnCache:
         assert sorted(zip(u.tolist(), v.tolist())) == list(zip(*np.nonzero(carrying)))
         assert (1, 4) not in set(zip(u.tolist(), v.tolist()))
         assert (3, 4) in set(zip(u.tolist(), v.tolist()))
-        # [C*k1*k2*k3, column, 1, 1, o3]: each column's layer-0 windows
-        assert cols.shape == (2 * 2 * 2 * 3, len(u), 1, 1, 9 - 3 + 1)
+        # [C*k1*k2*k3, 1, 1, o3, column]: each column's layer-0 windows
+        assert cols.shape == (2 * 2 * 2 * 3, 1, 1, 9 - 3 + 1, len(u))
         for i, (ui, vi) in enumerate(zip(u, v)):
-            for w in range(cols.shape[-1]):
+            for w in range(cols.shape[3]):
                 np.testing.assert_array_equal(
-                    cols[:, i, 0, 0, w], x[:, ui : ui + 2, vi : vi + 2, w : w + 3].ravel())
+                    cols[:, 0, 0, w, i], x[:, ui : ui + 2, vi : vi + 2, w : w + 3].ravel())
 
     def test_blocked_inference_equals_one_forward(self, monkeypatch):
         """Criterion-04 scene (8 coils, 32x96x96, R=3x3): predict_columns'
