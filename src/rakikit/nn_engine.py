@@ -47,10 +47,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def receptive_field(kernel_sizes) -> tuple[int, int, int]:
     """Input extent one output sample sees through a stack of valid convs."""
-    rf = (1, 1, 1)
+    rf = np.ones(3, dtype=int)
     for ks in kernel_sizes:
-        rf = tuple(r + int(k) - 1 for r, k in zip(rf, ks))
-    return rf
+        rf += np.array(ks) - 1
+    return tuple(int(r) for r in rf)
 
 
 def branch_offset(kernel_sizes) -> tuple[int, int, int]:
@@ -71,7 +71,7 @@ class ConvLayer:
 @dataclass
 class ModelWeights:
     layers: list[ConvLayer]
-    linear: ConvLayer | None = None  # added to the stack's output (``_branch``)
+    linear: ConvLayer | None = None  # added to the stack's output (``_activations``)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -184,11 +184,7 @@ def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
 
 
 def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
-    """``model`` with its weights in ``dtype``: ``model`` itself if they all are."""
-    layers = [*model.layers, *filter(None, [model.linear])]
-    if all(a.dtype == dtype for l in layers for a in (l.kernel, l.bias)):
-        return model
-
+    """``model`` with its weights in ``dtype``, sharing those already in it."""
     def cast(l):
         return ConvLayer(l.kernel.astype(dtype, copy=False),
                          l.bias.astype(dtype, copy=False), l.relu)
@@ -455,9 +451,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     ``x`` trains in float32 throughout: the warm start and the targets are
     cast once. The kernels and biases are views into one flat vector, and
     each step is Adam's update equations (Kingma & Ba, arXiv:1412.6980) on
-    it, the gradients concatenated in its order and the weight penalty's
-    gradient added to them there, as ``backward`` would add it to each
-    array. Returns (trained
+    it, the gradients concatenated in its order. Returns (trained
     float64 model, loss history). Aborts with the step index on a
     non-finite loss, before the first step if the stack's warm start is
     not finite in the input's dtype, and after the last if the weights it
@@ -507,16 +501,14 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     for step in range(1, cfg.iterations + 1):
         # a diverging run ends in the NumericalError below, not in warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grads = backward(stack, cols, target, cfg.alpha, 0.0,
-                                    valid=valid, squared_l2=cfg.squared_l2)
-            g = np.concatenate([d.ravel() for pair in grads for d in pair])
-            if cfg.beta > 0:  # the penalty as backward adds it, on the flat vector
-                reg, scale = _penalty(stack, cfg.beta, cfg.squared_l2)
-                value += reg
-                g += scale * theta
+            value, grads = backward(
+                stack, cols, target, cfg.alpha, cfg.beta, valid=valid,
+                squared_l2=cfg.squared_l2,
+            )
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss at step {step}")
             history.append(value)
+            g = np.concatenate([d.ravel() for pair in grads for d in pair])
             m = b1 * m + g * (1 - b1)
             v = b2 * v + g * (1 - b2) * g
             theta -= m / (1 - b1**step) * lr / (np.sqrt(v / (1 - b2**step)) + eps)

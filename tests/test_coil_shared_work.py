@@ -15,13 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rakikit import (ConvLayer, CTensor, ReconProblem, TrainConfig,
+from rakikit import (CTensor, ModelWeights, ReconProblem, TrainConfig,
                      build_targets, infer, init_model, linear_init, train,
                      train_eraki, train_raki)
 from rakikit import nn_engine, recon_models
-from rakikit.nn_engine import (_as_batch, _columns_of, _flat_first, _in_dtype,
-                               _inside, _layer0_columns, _out_extents,
-                               _outside, backward, branch_offset)
+from rakikit.nn_engine import (_as_batch, _columns_of, _crop_branch, _flat_first,
+                               _gemm, _in_dtype, _inside, _layer0_columns,
+                               _out_extents, _outside, backward)
 from rakikit.recon_models import _model_input, _ridge_solutions, _target_sets
 from rakikit.sampling import cell_offsets, internal_view
 
@@ -184,20 +184,25 @@ def test_eraki_one_solve_per_pair(kind, monkeypatch):
 # the flat, in-place Adam step
 
 
-def train_per_array(model, x, target, cfg, valid):
-    """``train`` as it was with one Adam update per kernel and bias array."""
+def train_per_array(model, x, target, cfg, valid, backward=backward):
+    """``train`` as it was with one Adam update per kernel and bias array,
+    stepping with ``backward``."""
     h, single = _as_batch(model, x)
     rf = model.receptive_field
     out = _out_extents(h, rf)
     shape = (h.shape[4], model.out_channels, *out)
-    kshape = model.layers[0].kernel.shape
+    kshape, linear = model.layers[0].kernel.shape, model.linear
     target = _inside(np.asarray(target).astype(h.dtype), single)
     model = _in_dtype(_flat_first(model), h.dtype)
     valid = _inside(np.broadcast_to(valid, shape), single)
     idx = np.nonzero(valid.any(axis=(0, 3)).transpose(2, 0, 1))
-    cols = _outside(_layer0_columns(h, idx, kshape[2:], rf), False)
-    target = _outside(_columns_of(target, idx), False)
+    cols = _layer0_columns(h, idx, kshape[2:], rf)
+    target = _columns_of(target, idx)
+    if linear is not None:
+        target -= _crop_branch(model, _gemm(model.linear, cols), target.shape[1:4])
+    cols, target = _outside(cols, False), _outside(target, False)
     valid = _outside(_columns_of(valid, idx), False)
+    model = ModelWeights(model.layers)
     params = [p for layer in model.layers for p in (layer.kernel, layer.bias)]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
@@ -217,7 +222,7 @@ def train_per_array(model, x, target, cfg, valid):
             p -= lr * mhat / (np.sqrt(vhat) + eps)
         lr *= cfg.lr_decay
     model.layers[0].kernel = model.layers[0].kernel.reshape(kshape)
-    return _in_dtype(model, np.float64), history
+    return _in_dtype(ModelWeights(model.layers, linear), np.float64), history
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -267,80 +272,43 @@ def fold_batch_second(dcols, ks, shape):
     return dx
 
 
-def gemm_batch_second(layer, cols):
-    oc = layer.kernel.shape[0]
-    out = layer.kernel.reshape(oc, -1) @ cols.reshape(cols.shape[0], -1)
-    out += layer.bias[:, None]
-    return out.reshape(oc, *cols.shape[1:])
+def backward_batch_second(model, x, target, alpha, beta, valid, squared_l2):
+    """``backward`` of the squared-L2 objective, for a model without a
+    linear branch, as it was in the [C, B, X, Y, Z] layout: each layer
+    unfolded again for its kernel gradient."""
+    assert alpha == 0 and squared_l2 and model.linear is None
 
+    def conv(layer, h):
+        oc, c = layer.kernel.shape[0], unfold_batch_second(h, layer.kernel.shape[2:])
+        out = layer.kernel.reshape(oc, -1) @ c.reshape(c.shape[0], -1)
+        return (out + layer.bias[:, None]).reshape(oc, *c.shape[1:])
 
-def train_batch_second(model, x, target, cfg, valid):
-    """``train`` of one float32 sample [C, X, Y, Z] as it was in the
-    [C, B, X, Y, Z] layout, the target-carrying columns as the batch, for
-    the squared-L2 data term: unfolded again for each kernel gradient, and
-    one Adam update per kernel and bias array."""
-    assert cfg.alpha == 0 and cfg.squared_l2 and x.dtype == np.float32
-    rf, kshape = model.receptive_field, model.layers[0].kernel.shape
-    u, v = (i[:, None, None] for i in np.nonzero(valid.any(axis=(0, 3))))
-    patches = x[:, u + np.arange(rf[0])[:, None], v + np.arange(rf[1])]
-    cols = np.ascontiguousarray(unfold_batch_second(patches, kshape[2:]))
-
-    def flat(layer):
-        k = layer.kernel.astype(np.float32)
-        return ConvLayer(k.reshape(k.shape[0], -1, 1, 1, 1),
-                         layer.bias.astype(np.float32), layer.relu)
-
-    layers = [flat(model.layers[0])] + [
-        ConvLayer(l.kernel.astype(np.float32), l.bias.astype(np.float32), l.relu)
-        for l in model.layers[1:]]
-    u, v = u[:, 0, 0], v[:, 0, 0]
-    target = np.ascontiguousarray(target.astype(np.float32)[:, u, v])[:, :, None, None]
-    valid = np.ascontiguousarray(valid[:, u, v])[:, :, None, None]
-    lo = branch_offset([l.kernel.shape[2:] for l in model.layers])
-    target -= gemm_batch_second(flat(model.linear), cols)[
-        :, :, lo[0] : lo[0] + 1, lo[1] : lo[1] + 1, lo[2] : lo[2] + target.shape[4]]
-
-    params = [p for layer in layers for p in (layer.kernel, layer.bias)]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    history = []
-    b1, b2, eps = nn_engine.ADAM_BETA1, nn_engine.ADAM_BETA2, nn_engine.ADAM_EPS
-    lr = cfg.learning_rate
+    acts = [x.swapaxes(0, 1)]
+    for layer in model.layers:
+        h = conv(layer, acts[-1])
+        if layer.relu:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    valid = valid.swapaxes(0, 1)
+    e = np.where(valid, h - target.swapaxes(0, 1), 0.0)
     n = int(valid.sum())
-    for step in range(1, cfg.iterations + 1):
-        acts = [cols]
-        for layer in layers:
-            h = gemm_batch_second(layer, unfold_batch_second(acts[-1],
-                                                            layer.kernel.shape[2:]))
-            if layer.relu:
-                np.maximum(h, 0.0, out=h)
-            acts.append(h)
-        e = np.where(valid, acts[-1] - target, 0.0)
-        norm = sum(float(np.sum(p**2)) for p in params)
-        history.append(float(np.sum(e**2)) / n + cfg.beta * float(np.sqrt(norm))**2)
-        gout = 2.0 * e / n
-        grads = []
-        for li in range(len(layers) - 1, -1, -1):
-            layer = layers[li]
-            if layer.relu:
-                gout = gout * (acts[li + 1] > 0)
-            oc, ks = layer.kernel.shape[0], layer.kernel.shape[2:]
-            w = layer.kernel.reshape(oc, -1)
-            c = unfold_batch_second(acts[li], ks)
-            g2 = gout.reshape(oc, -1)
-            dk = (g2 @ c.reshape(w.shape[1], -1).T).reshape(layer.kernel.shape)
-            grads[:0] = [dk, g2.sum(axis=1)]
-            if li > 0:
-                gout = fold_batch_second((w.T @ g2).reshape(c.shape), ks,
-                                         acts[li].shape)
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g += 2.0 * cfg.beta * p
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            p -= lr * (m[i] / (1 - b1**step)) / (np.sqrt(v[i] / (1 - b2**step)) + eps)
-        lr *= cfg.lr_decay
-    layers[0].kernel = layers[0].kernel.reshape(kshape)
-    return layers, history
+    params = [p for layer in model.layers for p in (layer.kernel, layer.bias)]
+    value = float(np.sum(e**2)) / n + beta * sum(float(np.sum(p**2)) for p in params)
+    gout, grads = 2.0 * e / n, []
+    for li in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[li]
+        if layer.relu:
+            gout = gout * (acts[li + 1] > 0)
+        oc, ks = layer.kernel.shape[0], layer.kernel.shape[2:]
+        w = layer.kernel.reshape(oc, -1)
+        c = unfold_batch_second(acts[li], ks)
+        g2 = gout.reshape(oc, -1)
+        dk = (g2 @ c.reshape(w.shape[1], -1).T).reshape(layer.kernel.shape)
+        grads[:0] = [(dk + 2.0 * beta * layer.kernel,
+                      g2.sum(axis=1) + 2.0 * beta * layer.bias)]
+        if li > 0:
+            gout = fold_batch_second((w.T @ g2).reshape(c.shape), ks, acts[li].shape)
+    return value, grads
 
 
 # the benchmark's desk scene settings (perfbench/scenes.py) at 20 steps
@@ -366,10 +334,12 @@ def test_train_equals_batch_second_layout(small_scene, mode, monkeypatch):
     (train_eraki if mode == "eraki" else train_raki)(problem)
     assert len(calls) == (1 if mode == "eraki" else problem.n_coils)
     for model, x, target, valid, (got, hist) in calls:
-        want, want_hist = train_batch_second(model, x, target, DESK, valid)
+        want, want_hist = train_per_array(
+            model, x[None], target[None], DESK, np.broadcast_to(valid, target.shape)[None],
+            backward=backward_batch_second)
         assert len(hist) == DESK.iterations
         assert rel(np.array(hist), np.array(want_hist)) <= 1e-5
-        for a, b in zip(got.layers, want, strict=True):
+        for a, b in zip(got.layers, want.layers, strict=True):
             assert rel(a.kernel, b.kernel) <= 1e-5
             assert rel(a.bias, b.bias) <= 1e-5
 
