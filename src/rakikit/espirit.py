@@ -24,6 +24,7 @@ outside the ACS box, so no stage holds a multi-coil image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.fft
@@ -63,10 +64,6 @@ class SensitivityMaps:
     sigma_threshold: float
     crop_threshold: float
     eigh_fallbacks: int = 0
-
-    @property
-    def n_coils(self) -> int:
-        return self.maps.shape[0]
 
     @property
     def retained_frac(self) -> float:
@@ -209,6 +206,9 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     is the ACS grid itself (low-resolution maps). The readout axis is
     decoupled by a 1D inverse FFT and processed independently.
     """
+    if (isinstance(kernel_size, bool) or not isinstance(kernel_size, Integral)
+            or kernel_size < 1):
+        raise ConfigError(f"kernel size must be an integer >= 1, got {kernel_size!r}")
     if not (0 < sigma_threshold < 1):
         raise ConfigError(f"sigma threshold must be in (0,1), got {sigma_threshold}")
     if not (0 < crop_threshold <= 1):
@@ -221,7 +221,7 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     nc, nx, n1, n2 = x.shape
     k1 = min(kernel_size, n1)
     k2 = min(kernel_size, n2)
-    if n1 < k1 or n2 < k2 or (n1 - k1 + 1) * (n2 - k2 + 1) < nc:
+    if (n1 - k1 + 1) * (n2 - k2 + 1) < nc:
         raise GeometryError(
             f"ACS ({n1}x{n2}) too small for calibration window {k1}x{k2}"
         )

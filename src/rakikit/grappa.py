@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import GeometryError, NumericalError
+from .errors import ConfigError, GeometryError, NumericalError
 from .sampling import (SamplingMask, acquired_coords, cell_offsets, extract_acs,
                        internal_view, lattice_basis, lattice_cells, steps)
 from .tensors import CTensor, crop_center, thread_count
@@ -85,6 +85,8 @@ def grappa_calibrate(acs: np.ndarray, mask: SamplingMask,
     Z_{w+t}^H Z_{w+t'}, so each plane y takes one GEMM,
     Z_y^H [Z_y .. Z_{y+taps-1}], that serves every tap pair.
     """
+    if not lam >= 0:  # NaN included
+        raise ConfigError(f"lam must be >= 0, got {lam}")
     acs = np.asarray(acs, dtype=np.complex128)
     nc, nx, n1, n2 = acs.shape
     src = _source_offsets(*lattice_basis(mask), blocks, taps)

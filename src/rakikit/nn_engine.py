@@ -6,10 +6,9 @@ hand-derived gradients (checked against central differences in the test
 suite). Complex k-space enters as stacked real/imaginary channels; the
 network itself is real.
 
-Inputs carry a leading batch axis, [B, C, X, Y, Z]; one sample
-[C, X, Y, Z] is a batch of one. Inside, the engine works in
-[C, X, Y, Z, B], the batch innermost, so each offset of a kernel window
-is one slice whose innermost runs are whole (Z, B) rows. Every
+Arrays are one sample [C, X, Y, Z] or a batch [C, X, Y, Z, B], the
+batch innermost, in and out alike, so each offset of a kernel window is
+one slice whose innermost runs are whole (Z, B) rows. Every
 convolution is one GEMM over its unfolded kernel windows (im2col), and
 its input gradient a col2im sum of those slices; ``backward`` takes the
 kernel gradients from the unfolded matrices of the forward pass.
@@ -162,25 +161,21 @@ def init_model(in_channels: int, out_channels: int, cfg: TrainConfig) -> ModelWe
     return ModelWeights(layers)
 
 
-def _as_batch(model: ModelWeights, x) -> tuple[np.ndarray, bool]:
-    """Input as the engine's layout [in_ch, X, Y, Z, B], float32 if it came
-    as float32 and float64 otherwise, and whether it came as one sample
-    [in_ch, X, Y, Z] rather than a batch [B, in_ch, X, Y, Z].
-    """
+def _as_input(model: ModelWeights, x) -> np.ndarray:
+    """Input [in_ch, X, Y, Z] or [in_ch, X, Y, Z, B] as float32 if it came
+    as float32 and float64 otherwise, its shape checked against ``model``."""
     x = np.asarray(x)
     x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
-    single = x.ndim == 4
     ic = model.in_channels
-    if x.ndim not in (4, 5) or x.shape[-4] != ic:
-        raise GeometryError(
-            f"expected input [B, {ic}, X, Y, Z] or [{ic}, X, Y, Z], got {x.shape}"
-        )
+    if x.ndim not in (4, 5) or x.shape[0] != ic:
+        raise GeometryError(f"expected input [C, X, Y, Z] or [C, X, Y, Z, B] "
+                            f"with C = {ic}, got {x.shape}")
     rf = model.receptive_field
-    if any(n < r for n, r in zip(x.shape[-3:], rf)):
+    if any(n < r for n, r in zip(x.shape[1:4], rf)):
         raise GeometryError(
-            f"input extents {x.shape[-3:]} smaller than receptive field {rf}"
+            f"input extents {x.shape[1:4]} smaller than receptive field {rf}"
         )
-    return _inside(x, single), single
+    return x
 
 
 def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
@@ -192,17 +187,8 @@ def _in_dtype(model: ModelWeights, dtype) -> ModelWeights:
                         None if model.linear is None else cast(model.linear))
 
 
-def _inside(a: np.ndarray, single: bool) -> np.ndarray:
-    """[B, C, X, Y, Z] (or one [C, X, Y, Z]) -> the engine's [C, X, Y, Z, B]."""
-    return a[..., None] if single else a.transpose(1, 2, 3, 4, 0)
-
-
-def _outside(h: np.ndarray, single: bool) -> np.ndarray:
-    return h[..., 0] if single else h.transpose(4, 0, 1, 2, 3)
-
-
 def _unfold(h: np.ndarray, ks) -> np.ndarray:
-    """[C, X, Y, Z, B] -> kernel windows [C*k1*k2*k3, o1, o2, o3, B] (im2col).
+    """[C, X, Y, Z(, B)] -> kernel windows [C*k1*k2*k3, o1, o2, o3(, B)] (im2col).
 
     Features run in ``kernel.reshape(out_ch, -1)`` order; a 1x1x1 window
     is the input itself. Each window offset is one slice copy, whose
@@ -211,7 +197,7 @@ def _unfold(h: np.ndarray, ks) -> np.ndarray:
     if tuple(ks) == (1, 1, 1):
         return h
     o1, o2, o3 = (n - k + 1 for n, k in zip(h.shape[1:4], ks))
-    cols = np.empty((h.shape[0], *ks, o1, o2, o3, h.shape[4]), dtype=h.dtype)
+    cols = np.empty((h.shape[0], *ks, o1, o2, o3, *h.shape[4:]), dtype=h.dtype)
     for a, b, c in np.ndindex(*ks):
         cols[:, a, b, c] = h[:, a : a + o1, b : b + o2, c : c + o3]
     return cols.reshape(-1, *cols.shape[4:])
@@ -230,7 +216,7 @@ def _fold(dcols: np.ndarray, ks, shape) -> np.ndarray:
 
 
 def _gemm(layer: ConvLayer, cols: np.ndarray) -> np.ndarray:
-    """A layer over its unfolded windows [F, o1, o2, o3, B]: [out_ch, o1, o2, o3, B]."""
+    """A layer over its unfolded windows [F, o1, o2, o3(, B)]: [out_ch, o1, o2, o3(, B)]."""
     oc = layer.kernel.shape[0]
     out = layer.kernel.reshape(oc, -1) @ cols.reshape(cols.shape[0], -1)
     out += layer.bias[:, None]
@@ -238,7 +224,7 @@ def _gemm(layer: ConvLayer, cols: np.ndarray) -> np.ndarray:
 
 
 def _activations(model: ModelWeights, h: np.ndarray):
-    """The model on [C, X, Y, Z, B]: every layer's unfolded input, every
+    """The model on [C, X, Y, Z(, B)]: every layer's unfolded input, every
     activation (the input first) and the model's output, the last
     activation plus the linear branch. Layer 0 and the branch read the same
     windows, so they are one GEMM whose rows are split."""
@@ -263,7 +249,7 @@ def _activations(model: ModelWeights, h: np.ndarray):
 
 
 def _crop_branch(model: ModelWeights, b: np.ndarray, out) -> np.ndarray:
-    """The linear branch's output ``b`` [C, X, Y, Z, B] at the stack's
+    """The linear branch's output ``b`` [C, X, Y, Z(, B)] at the stack's
     output extents ``out``, read at ``branch_offset``. The output is
     cropped, not the input: that would copy the column matrix."""
     lo = branch_offset([l.kernel.shape[2:] for l in model.layers])
@@ -272,18 +258,15 @@ def _crop_branch(model: ModelWeights, b: np.ndarray, out) -> np.ndarray:
 
 def forward(model: ModelWeights, x: np.ndarray,
             keep_activations: bool = False):
-    """Run the model on a batch [B, in_ch, X, Y, Z] or one sample [in_ch, X, Y, Z].
+    """Run the model on one sample [in_ch, X, Y, Z] or a batch [in_ch, X, Y, Z, B].
 
     Returns the output, linear branch included (and the stack's activations,
     input first), in the input's layout. ReLU follows every layer flagged
     ``relu``. Output extents are the input minus (receptive field - 1).
     """
-    h, single = _as_batch(model, x)
-    _, acts, out = _activations(_in_dtype(model, h.dtype), h)
-    out = _outside(out, single)
-    if keep_activations:
-        return out, [_outside(a, single) for a in acts]
-    return out
+    x = _as_input(model, x)
+    _, acts, out = _activations(_in_dtype(model, x.dtype), x)
+    return (out, acts) if keep_activations else out
 
 
 def _weight_norm(model: ModelWeights) -> float:
@@ -340,31 +323,29 @@ def backward(model: ModelWeights, x: np.ndarray, target: np.ndarray,
              squared_l2: bool = False):
     """Exact loss gradients for every kernel and bias of the stack.
 
-    ``x``, ``target`` and ``valid`` are batches, or one 4-D sample, as in
+    ``x``, ``target`` and ``valid`` are one sample or a batch, as in
     ``forward``; the linear branch is a constant of the prediction, outside
     the weight penalty. Subgradient conventions: sign(0) = 0 for the L1
     term, 0 at the origin for the un-squared norms. Returns (loss_value,
     grads) with grads a list of (dkernel, dbias) matching the layer order,
     in the input's dtype.
     """
-    h, single = _as_batch(model, x)
-    model = _in_dtype(model, h.dtype)
-    cols, acts, pred = _activations(model, h)
-    pred = _outside(pred, single)
-    e, n, rms, data = _data_term(pred, np.asarray(target, dtype=h.dtype), alpha,
+    x = _as_input(model, x)
+    model = _in_dtype(model, x.dtype)
+    cols, acts, pred = _activations(model, x)
+    e, n, rms, data = _data_term(pred, np.asarray(target, dtype=x.dtype), alpha,
                                  valid, squared_l2)
 
     if squared_l2:
-        g = (1 - alpha) * 2.0 * e / n
+        gout = (1 - alpha) * 2.0 * e / n
     elif rms > 0:
-        g = (1 - alpha) * e / (n * rms)
+        gout = (1 - alpha) * e / (n * rms)
     else:
-        g = np.zeros_like(e)
+        gout = np.zeros_like(e)
     if alpha:  # the L1 subgradient
-        g += alpha * np.sign(e) / n
+        gout += alpha * np.sign(e) / n
 
     grads = [None] * len(model.layers)
-    gout = _inside(g, single)
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         if layer.relu:
@@ -405,6 +386,12 @@ def _layer0_columns(h: np.ndarray, idx, ks, rf) -> np.ndarray:
     return _unfold(np.ascontiguousarray(patches.transpose(3, 1, 2, 4, 0)), ks)
 
 
+def _batch(a: np.ndarray) -> np.ndarray:
+    """[C, X, Y, Z] as a batch of one, [C, X, Y, Z, 1]; a batch as it is.
+    The column gather indexes the batch axis."""
+    return a[..., None] if a.ndim == 4 else a
+
+
 def _out_extents(h: np.ndarray, rf) -> tuple[int, int, int]:
     return tuple(n - r + 1 for n, r in zip(h.shape[1:4], rf))
 
@@ -441,7 +428,7 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
           cfg: TrainConfig, valid: np.ndarray | None = None):
     """Full-batch Adam; deterministic under (seed, config, inputs).
 
-    ``x``, ``target`` and ``valid`` are batches, or one 4-D sample, as in
+    ``x``, ``target`` and ``valid`` are one sample or a batch, as in
     ``forward``. Only the (p1, p2) output columns holding a valid target
     enter the loss, so training runs on those alone: before the first
     step their layer-0 windows are unfolded once into a column matrix, and
@@ -457,11 +444,10 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     not finite in the input's dtype, and after the last if the weights it
     leaves are not finite.
     """
-    h, single = _as_batch(model, x)
+    h = _as_input(model, x)
     rf = model.receptive_field
     out = _out_extents(h, rf)
-    shape = (model.out_channels, *out) if single else (
-        h.shape[4], model.out_channels, *out)
+    shape = (model.out_channels, *out, *h.shape[4:])
     kshape = model.layers[0].kernel.shape
     # values beyond float32's range become inf: the weight check below, or
     # the non-finite loss of the first step for a target that counts
@@ -470,11 +456,11 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
         flat = _in_dtype(_flat_first(model), h.dtype)
     if target.shape != shape:
         raise GeometryError(f"pred {shape} vs target {target.shape}")
-    target = _inside(target, single)
+    h, target = _batch(h), _batch(target)
     if valid is None:
         keep = np.ones((h.shape[4], *out[:2]), dtype=bool)
     else:
-        valid = _inside(np.broadcast_to(valid, shape), single)
+        valid = _batch(np.broadcast_to(valid, shape))
         keep = valid.any(axis=(0, 3)).transpose(2, 0, 1)
         if not keep.any():
             raise GeometryError("validity mask excludes every position")
@@ -484,11 +470,8 @@ def train(model: ModelWeights, x: np.ndarray, target: np.ndarray,
     if flat.linear is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             target -= _crop_branch(flat, _gemm(flat.linear, cols), target.shape[1:4])
-    # the steps' batches [n, C, ...]: views whose engine layout is the
-    # contiguous [C, ..., n] arrays
-    cols, target = _outside(cols, False), _outside(target, False)
     if valid is not None:
-        valid = _outside(_columns_of(valid, idx), False)
+        valid = _columns_of(valid, idx)
 
     stack = ModelWeights(flat.layers)
     theta = _flat_params(stack)
@@ -529,7 +512,7 @@ COLUMN_BLOCK = 1 << 19
 def predict_columns(models: list[ModelWeights], x: np.ndarray):
     """Every model over blocks of (p1, p2) output columns of ``x``.
 
-    ``x`` is a batch or one sample, as in ``forward``; the models must share
+    ``x`` is one sample or a batch, as in ``forward``; the models must share
     layer 0's kernel shape and the receptive field, as RAKI's per-coil
     models do. Each block unfolds layer 0 under at most ``COLUMN_BLOCK`` elements
     (at least one column) once, as ``train`` does, and every model runs on
@@ -537,7 +520,7 @@ def predict_columns(models: list[ModelWeights], x: np.ndarray):
     (batch, ou, ov) column grid and each model's output on it, [out_ch,
     column, oz], so a whole grid never holds its column matrix.
     """
-    h, _ = _as_batch(models[0], x)
+    h = _batch(_as_input(models[0], x))
     ks, rf = models[0].layers[0].kernel.shape[2:], models[0].receptive_field
     ou, ov, _ = _out_extents(h, rf)
     flats = [_in_dtype(_flat_first(m), h.dtype) for m in models]
@@ -549,7 +532,7 @@ def predict_columns(models: list[ModelWeights], x: np.ndarray):
     for start in range(0, total, block):
         sl = slice(start, min(start + block, total))
         idx = np.unravel_index(np.arange(sl.start, sl.stop), columns)
-        cols = _outside(_layer0_columns(h, idx, ks, rf), False)
-        # forward gives [n, C, 1, 1, oz]
-        yield sl, [forward(f, cols)[:, :, 0, 0].swapaxes(0, 1) for f in flats]
+        cols = _layer0_columns(h, idx, ks, rf)
+        # forward gives [C, 1, 1, oz, n]
+        yield sl, [forward(f, cols)[:, 0, 0].swapaxes(1, 2) for f in flats]
 

@@ -339,10 +339,11 @@ def _train(problem: ReconProblem, coils: list[int] | None
     The sets share their input and validity mask, so the ridge warm start
     is solved once for all of them (``_ridge_solutions``: one solve per
     (re, im) pair, whatever the set count) and each set's ``linear_init``
-    takes its slice of W. ``train`` gets float32 copies of the inputs, cast
-    once for all sets, and of each set's targets: both are O(1) after the
-    ACS scaling, and a value beyond float32's range becomes inf and ends in
-    its NumericalError.
+    takes its slice of W. ``train`` gets a float32 copy of the inputs, cast
+    once for all sets: that cast selects float32 training, and ``train``
+    casts each set's targets to it. Both are O(1) after the ACS scaling,
+    and a value beyond float32's range becomes inf and ends in its
+    NumericalError.
     """
     cfg = problem.cfg
     sets = list(_target_sets(problem, coils))
@@ -350,9 +351,8 @@ def _train(problem: ReconProblem, coils: list[int] | None
     with np.errstate(over="ignore"):
         x = sets[0].inputs.astype(np.float32)  # shared by every set
     for ts, W in zip(sets, _ridge_solutions(sets, cfg)):
-        with np.errstate(over="ignore"):
-            y = ts.targets.astype(np.float32)
-        trained.append(train(linear_init(ts, cfg, W), x, y, cfg, valid=ts.valid))
+        trained.append(train(linear_init(ts, cfg, W), x, ts.targets, cfg,
+                             valid=ts.valid))
     return [m for m, _ in trained], [h for _, h in trained]
 
 

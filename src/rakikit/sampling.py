@@ -88,8 +88,7 @@ class SamplingMask:
         ACS-only extras are ignored; never-acquired elliptical corners
         count as skipped (they need no acquisition time).
         """
-        sampled = (self.grid & on_lattice(self)) if self.acs_box else self.grid
-        return self.grid.size / int(sampled.sum())
+        return self.grid.size / int((self.grid & on_lattice(self)).sum())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

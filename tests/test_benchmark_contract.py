@@ -1,7 +1,8 @@
 """The benchmark's view of the library still resolves.
 
 ``perfbench/tracing.py`` wraps named rakikit functions and reads named
-arguments of some of them; ``perfbench/scenes.py`` imports rakikit's
+arguments of some of them, and times ``nn_engine.forward`` layer by layer
+on the activations it returns; ``perfbench/scenes.py`` imports rakikit's
 public names and builds a ``TrainConfig`` by field name. A change that drops or renames one of these passes the
 rest of the suite and fails every traced benchmark run, so both files
 are loaded here by path (read only) and checked against the library.
@@ -10,9 +11,14 @@ are loaded here by path (read only) and checked against the library.
 import ast
 import importlib
 import inspect
+import math
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
+
+from rakikit import TrainConfig, init_model, train
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -88,3 +94,20 @@ def test_scenes_import():
                                      "me_joint_t2", "kyt_grappa"}
     # the scenes pass TrainConfig its fields by name
     assert scenes.train_config(0, 8).widths == (8,) * 4
+
+
+def test_conv_layer_metrics_time_every_layer():
+    """``conv_layer_metrics`` runs on a trained model and its 4-D training
+    input, the one call of ``forward(..., keep_activations=True)``."""
+    tracing = load("tracing")
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(iterations=2, widths=(4, 3),
+                      kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)))
+    x = rng.standard_normal((2, 8, 9, 10))
+    target = rng.standard_normal((2, 6, 7, 6))
+    model, _ = train(init_model(2, 2, cfg), x, target, cfg)
+    m = tracing.conv_layer_metrics(model, x, len(model.layers), repeats=2)
+    for i in range(len(model.layers)):
+        for key in ("fwd_ms", "fwd_gflop"):
+            value = m[f"nn_engine.conv{i}.{key}"]
+            assert math.isfinite(value) and value > 0, (i, key, value)

@@ -19,9 +19,8 @@ from rakikit import (CTensor, ModelWeights, ReconProblem, TrainConfig,
                      build_targets, infer, init_model, linear_init, train,
                      train_eraki, train_raki)
 from rakikit import nn_engine, recon_models
-from rakikit.nn_engine import (_as_batch, _columns_of, _crop_branch, _flat_first,
-                               _gemm, _in_dtype, _inside, _layer0_columns,
-                               _out_extents, _outside, backward)
+from rakikit.nn_engine import (_as_input, _columns_of, _crop_branch, _flat_first,
+                               _gemm, _in_dtype, _layer0_columns, backward)
 from rakikit.recon_models import _model_input, _ridge_solutions, _target_sets
 from rakikit.sampling import cell_offsets, internal_view
 
@@ -186,22 +185,19 @@ def test_eraki_one_solve_per_pair(kind, monkeypatch):
 
 def train_per_array(model, x, target, cfg, valid, backward=backward):
     """``train`` as it was with one Adam update per kernel and bias array,
-    stepping with ``backward``."""
-    h, single = _as_batch(model, x)
+    stepping with ``backward``, on batches [C, X, Y, Z, B] and a validity
+    mask of the targets' shape."""
+    h = _as_input(model, x)
     rf = model.receptive_field
-    out = _out_extents(h, rf)
-    shape = (h.shape[4], model.out_channels, *out)
     kshape, linear = model.layers[0].kernel.shape, model.linear
-    target = _inside(np.asarray(target).astype(h.dtype), single)
+    target = np.asarray(target).astype(h.dtype)
     model = _in_dtype(_flat_first(model), h.dtype)
-    valid = _inside(np.broadcast_to(valid, shape), single)
     idx = np.nonzero(valid.any(axis=(0, 3)).transpose(2, 0, 1))
     cols = _layer0_columns(h, idx, kshape[2:], rf)
     target = _columns_of(target, idx)
     if linear is not None:
         target -= _crop_branch(model, _gemm(model.linear, cols), target.shape[1:4])
-    cols, target = _outside(cols, False), _outside(target, False)
-    valid = _outside(_columns_of(valid, idx), False)
+    valid = _columns_of(valid, idx)
     model = ModelWeights(model.layers)
     params = [p for layer in model.layers for p in (layer.kernel, layer.bias)]
     m = [np.zeros_like(p) for p in params]
@@ -236,6 +232,8 @@ def test_flat_adam_equals_per_array_loop(dtype, objective):
     x = rng.standard_normal((2, 3, 7, 8, 9)).astype(dtype)
     target = rng.standard_normal((2, 2, 5, 6, 5))
     valid = rng.random(target.shape) > 0.4
+    # the drawn batches in the engine's [C, X, Y, Z, B]
+    x, target, valid = (np.moveaxis(a, 0, -1) for a in (x, target, valid))
     cfg = TrainConfig(iterations=5, widths=(6, 4), learning_rate=1e-2,
                       kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1)),
                       **objective)
@@ -275,22 +273,23 @@ def fold_batch_second(dcols, ks, shape):
 def backward_batch_second(model, x, target, alpha, beta, valid, squared_l2):
     """``backward`` of the squared-L2 objective, for a model without a
     linear branch, as it was in the [C, B, X, Y, Z] layout: each layer
-    unfolded again for its kernel gradient."""
+    unfolded again for its kernel gradient. Takes the engine's batches
+    [C, X, Y, Z, B]."""
     assert alpha == 0 and squared_l2 and model.linear is None
+    x, target, valid = (np.moveaxis(a, -1, 1) for a in (x, target, valid))
 
     def conv(layer, h):
         oc, c = layer.kernel.shape[0], unfold_batch_second(h, layer.kernel.shape[2:])
         out = layer.kernel.reshape(oc, -1) @ c.reshape(c.shape[0], -1)
         return (out + layer.bias[:, None]).reshape(oc, *c.shape[1:])
 
-    acts = [x.swapaxes(0, 1)]
+    acts = [x]
     for layer in model.layers:
         h = conv(layer, acts[-1])
         if layer.relu:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
-    valid = valid.swapaxes(0, 1)
-    e = np.where(valid, h - target.swapaxes(0, 1), 0.0)
+    e = np.where(valid, h - target, 0.0)
     n = int(valid.sum())
     params = [p for layer in model.layers for p in (layer.kernel, layer.bias)]
     value = float(np.sum(e**2)) / n + beta * sum(float(np.sum(p**2)) for p in params)
@@ -335,7 +334,8 @@ def test_train_equals_batch_second_layout(small_scene, mode, monkeypatch):
     assert len(calls) == (1 if mode == "eraki" else problem.n_coils)
     for model, x, target, valid, (got, hist) in calls:
         want, want_hist = train_per_array(
-            model, x[None], target[None], DESK, np.broadcast_to(valid, target.shape)[None],
+            model, x[..., None], target[..., None], DESK,
+            np.broadcast_to(valid, target.shape)[..., None],
             backward=backward_batch_second)
         assert len(hist) == DESK.iterations
         assert rel(np.array(hist), np.array(want_hist)) <= 1e-5

@@ -365,6 +365,12 @@ class TestMapEstimation:
         with pytest.raises(ConfigError):
             espirit_maps(acs, crop_threshold=1.5)
 
+    @pytest.mark.parametrize("kernel_size", [0, -1, 2.5, True, None])
+    def test_bad_kernel_size_raises(self, kernel_size):
+        acs = CTensor(np.ones((4, 8, 16, 16)), ("coil", "kx", "ky", "kz"))
+        with pytest.raises(ConfigError, match="kernel size must be an integer"):
+            espirit_maps(acs, kernel_size=kernel_size)
+
 
 class TestCoilCombine:
     def _maps_from(self, coils):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import rakikit
 from rakikit import (
+    ConfigError,
     CTensor,
     GeometryError,
     apply_mask,
@@ -335,6 +336,16 @@ class TestReconstruction:
         other = make_uniform_mask((32, 32), 2, 2, shift=1)
         with pytest.raises(GeometryError):
             grappa_apply(apply_mask(ksp, other), other, kernel)
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-3, float("nan"), float("-inf")])
+    def test_negative_or_nan_lam_raises(self, lam):
+        ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))
+        mask = make_uniform_mask(
+            (32, 32), 2, 2, acs_box=centered_acs_box((32, 32), (16, 16))
+        )
+        acs = extract_acs(ksp, mask).transpose(("coil", "kx", "ky", "kz"))
+        with pytest.raises(ConfigError, match="lam must be >= 0"):
+            grappa_calibrate(acs.data, mask, lam=lam)
 
     def test_insufficient_acs_raises(self):
         ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))

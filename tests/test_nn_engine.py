@@ -478,10 +478,12 @@ class TestEquivalence:
         ref_model, ref_hist = ref_train(model, x, target, cfg, valid)
         ref_pred = np.stack([ref_activations(model, xb)[-1] for xb in x])
         dtype = case["dtype"]
-        x = x.astype(dtype)
-        if case["batch"] == 0:  # the engine's 4-D form: a batch of one
-            x, target, ref_pred = x[0], target[0], ref_pred[0]
-            valid = None if valid is None else valid[0]
+        # the reference's batches [B, C, X, Y, Z] in the engine's
+        # [C, X, Y, Z, B], or its 4-D form, one sample
+        last = 0 if case["batch"] == 0 else slice(None)
+        x, target, ref_pred = (np.moveaxis(a, 0, -1)[..., last]
+                               for a in (x.astype(dtype), target, ref_pred))
+        valid = None if valid is None else np.moveaxis(valid, 0, -1)[..., last]
         value, grads = backward(model, x, target, cfg.alpha, cfg.beta,
                                 valid=valid, squared_l2=cfg.squared_l2)
         trained, hist = train(model, x, target, cfg, valid=valid)
@@ -627,14 +629,15 @@ class TestLinearBranch:
     def _case(self):
         rng = np.random.default_rng(11)
         model = with_branch(init_model(3, 4, self.CFG), rng)
-        x = rng.standard_normal((2, 3, 9, 10, 11))
-        target = rng.standard_normal((2, 4, 7, 8, 7))
+        # batches [C, X, Y, Z, B]
+        x = np.moveaxis(rng.standard_normal((2, 3, 9, 10, 11)), 0, -1)
+        target = np.moveaxis(rng.standard_normal((2, 4, 7, 8, 7)), 0, -1)
         return rng, model, x, target
 
     def test_output_is_the_stack_plus_the_branch(self):
         _, model, x, _ = self._case()
         stack = forward(ModelWeights(model.layers), x)
-        branch = forward(ModelWeights([model.linear]), x[..., 1:-1])
+        branch = forward(ModelWeights([model.linear]), x[:, :, :, 1:-1])
         assert_rel(forward(model, x), stack + branch, tol=1e-12)
 
     def test_branch_shape_must_match_layer_0(self):
@@ -645,21 +648,21 @@ class TestLinearBranch:
 
     def test_copy_cast_and_blocks_keep_the_branch(self, monkeypatch):
         _, model, x, _ = self._case()
-        want = forward(model, x[0])
+        want = forward(model, x[..., 0])
         copied = model.copy()
         assert np.array_equal(copied.linear.kernel, model.linear.kernel)
         assert np.array_equal(copied.linear.bias, model.linear.bias)
         copied.linear.kernel += 1.0
-        assert np.array_equal(forward(model, x[0]), want)
+        assert np.array_equal(forward(model, x[..., 0]), want)
         single = nn_engine._in_dtype(model, np.float32)
         assert single.linear.kernel.dtype == single.linear.bias.dtype == np.float32
-        assert_rel(forward(single, x[0].astype(np.float32)), want, tol=1e-5)
+        assert_rel(forward(single, x[..., 0].astype(np.float32)), want, tol=1e-5)
         monkeypatch.setattr(nn_engine, "COLUMN_BLOCK", 1 << 8)
         blocks = []
         unfold = nn_engine._layer0_columns
         monkeypatch.setattr(nn_engine, "_layer0_columns",
                             lambda *a: blocks.append(1) or unfold(*a))
-        assert_rel(whole_grid_prediction(model, x[0]), want, tol=1e-12)
+        assert_rel(whole_grid_prediction(model, x[..., 0]), want, tol=1e-12)
         assert len(blocks) > 1
 
     def test_fd_agreement_with_the_branch(self):
@@ -671,7 +674,8 @@ class TestLinearBranch:
         """Training a model with a branch is training its stack on the
         targets less the branch; the losses are the whole model's."""
         _, model, x, target = self._case()
-        valid = np.random.default_rng(2).random(target.shape) > 0.3
+        valid = np.moveaxis(np.random.default_rng(2).random((2, 4, 7, 8, 7)) > 0.3,
+                            0, -1)
         x = x.astype(dtype)
         got, hist = train(model, x, target, self.CFG, valid=valid)
         stack = ModelWeights(model.layers)
@@ -688,3 +692,35 @@ class TestLinearBranch:
                      self.CFG.alpha, self.CFG.beta, valid=valid,
                      squared_l2=self.CFG.squared_l2)
         assert hist[0] == pytest.approx(first, rel=tol)
+
+
+class TestBatchLayout:
+    """A batch is [C, X, Y, Z, B], the batch innermost, at every entry point."""
+
+    def _case(self):
+        rng = np.random.default_rng(4)
+        model = with_branch(init_model(3, 4, TestLinearBranch.CFG), rng)
+        return model, rng.standard_normal((3, 9, 10, 11, 3))
+
+    def test_each_sample_of_a_batch_is_that_sample(self):
+        model, x = self._case()
+        out = forward(model, x)
+        assert out.shape == (4, 7, 8, 7, 3)
+        for b in range(x.shape[-1]):
+            assert_rel(out[..., b], forward(model, x[..., b]), tol=1e-12)
+
+    @pytest.mark.parametrize("entry", ["forward", "backward", "train",
+                                       "predict_columns"])
+    def test_batch_first_raises(self, entry):
+        model, x = self._case()
+        x = np.moveaxis(x[..., :2], -1, 0)  # [B, C, X, Y, Z], B != C
+        target = np.zeros((2, 4, 7, 8, 7))
+        calls = {
+            "forward": lambda: forward(model, x),
+            "backward": lambda: backward(model, x, target, 0.0, 0.0),
+            "train": lambda: train(model, x, target, TestLinearBranch.CFG),
+            "predict_columns": lambda: list(nn_engine.predict_columns([model], x)),
+        }
+        with pytest.raises(GeometryError, match=r"expected input \[C, X, Y, Z\] "
+                                                r"or \[C, X, Y, Z, B\]"):
+            calls[entry]()
