@@ -37,7 +37,8 @@ from .recon_models import (
     zerofill_recon,
 )
 from .sampling import SamplingMask, apply_mask, extract_acs, internal_view
-from .tensors import CTensor, blas_thread_env, ifftc, thread_count
+from .tensors import (CTensor, blas_library_threads, blas_thread_env, ifftc,
+                      thread_count)
 
 BENCH_METHODS = ("zerofill", "grappa", "raki", "eraki")
 
@@ -82,6 +83,7 @@ def _environment() -> dict:
         "cpu_model": _cpu_model(),
         "thread_count": thread_count(),
         "blas_threads": blas_thread_env(),
+        "blas_library_threads": blas_library_threads(),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "platform": platform.platform(),
         "python": platform.python_version(),

@@ -6,13 +6,19 @@ position over (ky, kz). The row space of the block-Hankel calibration
 matrix comes from the eigendecomposition of the smaller of its two Gram
 matrices; readout positions too weak to carry signal are skipped before
 it. The kept kernels are correlated in k-space over their
-(2k1-1)x(2k2-1) lags, and two small inverse-DFT products per readout turn
-those lags into the per-voxel coil Gram matrix on the output grid
-(Uecker et al., MRM 71:990, 2014). Its leading eigenvector, found by power
-iteration (G^64, up to G^1024 for voxels with a small spectral gap) from
-the uniform unit vector at every readout, so that no readout's maps depend
-on another's, with ``eigh`` where that does not converge, gives the maps;
-its leading eigenvalue the support measure.
+(2k1-1)x(2k2-1) lags, and two small inverse-DFT products turn those lags
+into the per-voxel coil Gram matrix on the output grid (Uecker et al., MRM
+71:990, 2014), one block of rows at a time. Its leading eigenvector, found
+by power iteration (G^64, up to G^1024 for voxels with a small spectral
+gap) from the uniform unit vector at every readout, with ``eigh`` where
+that does not converge, gives the maps; its leading eigenvalue the support
+measure.
+
+No readout's maps depend on another's, and no voxel's on its block, so the
+readouts run on ``thread_count()`` threads with numpy's OpenBLAS held at
+one thread (``tensors.task_threads``): the maps are the serial loop's at
+one BLAS thread bit for bit, whatever the BLAS thread setting. Each thread
+holds one readout's kernels and one block's Gram matrices at a time.
 
 Coil combination streams the coil axis: conj(S_c) x_c is accumulated one
 coil at a time, in coil order, which is bit for bit the sum over a
@@ -23,6 +29,8 @@ outside the ACS box, so no stage holds a multi-coil image.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -31,7 +39,7 @@ import scipy.fft
 
 from .errors import ConfigError, GeometryError, NumericalError
 from .sampling import SamplingMask
-from .tensors import CTensor, fftc, fftc_nd, ifftc, ifftc_nd
+from .tensors import CTensor, fftc, fftc_nd, ifftc, ifftc_nd, task_threads
 
 # Power iteration applies G^(2**_SQUARINGS) to a start vector; a voxel keeps
 # its result when the residual |Gv - lambda v| is at most _RESIDUAL_TOL,
@@ -45,6 +53,11 @@ _SQUARINGS = 6
 _SQUARED = 3
 _MAX_SQUARINGS = 10
 _RESIDUAL_TOL = 1e-12
+# A readout's output grid is processed in blocks of whole rows of about this
+# many voxels, so that a thread holds one block's [768, nc, nc] Gram matrices
+# and squaring buffers, not a readout's. A voxel's arithmetic does not depend
+# on its block; the size trades the arrays' memory for per-block overhead
+_BLOCK_VOXELS = 768
 
 
 @dataclass(frozen=True)
@@ -111,34 +124,46 @@ def _row_space(hyb_x: np.ndarray, k1: int, k2: int, tau: float,
     return kern.reshape(-1, nc, k1, k2)
 
 
-def _gram(kern: np.ndarray, out1: int, out2: int) -> np.ndarray:
-    """Per-voxel coil Gram matrices G [out1, out2, nc, nc] of the kernels.
+def _lag_correlation(kern: np.ndarray) -> np.ndarray:
+    """The kernels' summed cross-correlation [2k1-1, 2k2-1, nc, nc].
 
-    G(r) = sum_k v_k(r) v_k(r)^H, where v_k(r) is kernel k zero-padded to
-    the output grid, inverse-transformed and scaled so that G has unit
-    leading eigenvalue on voxels fully inside the row space. The image of
-    a padded kernel is band-limited, so G(r) is exactly the centred inverse
-    DFT of the kernels' summed cross-correlation, whose lags span
-    (2k1-1)x(2k2-1). That DFT is evaluated as one small matrix product per
-    grid axis; its exponentials are periodic in the lag, so lags wrap onto
-    grids smaller than the support.
+    Lag d sits at index d mod (2k-1); it is normalised by k1 k2, so that
+    ``_gram`` has unit leading eigenvalue on voxels fully inside the row
+    space.
     """
     nk, nc, k1, k2 = kern.shape
     s1, s2 = 2 * k1 - 1, 2 * k2 - 1
     spec = scipy.fft.fft2(kern, s=(s1, s2)).transpose(2, 3, 1, 0)  # [s1, s2, nc, nk]
-    # lag d of the correlation sits at index d mod s
     corr = scipy.fft.ifft2(spec @ spec.conj().swapaxes(-1, -2), axes=(0, 1))
     corr /= k1 * k2
+    return corr
 
-    def centred_idft(n: int, k: int) -> np.ndarray:
-        d = np.arange(2 * k - 1)
-        lag = np.where(d < k, d, d - (2 * k - 1))
-        return np.exp(2j * np.pi * np.outer(np.arange(n) - n // 2, lag) / n)
 
-    # einsum("ra,abij,sb->rsij", E1, corr, E2) as two products
-    half = centred_idft(out1, k1) @ corr.reshape(s1, -1)  # [out1, (s2, nc, nc)]
-    G = centred_idft(out2, k2) @ half.reshape(out1, s2, nc * nc)
-    return G.reshape(out1, out2, nc, nc)
+def _centred_idft(n: int, k: int) -> np.ndarray:
+    """[n, 2k-1]: the centred inverse DFT onto n samples of the lags |d| < k,
+    lag d at index d mod (2k-1)."""
+    d = np.arange(2 * k - 1)
+    lag = np.where(d < k, d, d - (2 * k - 1))
+    return np.exp(2j * np.pi * np.outer(np.arange(n) - n // 2, lag) / n)
+
+
+def _gram(corr: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Per-voxel coil Gram matrices G [len(e1), len(e2), nc, nc].
+
+    G(r) = sum_k v_k(r) v_k(r)^H, where v_k(r) is kernel k zero-padded to
+    the output grid, inverse-transformed and scaled by ``_lag_correlation``.
+    The image of a padded kernel is band-limited, so G(r) is exactly the
+    centred inverse DFT of the kernels' lag correlation ``corr``, evaluated
+    as one small matrix product per grid axis with ``e1`` and ``e2``, rows
+    of ``_centred_idft``; its exponentials are periodic in the lag, so lags
+    wrap onto grids smaller than the support. Each voxel's arithmetic is
+    the same whichever rows of ``e1`` come with it.
+    """
+    s1, s2, nc, _ = corr.shape
+    # einsum("ra,abij,sb->rsij", e1, corr, e2) as two products
+    half = e1 @ corr.reshape(s1, -1)  # [rows, (s2, nc, nc)]
+    G = e2 @ half.reshape(len(e1), s2, nc * nc)
+    return G.reshape(len(e1), len(e2), nc, nc)
 
 
 def _normalised_square(P: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -197,6 +222,36 @@ def _leading_eigenpairs(G: np.ndarray, start: np.ndarray):
     return lead.reshape(shape), vec.reshape(*shape, -1), len(todo)
 
 
+def _shared_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items] on the calling thread and ``threads - 1``
+    workers, all taking the next item not yet taken from one list. After a
+    failure no further item starts, and the first exception is raised."""
+    items = list(items)
+    if threads == 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    order, lock, failed = iter(range(len(items))), threading.Lock(), []
+
+    def drain():
+        while not failed:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException:
+                failed.append(i)
+                raise
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        workers = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for worker in workers:
+            worker.result()
+    return results
+
+
 def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.01,
                  crop_threshold: float = 0.9,
                  out_extents: tuple[int, int] | None = None) -> SensitivityMaps:
@@ -204,7 +259,8 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
 
     ``out_extents`` sets the (ky, kz) grid of the returned maps; default
     is the ACS grid itself (low-resolution maps). The readout axis is
-    decoupled by a 1D inverse FFT and processed independently.
+    decoupled by a 1D inverse FFT and its positions are processed
+    independently, on the threads ``task_threads`` gives.
     """
     if (isinstance(kernel_size, bool) or not isinstance(kernel_size, Integral)
             or kernel_size < 1):
@@ -231,21 +287,32 @@ def espirit_maps(acs: CTensor, kernel_size: int = 6, sigma_threshold: float = 0.
     scale = float(np.max(np.sqrt(np.sum(np.abs(hyb) ** 2, axis=(0, 2, 3)))))
     maps = np.zeros((nc, nx, out1, out2), dtype=np.complex128)
     eigval = np.zeros((nx, out1, out2))
-    fallbacks = 0
     start = np.full((out1, out2, nc), nc ** -0.5, dtype=np.complex128)
-    for ix in range(nx):
+    e1, e2 = _centred_idft(out1, k1), _centred_idft(out2, k2)
+    rows = max(1, _BLOCK_VOXELS // out2)
+
+    def readout(ix: int) -> int:
+        """Readout ix's maps and eigenvalues, a block of rows at a time;
+        returns its eigh fallbacks."""
         kern = _row_space(hyb[:, ix], k1, k2, sigma_threshold, scale)
         if len(kern) == 0:
-            continue
-        lead, vec, n_eigh = _leading_eigenpairs(_gram(kern, out1, out2), start)
-        fallbacks += n_eigh
-        # phase gauge on the first coil
-        ph = vec[..., 0]
-        gauge = np.where(np.abs(ph) > 0, ph / np.where(np.abs(ph) > 0, np.abs(ph), 1.0), 1.0)
-        vec = vec * np.conj(gauge)[..., None]
-        keep = lead >= crop_threshold
-        maps[:, ix] = np.where(keep[None], vec.transpose(2, 0, 1), 0.0)
-        eigval[ix] = lead
+            return 0
+        corr, fallbacks = _lag_correlation(kern), 0
+        for r in range(0, out1, rows):
+            lead, vec, n_eigh = _leading_eigenpairs(
+                _gram(corr, e1[r:r + rows], e2), start[r:r + rows])
+            fallbacks += n_eigh
+            # phase gauge on the first coil
+            ph = vec[..., 0]
+            gauge = np.where(np.abs(ph) > 0, ph / np.where(np.abs(ph) > 0, np.abs(ph), 1.0), 1.0)
+            vec = vec * np.conj(gauge)[..., None]
+            keep = lead >= crop_threshold
+            maps[:, ix, r:r + rows] = np.where(keep[None], vec.transpose(2, 0, 1), 0.0)
+            eigval[ix, r:r + rows] = lead
+        return fallbacks
+
+    with task_threads() as threads:
+        fallbacks = sum(_shared_map(readout, range(nx), threads))
     return SensitivityMaps(
         CTensor(maps, ("coil", "kx", "ky", "kz")), eigval, kernel_size,
         sigma_threshold, crop_threshold, fallbacks,

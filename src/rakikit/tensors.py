@@ -1,4 +1,5 @@
-"""Complex tensor container, centered FFTs, metrics, and bundle I/O.
+"""Complex tensor container, centered FFTs, metrics, bundle I/O, and the
+process's thread counts (CPUs, and numpy's OpenBLAS, read and switched).
 
 Every array that crosses a module boundary travels as a :class:`CTensor`:
 a complex128 ndarray plus named axes. The centered FFT convention puts DC
@@ -17,9 +18,13 @@ sample on the low-index side when parities mismatch.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,6 +122,82 @@ def blas_thread_env() -> dict:
     """The BLAS thread-count variables of the environment, None when unset."""
     return {k: os.environ.get(k) for k in
             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles in ``numpy.libs``, or None when there is none."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def blas_library_threads() -> int | None:
+    """The thread count numpy's OpenBLAS uses now, None when it is not found."""
+    calls = _openblas()
+    return None if calls is None else int(calls[0]())
+
+
+class _OneBlasThread:
+    """OpenBLAS at one thread while any holder is inside. The count is
+    process-global, so nested and concurrent holders share one depth count
+    under a lock: the first entry saves the count, the last exit restores
+    it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    @contextmanager
+    def held(self, calls):
+        get, put = calls
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                put(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    put(self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+@contextmanager
+def task_threads():
+    """Yield how many threads may run BLAS-bound tasks at once.
+
+    That is ``thread_count()``, with numpy's OpenBLAS at one thread until
+    the block exits, so that the threads do not oversubscribe the cores and
+    no product's summation order depends on the BLAS thread count. Where
+    ``thread_count()`` is 1 or OpenBLAS's thread calls are not found, it is
+    1 and BLAS is left as it is.
+    """
+    threads, calls = thread_count(), _openblas()
+    if threads == 1 or calls is None:
+        yield 1
+        return
+    with _ONE_BLAS_THREAD.held(calls):
+        yield threads
 
 
 def _ramp(shape: tuple[int, ...], axes: tuple[int, ...], sign: int):

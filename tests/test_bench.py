@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rakikit import (ConfigError, GeometryError, TrainConfig, bench, run_bench,
-                     report_table, report_to_json)
+                     report_table, report_to_json, tensors)
 from rakikit.bench import BENCH_METHODS, PAPER_REFERENCE
 from rakikit.config import DEFAULTS, checked, merge, train_config
 
@@ -129,6 +129,10 @@ class TestReport:
         assert env["python"]
         assert env["blas_threads"] == {k: os.environ.get(k) for k in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        # the count the library itself reports, outside any switch to one
+        assert env["blas_library_threads"] == tensors.blas_library_threads()
+        if tensors._openblas() is not None:
+            assert env["blas_library_threads"] >= 1
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert json.loads(report_to_json(fast_report))["environment"] == env

@@ -1,5 +1,7 @@
 """ESPIRiT sensitivity estimation and coil-combination properties."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,9 @@ from rakikit import (
 from rakikit import espirit
 from rakikit.espirit import (
     SensitivityMaps,
+    _centred_idft,
     _gram,
+    _lag_correlation,
     _leading_eigenpairs,
     _row_space,
 )
@@ -116,7 +120,8 @@ class TestGramKernel:
             (7, 8, k1, k2)
         )
         ref = image_space_gram(kern, out1, out2)
-        got = _gram(kern, out1, out2)
+        got = _gram(_lag_correlation(kern), _centred_idft(out1, k1),
+                    _centred_idft(out2, k2))
         assert got.shape == (out1, out2, 8, 8)
         assert got.flags["C_CONTIGUOUS"]
         tol = 1e-12 * np.abs(ref).max()
@@ -223,6 +228,21 @@ class TestRowSpace:
         assert kern.shape == (0, 4, 6, 6)
 
 
+def test_shared_map_takes_each_item_once():
+    """More threads than cores, switching every microsecond: every item is
+    called exactly once and its result lands at its own index."""
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = espirit._shared_map(lambda i: calls.append(i) or 2 * i,
+                                  range(2000), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [2 * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
+
+
 class TestMapEstimation:
     def test_unit_or_zero_norm(self):
         maps, _, _ = estimated_maps()
@@ -278,11 +298,15 @@ class TestMapEstimation:
         has_kernels = ref.eigval.any(axis=(1, 2))
         ix = int(np.argmax(has_kernels))
         assert has_kernels[ix] and has_kernels[ix + 1]
-        row_space, readout = espirit._row_space, iter(range(len(has_kernels)))
+        row_space = espirit._row_space
+        # readouts may run on several threads, so readout ix is known by its
+        # slice of the hybrid ACS, not by the order of the calls
+        dropped = ifftc(small_scene["acs"].transpose(
+            ("coil", "kx", "ky", "kz")), "kx").data[:, ix]
 
-        def drop_readout_ix(*args):
-            kern = row_space(*args)
-            return kern[:0] if next(readout) == ix else kern
+        def drop_readout_ix(hyb_x, *args):
+            kern = row_space(hyb_x, *args)
+            return kern[:0] if np.array_equal(hyb_x, dropped) else kern
 
         monkeypatch.setattr(espirit, "_row_space", drop_readout_ix)
         got = espirit_maps(small_scene["acs"], kernel_size=5,
@@ -291,6 +315,18 @@ class TestMapEstimation:
         others = np.arange(len(has_kernels)) != ix
         assert np.array_equal(got.maps.data[:, others], ref.maps.data[:, others])
         assert np.array_equal(got.eigval[others], ref.eigval[others])
+
+    def test_blocks_leave_the_maps_bit_identical(self, small_scene, monkeypatch):
+        """Each voxel's arithmetic does not depend on the block of rows it
+        comes in: one block per readout gives the same maps bit for bit."""
+        ref = small_scene["maps"]  # kernel 5 on the 48x48 mask grid
+        assert espirit._BLOCK_VOXELS < 48 * 48
+        monkeypatch.setattr(espirit, "_BLOCK_VOXELS", 48 * 48)
+        got = espirit_maps(small_scene["acs"], kernel_size=5,
+                           out_extents=(48, 48))
+        assert np.array_equal(got.maps.data, ref.maps.data)
+        assert np.array_equal(got.eigval, ref.eigval)
+        assert got.eigh_fallbacks == ref.eigh_fallbacks
 
     def test_low_resolution_default_grid(self):
         ksp, _ = compact_scene((8, 32, 32), 4, (6, 20, 20))

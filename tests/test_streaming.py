@@ -22,6 +22,8 @@ from rakikit import (
     centered_acs_box,
     coil_combine,
     echo_shifted_masks,
+    espirit_maps,
+    extract_acs,
     fftc,
     fftc_nd,
     ifftc,
@@ -35,10 +37,11 @@ from rakikit import (
     train_raki,
     zerofill_recon,
 )
-from rakikit import nn_engine, recon_models
+from rakikit import espirit, nn_engine, recon_models
 from rakikit.espirit import SensitivityMaps
 from rakikit.recon_models import _decimated_input, _ridge_solutions, linear_init
 from rakikit.sampling import acquired_coords, steps
+from rakikit.tensors import thread_count
 
 CFG = TrainConfig(iterations=2, widths=(8, 8, 8, 8),
                   kernel_sizes=((3, 3, 3), (1, 1, 3), (1, 1, 1), (1, 1, 1),
@@ -350,3 +353,20 @@ class TestPeakMemory:
         ts, peak = traced_peak(lambda: build_targets(problem))
         held = ts.inputs.nbytes + ts.targets.nbytes + ts.valid.nbytes
         assert peak <= held + 6 * coil
+
+    def test_espirit_maps(self, scene):
+        """A task holds one block of a readout's output rows: its coil Gram
+        matrices (a block), the two squaring buffers (two) and the products
+        on them, or the readout's kernels and their spectra, about five
+        blocks in all; besides them only the hybrid ACS and the start
+        vectors are held. Whole-readout tasks hold a readout's three
+        [48, 48, 8, 8] arrays, nine blocks, and fail the bound."""
+        x, masks, _, _ = scene
+        acs = extract_acs(x, masks[0])  # 8 coils, 16x24x24
+        m, peak = traced_peak(lambda: espirit_maps(acs, kernel_size=4,
+                                                   out_extents=(48, 48)))
+        block = espirit._BLOCK_VOXELS * 8 * 8 * 16  # one block's Gram matrices
+        assert 48 * 48 >= 3 * espirit._BLOCK_VOXELS
+        start = m.eigval[0].size * 8 * 16
+        held = m.maps.data.nbytes + m.eigval.nbytes + acs.data.nbytes + start
+        assert peak <= held + 5 * thread_count() * block
